@@ -126,14 +126,29 @@ class PrimeFieldElement:
         return f"{self.value}"
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; exact for p < 2**64 with these bases."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -141,6 +156,8 @@ class PrimeField:
     """GF(p) for a prime p."""
 
     def __init__(self, p: int):
+        if p >= 2 ** 64:
+            raise DomainError(f"modulus {p} is too large; need p < 2**64")
         if not _is_prime(p):
             raise DomainError(f"modulus {p} is not prime")
         self.p = p

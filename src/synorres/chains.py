@@ -17,7 +17,7 @@ formula, the last is owned by the synor module.
 from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
-from .linalg import HomologyBasis, homology_of_complex
+from .linalg import HomologyBasis, homology_of_complex, rank_of
 
 
 class FormalChain:
@@ -277,32 +277,23 @@ def homology(P, k: int, field) -> HomologyBasis:
     return HomologyBasis(k, hb.rank, cycles)
 
 
+def _boundary_rank(P, dim: int, field) -> int:
+    """Rank of the boundary map out of the dimension-dim chains of P."""
+    index_prev = {c: i for i, c in enumerate(P.chains(dim - 1))}
+    return rank_of(_boundary_columns(P, dim, index_prev, field), field)
+
+
 def homology_rank(P, k: int, field) -> int:
-    return homology(P, k, field).rank
+    """Rank of reduced order-complex homology of P in degree k, by
+    rank-nullity: dim C_k - rank d_k - rank d_{k+1}."""
+    return (len(P.chains(k)) - _boundary_rank(P, k, field)
+            - _boundary_rank(P, k + 1, field))
 
 
 def all_homology_ranks(P, field) -> dict[int, int]:
-    """Reduced homology ranks in every degree where chains exist."""
-    out = {}
-    d = -1
-    while P.chains(d) or d == -1:
-        out[d] = homology(P, d, field).rank
-        d += 1
-        if not P.chains(d):
-            break
-    return out
-
-
-# --- tensor complex boundary ---
-
-
-def tensor_boundary(a: FormalChain, b: FormalChain):
-    """The two summands of the tensor-complex differential on a (x) b.
-
-    Returns ((da, b), (sign * a, db)) with sign = (-1)^(i+1) for
-    i = dim a, so the caller can shuffle each pair and add.
-    """
-    da = boundary(a)
-    db = boundary(b)
-    sign = a.field.one if (a.dim + 1) % 2 == 0 else -a.field.one
-    return (da, b), (a.scale(sign), db)
+    """Reduced homology ranks in every degree where chains exist; each
+    boundary matrix is built and reduced once."""
+    top = P.max_chain_dim()
+    ranks = [_boundary_rank(P, d, field) for d in range(-1, top + 1)] + [0]
+    return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
+            for d in range(-1, top + 1)}

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from .algebra import (DimensionError, DomainError, Monomial,
-                      ValidationError, field_from_flag, parse_monomial)
+from .algebra import (DimensionError, DomainError, ValidationError,
+                      field_from_flag, parse_monomial)
 from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
                      parse_ideal_text, random_ideal, random_poset)
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
@@ -30,10 +29,10 @@ from .resolution import (betti_from_intervals, betti_from_resolution,
 from .shuffle import shuffle_product
 from .chains import FormalChain, all_homology_ranks
 from .synor import build_synor_complex, synor_to_json, synors
-from .verify import (TheoremContradiction, TopAnalysis,
-                     check_bracket_vanishing, check_shift_count_bound,
-                     check_subadditivity, sweep_lattices,
-                     verify_intervals, verify_lattice_instances)
+from .verify import (TheoremContradiction, check_bracket_vanishing,
+                     check_shift_count_bound, check_subadditivity,
+                     sweep_lattices, verify_intervals,
+                     verify_lattice_instances)
 
 REPRODUCER_PATH = "synorres-reproducer.json"
 
@@ -90,7 +89,7 @@ def _emit(args, payload: dict, text_lines: list[str]):
 def cmd_betti(args) -> int:
     L = lattice_of(load_ideal(args.input))
     field = field_from_flag(args.field)
-    table = betti_from_intervals(L, field)
+    table = betti_from_resolution(synor_resolution(L, field))
     t_line = "t: " + " ".join(str(x) for x in table.t_sequence())
     _emit(args, table.to_json(), [table.text(), t_line])
     return 0
@@ -195,7 +194,7 @@ def cmd_shuffle_demo(args) -> int:
 def _verify_subadditivity(args) -> tuple[bool, list[str]]:
     L = lattice_of(load_ideal(args.input))
     field = field_from_flag(args.field)
-    table = betti_from_intervals(L, field)
+    table = betti_from_resolution(synor_resolution(L, field))
     pd = table.projective_dimension()
     ok = True
     lines = [f"projective dimension: {pd}",
@@ -305,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="q for rationals or a prime p")
         p.add_argument("--format", choices=["text", "json"], default="text")
 
-    p = sub.add_parser("betti", help="Betti table from interval homology")
+    p = sub.add_parser("betti",
+                       help="Betti table from the synor resolution")
     common(p)
     p.set_defaults(func=cmd_betti)
 

@@ -57,12 +57,6 @@ class Poset:
     def lt(self, a: int, b: int) -> bool:
         return a != b and bool(self.leq[a, b])
 
-    def uppers(self, x: int) -> np.ndarray:
-        return self.leq[x]
-
-    def lowers(self, x: int) -> np.ndarray:
-        return self.leq[:, x]
-
     def strictly_below(self, x: int) -> list[int]:
         mask = self.leq[:, x].copy()
         mask[x] = False
@@ -70,10 +64,6 @@ class Poset:
 
     def below_or_equal(self, x: int) -> list[int]:
         return [int(i) for i in np.flatnonzero(self.leq[:, x])]
-
-    def minimal_elements(self) -> list[int]:
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return [int(i) for i in range(self.n) if not strict[:, i].any()]
 
     def maximal_elements(self) -> list[int]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
@@ -340,14 +330,6 @@ def open_interval(L: Poset, a: int, b: int) -> Poset:
     return L.sub(ids)
 
 
-def ideal_below(P: Poset, x: int, strict: bool = True) -> Poset:
-    """The order ideal of elements below x (strictly, by default)."""
-    if not 0 <= x < P.n:
-        raise IndexError("element out of range")
-    ids = P.strictly_below(x) if strict else P.below_or_equal(x)
-    return P.sub(ids)
-
-
 def proper_parts(L: Lattice) -> tuple[Poset, Poset]:
     """(L minus bottom, L minus bottom and top).
 
@@ -431,7 +413,6 @@ def canonical_form(P: Poset) -> bytes:
     def encode(perm):
         # perm[k] = original id placed at position k
         bits = 0
-        pos = {v: k for k, v in enumerate(perm)}
         for a in range(n):
             for b in range(n):
                 if P.leq[perm[a], perm[b]]:

@@ -1,38 +1,25 @@
 """Multigraded Betti numbers and minimal free resolutions of monomial ideals.
 
-Betti numbers are read off the lcm lattice: beta_{i,m} is the rank of
-reduced homology in degree i - 2 of the open interval between the bottom
-and m, with beta_{0,1} = 1 by convention.  The resolution itself is the
-synor complex of the lattice minus its bottom: dimension-(i-1) generators
-become the basis of the i-th free module, labeled by the lattice monomial
-they sit at, and the synor differential supplies monomial-weighted matrix
-entries.  A certification pass re-proves resolution-hood from scratch:
-squared differential, per-multidegree strand exactness, minimality, and
-cokernel equal to the ideal.
+The resolution is the synor complex of the lcm lattice minus its bottom:
+dimension-(i-1) generators become the basis of the i-th free module,
+labeled by the lattice monomial they sit at, and the synor differential
+supplies monomial-weighted matrix entries.  Betti numbers are its
+generator counts.  A certification pass re-proves resolution-hood from
+scratch: squared differential, per-multidegree strand exactness,
+minimality, and cokernel equal to the ideal.
+
+The independent oracle reads Betti numbers off the lattice directly:
+beta_{i,m} is the rank of reduced homology in degree i - 2 of the open
+interval between the bottom and m, with beta_{0,1} = 1 by convention.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .algebra import Monomial, ValidationError
 from .chains import all_homology_ranks
 from .linalg import rank_of
 from .poset import LcmLattice, open_interval, proper_parts
 from .synor import EMPTY_GENERATOR, build_synor_complex
-
-
-def thread_count() -> int:
-    """Worker cap from SYNOR_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("SYNOR_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValidationError(f"SYNOR_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 class BettiTable:
@@ -49,13 +36,6 @@ class BettiTable:
 
     def graded(self, i: int) -> dict:
         return {m: v for (j, m), v in sorted(self.entries.items()) if j == i}
-
-    def by_degree(self, i: int) -> dict:
-        out: dict[int, int] = {}
-        for (j, m), v in self.entries.items():
-            if j == i:
-                out[m.degree()] = out.get(m.degree(), 0) + v
-        return out
 
     def projective_dimension(self) -> int:
         return max((i for (i, _m) in self.entries), default=0)
@@ -132,31 +112,18 @@ class BettiTable:
         }
 
 
-def _interval_betti(L: LcmLattice, m_id: int, field) -> dict:
-    """Betti contributions of one lattice element via its open interval."""
-    interval = open_interval(L, L.bottom, m_id)
-    mono = L.monomials[m_id]
-    ranks = all_homology_ranks(interval, field)
-    return {(d + 2, mono): r for d, r in ranks.items() if r}
-
-
-def betti_from_intervals(L: LcmLattice, field, threads: int | None = None) -> BettiTable:
+def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
     """Betti table from interval homology; beta_{0,1} = 1 by convention.
 
-    Elements fan out over a thread pool sized by SYNOR_THREADS (or the
-    threads argument); results are merged in lattice order, so the output
-    does not depend on scheduling.
+    The oracle the synor resolution's table is checked against.
     """
-    workers = thread_count() if threads is None else max(1, int(threads))
-    ids = [i for i in range(L.n) if i != L.bottom]
     entries: dict = {(0, Monomial.one(len(L.variables))): 1}
-    if workers == 1:
-        parts = [_interval_betti(L, i, field) for i in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda i: _interval_betti(L, i, field), ids))
-    for part in parts:
-        entries.update(part)
+    for m_id in range(L.n):
+        if m_id == L.bottom:
+            continue
+        ranks = all_homology_ranks(open_interval(L, L.bottom, m_id), field)
+        mono = L.monomials[m_id]
+        entries.update({(d + 2, mono): r for d, r in ranks.items() if r})
     return BettiTable(L.variables, entries)
 
 

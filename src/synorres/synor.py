@@ -24,12 +24,14 @@ chains, and the relative-homology comparison of chains modulo an ideal.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 from .algebra import DimensionError, DomainError, Monomial, ValidationError
-from .chains import (FormalChain, boundary, boundary_key, concat,
-                     graded_component, homology as simplicial_homology)
+from .chains import (FormalChain, all_homology_ranks, boundary,
+                     boundary_key, concat, graded_component)
+# Bound only so that perfbench's self-test can check that the tracer
+# wraps functions through module-level aliases.
+from .chains import homology as simplicial_homology  # noqa: F401
 from .linalg import HomologyBasis, Reducer, homology_of_complex, solve
 from .poset import Poset
 
@@ -53,7 +55,7 @@ class SynorComplex:
     """
 
     def __init__(self, poset: Poset, field, element_ids, gens_by_dim,
-                 delta, phi_memo, rho_memo, rho_lock):
+                 delta, phi_memo, rho_memo):
         self.poset = poset
         self.field = field
         self.element_set = frozenset(element_ids)
@@ -61,7 +63,6 @@ class SynorComplex:
         self.delta = delta
         self._phi = phi_memo
         self._rho = rho_memo
-        self._rho_lock = rho_lock
 
     # --- basis access ---
 
@@ -129,7 +130,7 @@ class SynorComplex:
             for d, lst in self.gens_by_dim.items()
         }
         return SynorComplex(self.poset, self.field, ideal, gens,
-                            self.delta, self._phi, self._rho, self._rho_lock)
+                            self.delta, self._phi, self._rho)
 
     def homology(self, k: int) -> HomologyBasis:
         """Homology of the restricted complex; cycles are synor chains."""
@@ -168,7 +169,7 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
         EMPTY_GENERATOR: FormalChain.zero(-2, field, "synor")
     }
     complex_so_far = SynorComplex(P, field, range(P.n), gens_by_dim, delta,
-                                  {}, {}, threading.Lock())
+                                  {}, {})
     for x in P.linear_extension():
         below = frozenset(P.strictly_below(x))
         sub = complex_so_far.restrict(below)
@@ -188,10 +189,6 @@ def restrict(S: SynorComplex, ideal_ids) -> SynorComplex:
     return S.restrict(ideal_ids)
 
 
-def synor_homology(S: SynorComplex, k: int) -> HomologyBasis:
-    return S.homology(k)
-
-
 def synors(P: Poset, field) -> list[tuple[int, int, int]]:
     """All (element, i, multiplicity) with nonzero H_{i-1} strictly below.
 
@@ -200,15 +197,8 @@ def synors(P: Poset, field) -> list[tuple[int, int, int]]:
     """
     out = []
     for x in range(P.n):
-        sub = P.sub(P.strictly_below(x))
-        d = -1
-        while True:
-            if not sub.chains(d) and d != -1:
-                break
-            rank = simplicial_homology(sub, d, field).rank
-            if rank:
-                out.append((x, d + 1, rank))
-            d += 1
+        ranks = all_homology_ranks(P.sub(P.strictly_below(x)), field)
+        out.extend((x, d + 1, r) for d, r in ranks.items() if r)
     return out
 
 
@@ -245,18 +235,6 @@ def ell_representation(S: SynorComplex, g: Generator,
     return reps
 
 
-def assemble_representation(S: SynorComplex,
-                            reps: dict[tuple, FormalChain]) -> FormalChain:
-    """Reassemble sum over chi of chi * phi(zeta_chi) as an order chain."""
-    total = None
-    for chi, zeta in sorted(reps.items()):
-        term = concat(S.poset, chi, S.phi_chain(zeta))
-        total = term if total is None else total + term
-    if total is None:
-        raise DomainError("empty representation")
-    return total
-
-
 # --- coefficient brackets ---
 
 
@@ -286,7 +264,7 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
     is the least-pivot solution xi of delta(xi) = rho(boundary), taken
     among generators at elements below the chain's top, which exists
     because the complex restricted to a principal ideal is acyclic.
-    Solutions are memoized per complex and safe to share across threads.
+    Solutions are memoized per complex and shared by its restrictions.
     """
     key = tuple(int(x) for x in key)
     cached = S._rho.get(key)
@@ -298,14 +276,6 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
     for x in key:
         if x not in S.element_set:
             raise DomainError(f"element {x} outside the complex")
-    with S._rho_lock:
-        return _rho_locked(S, key)
-
-
-def _rho_locked(S: SynorComplex, key: tuple) -> FormalChain:
-    cached = S._rho.get(key)
-    if cached is not None:
-        return cached
     if not key:
         out = FormalChain(-1, S.field, {EMPTY_GENERATOR: S.field.one}, "synor")
         S._rho[key] = out
@@ -313,7 +283,7 @@ def _rho_locked(S: SynorComplex, key: tuple) -> FormalChain:
     k = len(key) - 1
     target = FormalChain.zero(k - 1, S.field, "synor")
     for face, coeff in boundary_key(key, S.field).items():
-        target = target + _rho_locked(S, face).scale(coeff)
+        target = target + rho(S, face).scale(coeff)
     ideal = sorted(y for y in S.element_set if S.poset.le(y, key[0]))
     sub = S.restrict(ideal)
     cols_basis = sub.generators(k)

@@ -14,11 +14,12 @@ Every intermediate homological claim of the proof is asserted as it is
 used, and a failure raises TheoremContradiction with a JSON-ready
 reproducer payload.
 
-On lcm lattices the same machinery yields Betti-level consequences:
-subadditivity of maximal shifts with witness pairs n1, n2 whose lcm
-realizes the extremal multidegree, and the product bound on the number
-of shifts.  Reports are plain objects with stable line formats so sweep
-output is diffable.
+On lcm lattices the Betti table of the synor resolution yields the
+Betti-level consequences: subadditivity of maximal shifts with witness
+pairs n1, n2 whose lcm realizes the extremal multidegree, and the
+product bound on the number of shifts.  Interval witnesses are searched
+in the table and re-verified by order-complex homology.  Reports are
+plain objects with stable line formats so sweep output is diffable.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from .algebra import DomainError, Monomial, RationalField, ValidationError
 from .chains import (FormalChain, all_homology_ranks, boundary, boundary_key,
                      graded_component, homology_rank)
 from .linalg import Reducer, kernel_basis
-from .poset import (Lattice, LcmLattice, Poset, enumerate_lattices,
-                    lattice_hash, open_interval, poset_to_json)
-from .resolution import BettiTable, betti_from_intervals
+from .poset import (Lattice, LcmLattice, enumerate_lattices, lattice_hash,
+                    open_interval, poset_to_json)
+from .resolution import BettiTable, betti_from_resolution, synor_resolution
 from .shuffle import shuffle_product
-from .synor import (EMPTY_GENERATOR, Generator, SynorComplex,
-                    bracket, build_synor_complex, ell_representation,
-                    homologous_in_pair, rho, synors)
+from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
+                    ell_representation, homologous_in_pair, rho, synors)
 
 
 class TheoremContradiction(Exception):
@@ -114,39 +114,6 @@ def _map_chain(c: FormalChain, table) -> FormalChain:
         {tuple(table[v] for v in key): coeff for key, coeff in c.terms.items()},
         c.kind,
     )
-
-
-def relative_homology_rank(P: Poset, ideal_ids, k: int, field) -> int:
-    """Rank of degree-k homology of chains of P modulo chains in the ideal.
-
-    Computed on the quotient complex: basis chains are those touching the
-    complement, boundaries are projected there.
-    """
-    ideal = frozenset(int(i) for i in ideal_ids)
-
-    def basis(d):
-        return [c for c in P.chains(d) if not set(c) <= ideal]
-
-    def columns(cs, index_prev):
-        out = []
-        for key in cs:
-            raw = boundary_key(key, field)
-            out.append({index_prev[f]: v for f, v in raw.items()
-                        if f in index_prev})
-        return out
-
-    b_prev = {c: i for i, c in enumerate(basis(k - 1))}
-    b_k = basis(k)
-    cols_k = columns(b_k, b_prev)
-    b_k_index = {c: i for i, c in enumerate(b_k)}
-    cols_next = columns(basis(k + 1), b_k_index)
-    img = Reducer(field)
-    for col in cols_next:
-        img.insert(col)
-    down = Reducer(field)
-    for col in cols_k:
-        down.insert(col)
-    return (len(b_k) - down.rank()) - img.rank()
 
 
 class TopAnalysis:
@@ -414,60 +381,66 @@ def verify_step_lemma(L: Lattice, g: Generator, ell: int,
     return TopAnalysis(L, field or RationalField()).verify_step_lemma(g, ell)
 
 
-def interval_lattice(L: Lattice, m: int) -> tuple[Lattice, list[int]]:
-    """The closed interval from the bottom to m as a lattice of its own,
-    together with the id translation back into L."""
-    ids = [y for y in range(L.n) if L.le(y, m)]
-    sub = L.sub(ids)
-    labels = tuple(sub.labels) if sub.labels else None
-    return Lattice(sub.leq, labels=labels), ids
+def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
+                      field, table: BettiTable) -> DecompositionWitness:
+    """Decompose the element m inside its closed interval [0, m].
 
+    The (i-1)-synors of that interval are the x <= m with beta_{i,x} > 0,
+    so the search reads the Betti table: the first pair x, y <= m in
+    ascending ids, x outermost, with beta_{i1,x} > 0, beta_{i2,y} > 0 and
+    x v y = m.  The pair is then re-verified by order-complex homology.
+    Raises TheoremContradiction if beta_{i1+i2-k,m} = 0, if no pair
+    exists, or if the re-verification fails.
+    """
+    def beta(i, x):
+        return table.beta(i, L.monomials[x])
 
-def _interval_witness(L: Lattice, m: int, i1: int, i2: int, k: int,
-                      field) -> DecompositionWitness:
-    """Decompose the element m inside its own closed interval and express
-    the witness in L's ids; raises TheoremContradiction if the search or
-    the re-verification fails."""
-    K, ids = interval_lattice(L, m)
-    witness = TopAnalysis(K, field).bruteforce(i1, i2, k)
-    if witness is None:
-        raise TheoremContradiction(
-            "no synor pair joins to the interval top",
-            {"lattice": poset_to_json(L), "m": m,
-             "i1": i1, "i2": i2, "k": k})
-    n1, n2 = ids[witness.n1], ids[witness.n2]
-    cert = dict(witness.certification)
-    cert["join_dominates_target"] = L.le(m, L.join_of(n1, n2))
+    def payload(stage):
+        return {"lattice": poset_to_json(L), "m": m,
+                "i1": i1, "i2": i2, "k": k, "stage": stage}
+
+    below = [x for x in range(L.n) if L.le(x, m)]
+    pair = None
+    if beta(i1 + i2 - k, m):
+        pair = next(((x, y) for x in below if beta(i1, x)
+                     for y in below if beta(i2, y) and L.join_of(x, y) == m),
+                    None)
+    if pair is None:
+        raise TheoremContradiction("no synor pair joins to the interval top",
+                                   payload("interval-search"))
+    n1, n2 = pair
+    cert = {"rank1": beta(i1, n1), "rank2": beta(i2, n2),
+            "join_is_top": True, "stage": "interval-search"}
     out = DecompositionWitness(L, i1, i2, k, n1, n2, m, cert)
     if not out.verify(field):
-        raise TheoremContradiction(
-            "interval witness failed re-verification",
-            {"lattice": poset_to_json(L), "m": m,
-             "i1": i1, "i2": i2, "k": k})
+        raise TheoremContradiction("interval witness failed re-verification",
+                                   payload("interval-reverify"))
     return out
 
 
-def verify_interval_decomposition(L: Lattice, m: int, i1: int, i2: int,
+def verify_interval_decomposition(L: LcmLattice, m: int, i1: int, i2: int,
                                   field=None) -> DecompositionWitness:
-    """Betti-level decomposition: a certified pair joining to at least m.
+    """Betti-level decomposition: a certified pair joining to m.
 
-    Requires nonzero homology of the open interval below m in degree
-    i1 + i2 - 2; the witness pair is found inside the closed interval,
-    certified there, then re-expressed in L's ids.
+    Requires beta_{i1+i2,m} > 0, read off the synor resolution; the
+    witness pair is found inside the closed interval [0, m] and
+    re-verified by order-complex homology.
     """
     field = field or RationalField()
+    if not isinstance(L, LcmLattice):
+        raise DomainError("Betti-level decomposition needs an lcm lattice")
     if isinstance(m, Monomial):
-        if not isinstance(L, LcmLattice) or m not in L.monomials:
+        if m not in L.monomials:
             raise DomainError("target monomial is not a lattice element")
         m = L.monomials.index(m)
     if i1 < 1 or i2 < 1:
         raise DomainError("need i1 >= 1 and i2 >= 1")
-    rank = homology_rank(open_interval(L, L.bottom, m), i1 + i2 - 2, field)
-    if rank == 0:
+    table = betti_from_resolution(synor_resolution(L, field))
+    if not table.beta(i1 + i2, L.monomials[m]):
         raise DomainError(
             "open interval below the target has no homology in the "
             "required degree")
-    return _interval_witness(L, m, i1, i2, 0, field)
+    return _interval_witness(L, m, i1, i2, 0, field, table)
 
 
 def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
@@ -484,7 +457,7 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
     if k < 0 or k > min(i1, i2):
         raise DomainError("need 0 <= k <= min(i1, i2)")
     if table is None:
-        table = betti_from_intervals(L, field)
+        table = betti_from_resolution(synor_resolution(L, field))
     s = i1 + i2 - k
     ts, t1, t2 = table.t(s), table.t(i1), table.t(i2)
     lines = [f"t_{s}={ts} <= t_{i1}+t_{i2}={t1}+{t2}"]
@@ -496,7 +469,7 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
             if j != s or mono.degree() != ts:
                 continue
             m_id = monomial_of[mono]
-            w = _interval_witness(L, m_id, i1, i2, k, field)
+            w = _interval_witness(L, m_id, i1, i2, k, field, table)
             d1 = L.monomials[w.n1].degree()
             d2 = L.monomials[w.n2].degree()
             degree_ok = (d1 <= t1 and d2 <= t2 and
@@ -525,7 +498,7 @@ def check_shift_count_bound(L: LcmLattice, i1: int, i2: int,
     if i1 < 0 or i2 < 0:
         raise DomainError("need i1, i2 >= 0")
     if table is None:
-        table = betti_from_intervals(L, field)
+        table = betti_from_resolution(synor_resolution(L, field))
     lhs = table.a(i1 + i2)
     rhs = table.a(i1) * table.a(i2)
     ok = lhs <= rhs
@@ -622,7 +595,7 @@ def verify_intervals(L: LcmLattice, field=None,
     pair with lcm dominating m.  One line per instance."""
     field = field or RationalField()
     if table is None:
-        table = betti_from_intervals(L, field)
+        table = betti_from_resolution(synor_resolution(L, field))
     monomial_of = {m: i for i, m in enumerate(L.monomials)}
     ok = True
     lines = []
@@ -633,11 +606,11 @@ def verify_intervals(L: LcmLattice, field=None,
         for i1 in range(1, i):
             i2 = i - i1
             try:
-                w = verify_interval_decomposition(L, m_id, i1, i2, field)
-                good = w.verify(field)
+                w = _interval_witness(L, m_id, i1, i2, 0, field, table)
+                good = True
                 wtxt = f"{L.format_label(w.n1)},{L.format_label(w.n2)}"
-            except TheoremContradiction:
-                good, wtxt = False, "none"
+            except TheoremContradiction as e:
+                good, wtxt = False, f"none stage={e.payload['stage']}"
             ok = ok and good
             lines.append(
                 f"INTERVAL {mono.format(L.variables)} i1={i1} i2={i2} "
@@ -659,13 +632,15 @@ def verify_lattice_instances(L: Lattice, field=None) -> tuple[bool, list[str]]:
             good = (brute is not None and constructive is not None
                     and brute.verify(field) and constructive.verify(field))
             witness = brute if brute is not None else constructive
-        except TheoremContradiction:
+            stage = ""
+        except TheoremContradiction as e:
             good, witness = False, None
+            stage = f" stage={e.payload['stage']}"
         ok = ok and good
         wtxt = f"{witness.n1},{witness.n2}" if witness else "none"
         lines.append(
             f"LATTICE {h} i1={i1} i2={i2} k={k} "
-            f"RESULT={'pass' if good else 'fail'} witness={wtxt}")
+            f"RESULT={'pass' if good else 'fail'} witness={wtxt}{stage}")
     return ok, lines
 
 

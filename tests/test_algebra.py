@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from synorres.algebra import (DomainError, Monomial, PrimeField,
-                              RationalField, ValidationError, field_from_flag,
-                              parse_monomial)
+                              RationalField, ValidationError, _is_prime,
+                              field_from_flag, parse_monomial)
 
 fields = st.sampled_from([RationalField(), PrimeField(2), PrimeField(7),
                           PrimeField(101)])
@@ -43,6 +44,26 @@ def test_prime_field_requires_prime():
         PrimeField(9)
     with pytest.raises(DomainError):
         PrimeField(1)
+
+
+def test_prime_test_is_exact_and_fast_below_2_64():
+    start = time.monotonic()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert PrimeField(2 ** 64 - 59).p == 2 ** 64 - 59
+    assert time.monotonic() - start < 0.5
+    with pytest.raises(DomainError):
+        PrimeField((2 ** 31 - 1) ** 2)
+    with pytest.raises(DomainError):
+        PrimeField(3215031751)  # strong pseudoprime to bases 2, 3, 5, 7
+    small = [p for p in range(200) if all(p % d for d in range(2, p))][2:]
+    assert [p for p in range(200) if _is_prime(p)] == small
+
+
+def test_prime_field_rejects_moduli_from_2_64():
+    with pytest.raises(DomainError):
+        PrimeField(2 ** 64 + 13)
+    with pytest.raises(DomainError):
+        field_from_flag(str(2 ** 89 - 1))
 
 
 def test_rational_parse():

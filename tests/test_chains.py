@@ -110,3 +110,13 @@ def test_homology_representatives_are_cycles(cycle_lattice):
     assert basis.rank == len(basis.cycles) == 2
     for z in basis.cycles:
         assert boundary(z).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(0, 7))
+def test_rank_only_homology_matches_cycle_bases(seed, n):
+    P = random_poset(seed, n)
+    ranks = all_homology_ranks(P, QQ)
+    assert ranks == {d: homology(P, d, QQ).rank
+                     for d in range(-1, P.max_chain_dim() + 1)}
+    assert all(homology_rank(P, d, QQ) == r for d, r in ranks.items())

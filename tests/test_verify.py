@@ -3,11 +3,13 @@ import json
 import pytest
 
 from synorres.algebra import DomainError, Monomial, RationalField
-from synorres.corpus import ideal_powers, random_ideal
-from synorres.poset import build_lcm_lattice, enumerate_lattices
-from synorres.resolution import betti_from_intervals
+from synorres import verify
+from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
+from synorres.poset import Lattice, build_lcm_lattice, enumerate_lattices
+from synorres.resolution import (betti_from_intervals, betti_from_resolution,
+                                 synor_resolution)
 from synorres.verify import (DecompositionWitness, TheoremContradiction,
-                             TopAnalysis, check_class_sums,
+                             TopAnalysis, _interval_witness, check_class_sums,
                              check_shift_count_bound, check_subadditivity,
                              decompose_top_bruteforce,
                              decompose_top_constructive, sweep_lattices,
@@ -136,6 +138,76 @@ def test_interval_decomposition_hypothesis_check(cycle_lattice):
         # xy is an atom: no (1,1) split of beta_2 there
         m = cycle_lattice.atoms[0]
         verify_interval_decomposition(cycle_lattice, m, 1, 1, QQ)
+
+
+def closed_interval_search(L, m):
+    """The synor-pair search run inside [0, m] as a lattice of its own,
+    returning witness pairs in L's ids."""
+    ids = [y for y in range(L.n) if L.le(y, m)]
+    sub = L.sub(ids)
+    ana = TopAnalysis(Lattice(sub.leq, labels=sub.labels), QQ)
+
+    def search(i1, i2):
+        w = ana.bruteforce(i1, i2, 0)
+        return ids[w.n1], ids[w.n2]
+    return search
+
+
+@pytest.mark.parametrize("name", ["cycle", "example62", "kpq32"])
+def test_interval_witness_matches_closed_interval_search(
+        name, cycle_lattice, example62_lattice):
+    if name == "kpq32":
+        spec = ideal_kpq(3, 2)
+        L = build_lcm_lattice(list(spec.generators), spec.variables)
+    else:
+        L = cycle_lattice if name == "cycle" else example62_lattice
+    T = betti_from_resolution(synor_resolution(L, QQ))
+    checked = 0
+    for (i, mono), _v in sorted(T.entries.items()):
+        if i < 2:
+            continue
+        m = L.monomials.index(mono)
+        search = closed_interval_search(L, m)
+        for i1 in range(1, i):
+            w = _interval_witness(L, m, i1, i - i1, 0, QQ, T)
+            assert (w.n1, w.n2) == search(i1, i - i1)
+            checked += 1
+    assert checked > 0
+
+
+def test_sweep_fail_lines_name_the_stage(cycle_lattice, monkeypatch):
+    def contradiction(stage):
+        def raiser(*args, **kwargs):
+            raise TheoremContradiction("injected", {"stage": stage})
+        return raiser
+
+    monkeypatch.setattr(verify, "_interval_witness",
+                        contradiction("interval-search"))
+    ok, lines = verify_intervals(cycle_lattice, QQ)
+    assert not ok
+    assert lines == ["INTERVAL x*y*z i1=1 i2=1 RESULT=fail witness=none "
+                     "stage=interval-search"]
+
+    monkeypatch.setattr(TopAnalysis, "constructive",
+                        contradiction("relative-homology"))
+    ok, lines = verify_lattice_instances(cycle_lattice, QQ)
+    assert not ok and lines
+    assert all(line.endswith("RESULT=fail witness=none stage=relative-homology")
+               for line in lines)
+
+
+def test_interval_witness_contradiction_stages(cycle_lattice, monkeypatch):
+    L = cycle_lattice
+    T = betti_from_resolution(synor_resolution(L, QQ))
+    top = L.top
+    with pytest.raises(TheoremContradiction) as e:
+        _interval_witness(L, top, 2, 2, 0, QQ, T)  # beta_{4,xyz} = 0
+    assert e.value.payload["stage"] == "interval-search"
+    monkeypatch.setattr(DecompositionWitness, "verify",
+                        lambda self, field=None: False)
+    with pytest.raises(TheoremContradiction) as e:
+        _interval_witness(L, top, 1, 1, 0, QQ, T)
+    assert e.value.payload["stage"] == "interval-reverify"
 
 
 def test_subadditivity_reports(example62_lattice):
