@@ -127,25 +127,7 @@ class FormalChain:
         return " ".join(parts)
 
 
-# --- boundary and faces ---
-
-
-def face(c: FormalChain, j: int) -> FormalChain:
-    """Delete index j from every basis chain (no sign)."""
-    if c.kind == "synor":
-        raise ValidationError("face acts on order/multi chains")
-    if j < 0 or j > c.dim:
-        raise IndexError(f"face index {j} out of range for dimension {c.dim}")
-    terms: dict = {}
-    for key, v in c.terms.items():
-        fkey = key[:j] + key[j + 1:]
-        w = terms.get(fkey)
-        w = v if w is None else w + v
-        if w:
-            terms[fkey] = w
-        else:
-            terms.pop(fkey, None)
-    return FormalChain(c.dim - 1, c.field, terms, c.kind)
+# --- boundary ---
 
 
 def boundary(c: FormalChain) -> FormalChain:

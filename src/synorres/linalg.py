@@ -11,28 +11,6 @@ witness choices reproducible run to run.
 from __future__ import annotations
 
 
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        w = out.get(k)
-        w = v if w is None else w + v
-        if w:
-            out[k] = w
-        else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(a: dict, s) -> dict:
-    if not s:
-        return {}
-    return {k: v * s for k, v in a.items()}
-
-
-def vec_sub(a: dict, b: dict) -> dict:
-    return vec_add(a, {k: -v for k, v in b.items()})
-
-
 def _axpy(target: dict, c, source: dict):
     """target -= c * source, in place, dropping zeros."""
     for k, v in source.items():

@@ -1,8 +1,8 @@
 """Finite posets, lattices, and lcm lattices of monomial ideals.
 
 A Poset is a frozen boolean matrix leq with leq[i, j] true iff element i
-is below element j, plus optional labels.  Lattices add join/meet tables
-and distinguished bottom/top.  The lcm lattice of a monomial ideal has
+is below element j, plus optional labels.  Lattices add a join table and
+distinguished bottom/top.  The lcm lattice of a monomial ideal has
 elements the lcms of subsets of the minimal generators, ordered by
 divisibility, with join = lcm; its element ids are assigned in
 lexicographic order of exponent vectors, which puts the bottom (the unit
@@ -12,13 +12,14 @@ extension.
 Small abstract lattices can be enumerated up to isomorphism: every lattice
 on n >= 2 elements is the bounded closure of an arbitrary poset on n - 2
 "middle" elements, so we enumerate naturally-labeled middle posets, keep
-those whose closure has all joins and meets, and deduplicate by a
+those whose closure has all joins, and deduplicate by a
 canonical form taken over order-preserving relabelings.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 
 import numpy as np
 
@@ -67,7 +68,7 @@ class Poset:
 
     def maximal_elements(self) -> list[int]:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return [int(i) for i in range(self.n) if not strict[i].any()]
+        return np.flatnonzero(~strict.any(axis=1)).tolist()
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with i covered by j."""
@@ -83,15 +84,15 @@ class Poset:
         """Topological order of ids, smallest id first among available."""
         if "linext" not in self._cache:
             lt = self.leq & ~np.eye(self.n, dtype=bool)
-            remaining = set(range(self.n))
+            waiting = lt.sum(axis=0)  # predecessors not yet placed
+            heap = np.flatnonzero(waiting == 0).tolist()
             out = []
-            while remaining:
-                nxt = min(
-                    i for i in remaining
-                    if not any(lt[j, i] for j in remaining)
-                )
-                out.append(nxt)
-                remaining.remove(nxt)
+            while heap:
+                x = heapq.heappop(heap)
+                out.append(x)
+                waiting -= lt[x]
+                for y in np.flatnonzero(lt[x] & (waiting == 0)).tolist():
+                    heapq.heappush(heap, y)
             self._cache["linext"] = tuple(out)
         return self._cache["linext"]
 
@@ -169,27 +170,27 @@ class Poset:
 
 
 class Lattice(Poset):
-    """A bounded lattice: total join/meet tables plus bottom and top."""
+    """A bounded lattice: its join table plus bottom and top.
+
+    A finite poset with a bottom and all pairwise joins is a lattice (the
+    meet of a and b is the join of their common lower bounds), so the join
+    table, the one operation the lcm lattice is built on, is all we keep.
+    """
 
     def __init__(self, leq, labels=None, validate=True):
         super().__init__(leq, labels=labels, validate=validate)
         if self.n == 0:
             raise DomainError("a lattice must be nonempty")
-        join, meet = _lattice_tables(self.leq)
+        join = _lattice_tables(self.leq)
         if join is None:
             raise DomainError("poset is not a lattice")
         join.setflags(write=False)
-        meet.setflags(write=False)
         self.join = join
-        self.meet = meet
         self.bottom = _unique_bottom(self.leq)
         self.top = _unique_top(self.leq)
 
     def join_of(self, a: int, b: int) -> int:
         return int(self.join[a, b])
-
-    def meet_of(self, a: int, b: int) -> int:
-        return int(self.meet[a, b])
 
     def join_all(self, ids) -> int:
         x = self.bottom
@@ -213,47 +214,32 @@ def _unique_top(leq) -> int:
 
 
 def _lattice_tables(leq):
-    """Join and meet tables, or (None, None) if some bound fails to exist."""
+    """The join table, or None if some pair has no least upper bound.
+
+    Row a is one query over all b >= a: of the common upper bounds of a
+    and b, only the one with the largest up-set can be least.  That
+    candidate's up-set lies inside the common upper bounds, so it lies
+    below all of them iff the two sets have the same size; a pair with no
+    upper bound fails the same test (0 against an up-set of at least 1).
+    """
     n = leq.shape[0]
-    join = np.full((n, n), -1, dtype=int)
-    meet = np.full((n, n), -1, dtype=int)
+    up_size = leq.sum(axis=1)
+    order = np.argsort(-up_size)
+    by_up = leq[:, order]  # columns by up-set size, largest first
+    join = np.empty((n, n), dtype=int)
     for a in range(n):
-        for b in range(a, n):
-            ub = leq[a] & leq[b]
-            j = _least_of(ub, leq)
-            if j is None:
-                return None, None
-            join[a, b] = join[b, a] = j
-            lb = leq[:, a] & leq[:, b]
-            m = _greatest_of(lb, leq)
-            if m is None:
-                return None, None
-            meet[a, b] = meet[b, a] = m
-    return join, meet
-
-
-def _least_of(mask, leq):
-    cands = np.flatnonzero(mask)
-    for c in cands:
-        if not (mask & ~leq[c]).any():
-            return int(c)
-    return None
-
-
-def _greatest_of(mask, leq):
-    cands = np.flatnonzero(mask)
-    for c in cands:
-        if not (mask & ~leq[:, c]).any():
-            return int(c)
-    return None
+        ub = by_up[a] & by_up[a:]  # ub[b - a]: common upper bounds of a, b
+        pick = ub.argmax(axis=1)
+        if (np.count_nonzero(ub, axis=1) != up_size[order[pick]]).any():
+            return None
+        join[a, a:] = join[a:, a] = order[pick]
+    return join
 
 
 def is_lattice(P: Poset) -> bool:
-    """True iff every pair of elements has a unique join and meet."""
-    if P.n == 0:
-        return False
-    join, _ = _lattice_tables(P.leq)
-    return join is not None
+    """True iff P has a bottom and every pair of elements has a join."""
+    return (P.n > 0 and bool(P.leq.all(axis=1).any())
+            and _lattice_tables(P.leq) is not None)
 
 
 class LcmLattice(Lattice):
@@ -308,11 +294,8 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
         frontier = new
     ordered = sorted(elems, key=lambda m: m.exps)
     index = {m: i for i, m in enumerate(ordered)}
-    n = len(ordered)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            leq[i, j] = a.divides(b)
+    exps = np.array([m.exps for m in ordered])
+    leq = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
     atoms = sorted(index[g] for g in gens)
     return LcmLattice(leq, ordered, variables, atoms, validate=False)
 
@@ -326,8 +309,9 @@ def open_interval(L: Poset, a: int, b: int) -> Poset:
         raise IndexError("interval endpoints out of range")
     if not L.lt(a, b):
         raise DomainError("open interval requires a < b")
-    ids = [i for i in range(L.n) if L.lt(a, i) and L.lt(i, b)]
-    return L.sub(ids)
+    inside = L.leq[a] & L.leq[:, b]
+    inside[[a, b]] = False
+    return L.sub(np.flatnonzero(inside).tolist())
 
 
 def proper_parts(L: Lattice) -> tuple[Poset, Poset]:
@@ -387,9 +371,8 @@ def _bounded_closure(down, m):
     leq = np.zeros((n, n), dtype=bool)
     leq[0, :] = True
     leq[:, n - 1] = True
-    for i in range(m):
-        for j in range(m):
-            leq[1 + j, 1 + i] = bool(down[i] >> j & 1)
+    bits = np.array(down, dtype=np.int64) >> np.arange(m)[:, None] & 1
+    leq[1:n - 1, 1:n - 1] = bits  # leq[1 + j, 1 + i] is bit j of down[i]
     np.fill_diagonal(leq, True)
     return leq
 
@@ -403,21 +386,16 @@ def canonical_form(P: Poset) -> bytes:
     """
     n = P.n
     lt = P.leq & ~np.eye(n, dtype=bool)
-    below_masks = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if lt[j, i]:
-                below_masks[i] |= 1 << j
+    below_masks = [sum(1 << j for j in np.flatnonzero(col).tolist())
+                   for col in lt.T]
     best: list[bytes | None] = [None]
 
     def encode(perm):
-        # perm[k] = original id placed at position k
-        bits = 0
-        for a in range(n):
-            for b in range(n):
-                if P.leq[perm[a], perm[b]]:
-                    bits |= 1 << (a * n + b)
-        return bits.to_bytes((n * n + 7) // 8, "big")
+        # perm[k] = original id placed at position k; bit a*n + b of the
+        # big-endian code is leq[perm[a], perm[b]]
+        p = np.array(perm)
+        return np.packbits(P.leq[p[:, None], p], axis=None,
+                           bitorder="little")[::-1].tobytes()
 
     def rec(perm, placed):
         if len(perm) == n:
@@ -437,13 +415,9 @@ def canonical_form(P: Poset) -> bytes:
 
 
 def _decode_canonical(data: bytes, n: int) -> np.ndarray:
-    bits = int.from_bytes(data, "big")
-    leq = np.zeros((n, n), dtype=bool)
-    for a in range(n):
-        for b in range(n):
-            if bits >> (a * n + b) & 1:
-                leq[a, b] = True
-    return leq
+    bits = np.unpackbits(np.frombuffer(data[::-1], dtype=np.uint8),
+                         bitorder="little")
+    return bits[:n * n].reshape(n, n).astype(bool)
 
 
 def enumerate_lattices(n: int, cap: int = LATTICE_ENUMERATION_CAP):
@@ -462,8 +436,7 @@ def enumerate_lattices(n: int, cap: int = LATTICE_ENUMERATION_CAP):
     seen = set()
     for down in _natural_posets(n - 2):
         leq = _bounded_closure(down, n - 2)
-        join, _ = _lattice_tables(leq)
-        if join is None:
+        if _lattice_tables(leq) is None:
             continue
         P = Poset(leq, validate=False)
         form = canonical_form(P)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import DimensionError, DomainError, ValidationError
-from .chains import FormalChain, boundary, normalize
+from .algebra import DomainError, ValidationError
+from .chains import FormalChain, boundary
 from itertools import combinations
 
 

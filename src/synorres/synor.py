@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .algebra import DimensionError, DomainError, Monomial, ValidationError
 from .chains import (FormalChain, all_homology_ranks, boundary,
                      boundary_key, concat, graded_component)
@@ -72,12 +74,6 @@ class SynorComplex:
     def generators(self, dim: int) -> list[Generator]:
         return list(self.gens_by_dim.get(dim, ()))
 
-    def generators_at(self, element: int) -> list[Generator]:
-        out = []
-        for d in self.dims():
-            out.extend(g for g in self.gens_by_dim[d] if g.element == element)
-        return sorted(out)
-
     def total_rank(self) -> int:
         return sum(len(v) for v in self.gens_by_dim.values())
 
@@ -120,11 +116,13 @@ class SynorComplex:
         ideal = frozenset(int(i) for i in ideal_ids)
         if not ideal <= self.element_set:
             raise ValidationError("restriction exceeds the complex's elements")
-        for x in ideal:
-            for y in self.element_set:
-                if self.poset.lt(y, x) and y not in ideal:
-                    raise ValidationError(
-                        f"{ideal_ids} is not an order ideal: missing {y} < {x}")
+        inside = np.fromiter(ideal, dtype=int, count=len(ideal))
+        outside = np.fromiter(self.element_set - ideal, dtype=int)
+        missing = np.argwhere(self.poset.leq[np.ix_(outside, inside)])
+        if len(missing):
+            y, x = outside[missing[0, 0]], inside[missing[0, 1]]
+            raise ValidationError(
+                f"{ideal_ids} is not an order ideal: missing {y} < {x}")
         gens = {
             d: [g for g in lst if g.element in ideal or g == EMPTY_GENERATOR]
             for d, lst in self.gens_by_dim.items()

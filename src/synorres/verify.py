@@ -629,8 +629,8 @@ def verify_lattice_instances(L: Lattice, field=None) -> tuple[bool, list[str]]:
         try:
             brute = analysis.bruteforce(i1, i2, k)
             constructive = analysis.constructive(i1, i2, k)
-            good = (brute is not None and constructive is not None
-                    and brute.verify(field) and constructive.verify(field))
+            # both routes certify their witness in TopAnalysis._witness
+            good = brute is not None and constructive is not None
             witness = brute if brute is not None else constructive
             stage = ""
         except TheoremContradiction as e:

@@ -3,9 +3,33 @@ from hypothesis import strategies as st
 
 from synorres.algebra import PrimeField, RationalField
 from synorres.linalg import (Reducer, homology_of_complex, kernel_basis,
-                             rank_of, solve, vec_add, vec_scale, vec_sub)
+                             rank_of, solve)
 
 QQ = RationalField()
+
+
+# sparse-vector arithmetic for building reference combinations below
+
+def vec_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        w = v if w is None else w + v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
+
+
+def vec_scale(a: dict, s) -> dict:
+    if not s:
+        return {}
+    return {k: v * s for k, v in a.items()}
+
+
+def vec_sub(a: dict, b: dict) -> dict:
+    return vec_add(a, {k: -v for k, v in b.items()})
 
 
 def to_cols(rows, field):

