@@ -265,16 +265,10 @@ def _boundary_rank(P, dim: int, field) -> int:
     return rank_of(_boundary_columns(P, dim, index_prev, field), field)
 
 
-def homology_rank(P, k: int, field) -> int:
-    """Rank of reduced order-complex homology of P in degree k, by
-    rank-nullity: dim C_k - rank d_k - rank d_{k+1}."""
-    return (len(P.chains(k)) - _boundary_rank(P, k, field)
-            - _boundary_rank(P, k + 1, field))
-
-
 def all_homology_ranks(P, field) -> dict[int, int]:
-    """Reduced homology ranks in every degree where chains exist; each
-    boundary matrix is built and reduced once."""
+    """Reduced homology ranks in every degree where chains exist, by
+    rank-nullity: dim C_d - rank d_d - rank d_{d+1}; each boundary matrix
+    is built and reduced once."""
     top = P.max_chain_dim()
     ranks = [_boundary_rank(P, d, field) for d in range(-1, top + 1)] + [0]
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]

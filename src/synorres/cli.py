@@ -24,8 +24,8 @@ from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
                     poset_to_json, proper_parts)
 from .resolution import (betti_from_intervals, betti_from_resolution,
-                         certify_resolution, resolution_to_json,
-                         synor_resolution)
+                         certify_resolution, interval_ranks,
+                         resolution_to_json, synor_resolution)
 from .shuffle import shuffle_product
 from .chains import FormalChain, all_homology_ranks
 from .synor import build_synor_complex, synor_to_json, synors
@@ -120,10 +120,10 @@ def cmd_resolve(args) -> int:
 def cmd_lattice(args) -> int:
     L = lattice_of(load_ideal(args.input))
     field = field_from_flag(args.field)
-    upper, _ = proper_parts(L)
-    found = synors(upper, field)
     synor_rows = [
-        [L.format_label(upper.origin[x]), i, mult] for x, i, mult in found
+        [L.format_label(x), d + 1, r]
+        for x in range(L.n) if x != L.bottom
+        for d, r in interval_ranks(L, x, field).items() if r
     ]
     payload = poset_to_json(L)
     payload["hash"] = lattice_hash(L)

@@ -356,11 +356,7 @@ def _natural_posets(m: int):
             yield tuple(down)
             return
         for d in downsets(down, k):
-            closure = d
-            for j in range(k):
-                if d >> j & 1:
-                    closure |= down[j]
-            yield from rec(down + [closure | (1 << k)])
+            yield from rec(down + [d | (1 << k)])
 
     yield from rec([])
 
@@ -393,7 +389,7 @@ def canonical_form(P: Poset) -> bytes:
     def encode(perm):
         # perm[k] = original id placed at position k; bit a*n + b of the
         # big-endian code is leq[perm[a], perm[b]]
-        p = np.array(perm)
+        p = np.array(perm, dtype=int)
         return np.packbits(P.leq[p[:, None], p], axis=None,
                            bitorder="little")[::-1].tobytes()
 

@@ -11,6 +11,8 @@ minimality, and cokernel equal to the ideal.
 The independent oracle reads Betti numbers off the lattice directly:
 beta_{i,m} is the rank of reduced homology in degree i - 2 of the open
 interval between the bottom and m, with beta_{0,1} = 1 by convention.
+One memo per lattice holds those ranks (interval_ranks), and every
+reader of the oracle goes through it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from .algebra import Monomial, ValidationError
 from .chains import all_homology_ranks
 from .linalg import rank_of
-from .poset import LcmLattice, open_interval, proper_parts
+from .poset import Lattice, LcmLattice, open_interval, proper_parts
 from .synor import EMPTY_GENERATOR, build_synor_complex
 
 
@@ -112,6 +114,18 @@ class BettiTable:
         }
 
 
+def interval_ranks(L: Lattice, x: int, field) -> dict[int, int]:
+    """Reduced homology ranks, by degree, of the open interval (0, x) of L.
+
+    Memoized in L's cache under ("interval_ranks", field, x), which only
+    this function writes.  Raises like open_interval on a bad id."""
+    key = ("interval_ranks", field, x)
+    if key not in L._cache:
+        L._cache[key] = all_homology_ranks(open_interval(L, L.bottom, x),
+                                           field)
+    return L._cache[key]
+
+
 def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
     """Betti table from interval homology; beta_{0,1} = 1 by convention.
 
@@ -121,7 +135,7 @@ def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
     for m_id in range(L.n):
         if m_id == L.bottom:
             continue
-        ranks = all_homology_ranks(open_interval(L, L.bottom, m_id), field)
+        ranks = interval_ranks(L, m_id, field)
         mono = L.monomials[m_id]
         entries.update({(d + 2, mono): r for d, r in ranks.items() if r})
     return BettiTable(L.variables, entries)

@@ -18,22 +18,24 @@ On lcm lattices the Betti table of the synor resolution yields the
 Betti-level consequences: subadditivity of maximal shifts with witness
 pairs n1, n2 whose lcm realizes the extremal multidegree, and the
 product bound on the number of shifts.  Interval witnesses are searched
-in the table and re-verified by order-complex homology.  Reports are
-plain objects with stable line formats so sweep output is diffable.
+in the table and re-verified by order-complex homology, whose ranks all
+come from the lattice's one interval memo (resolution.interval_ranks).
+Reports are plain objects with stable line formats so sweep output is
+diffable.
 """
 
 from __future__ import annotations
 
 from .algebra import DomainError, Monomial, RationalField, ValidationError
-from .chains import (FormalChain, all_homology_ranks, boundary, boundary_key,
-                     graded_component, homology_rank)
+from .chains import FormalChain, boundary, boundary_key, graded_component
 from .linalg import Reducer, kernel_basis
 from .poset import (Lattice, LcmLattice, enumerate_lattices, lattice_hash,
-                    open_interval, poset_to_json)
-from .resolution import BettiTable, betti_from_resolution, synor_resolution
+                    poset_to_json)
+from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
+                         synor_resolution)
 from .shuffle import shuffle_product
 from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
-                    ell_representation, homologous_in_pair, rho, synors)
+                    ell_representation, homologous_in_pair, rho)
 
 
 class TheoremContradiction(Exception):
@@ -68,10 +70,8 @@ class DecompositionWitness:
         field = field or RationalField()
         L = self.lattice
         try:
-            r1 = homology_rank(open_interval(L, L.bottom, self.n1),
-                               self.i1 - 2, field)
-            r2 = homology_rank(open_interval(L, L.bottom, self.n2),
-                               self.i2 - 2, field)
+            r1 = interval_ranks(L, self.n1, field).get(self.i1 - 2, 0)
+            r2 = interval_ranks(L, self.n2, field).get(self.i2 - 2, 0)
             join = L.join_of(self.n1, self.n2)
         except (DomainError, IndexError):
             # structurally invalid data fails verification, never crashes it
@@ -121,7 +121,8 @@ class TopAnalysis:
 
     Holds the lattice, the poset P = L minus bottom (the synor complex
     lives there), the middle part (P minus top) as an id set, and caches
-    for simplicial synor data and boundary spans.
+    for chain indices and boundary spans.  Below a P-id x lies the open
+    interval (0, to_L[x]) of L, whose ranks the lattice's memo holds.
     """
 
     def __init__(self, L: Lattice, field):
@@ -135,9 +136,8 @@ class TopAnalysis:
         self.top = self.from_L[L.top]
         self.middle = frozenset(i for i in range(self.P.n) if i != self.top)
         self._S: SynorComplex | None = None
-        self._synor_map: dict | None = None
-        self._middle_ranks: dict | None = None
         self._boundary_spans: dict = {}
+        self._chain_indices: dict = {}
 
     @property
     def S(self) -> SynorComplex:
@@ -145,19 +145,16 @@ class TopAnalysis:
             self._S = build_synor_complex(self.P, self.field)
         return self._S
 
+    def _rank_below(self, x: int, d: int) -> int:
+        """Rank of H_d strictly below the P-id x, computed simplicially."""
+        return interval_ranks(self.L, self.to_L[x], self.field).get(d, 0)
+
     def synor_elements(self, i: int) -> list[int]:
-        """P-ids carrying nonzero homology below, computed simplicially."""
-        if self._synor_map is None:
-            self._synor_map = {}
-            for x, d, _mult in synors(self.P, self.field):
-                self._synor_map.setdefault(d, []).append(x)
-        return self._synor_map.get(i, [])
+        """P-ids carrying nonzero H_{i-1} below, in ascending order."""
+        return [x for x in range(self.P.n) if self._rank_below(x, i - 1)]
 
     def middle_ranks(self) -> dict:
-        if self._middle_ranks is None:
-            sub = self.P.sub(sorted(self.middle))
-            self._middle_ranks = all_homology_ranks(sub, self.field)
-        return self._middle_ranks
+        return interval_ranks(self.L, self.L.top, self.field)
 
     def top_is_synor(self, m: int) -> bool:
         return self.middle_ranks().get(m - 1, 0) > 0
@@ -190,8 +187,9 @@ class TopAnalysis:
         m = i1 + i2 - k - 1
         if not self.top_is_synor(m):
             return None
+        ys = self.synor_elements(i2 - 1)
         for x in self.synor_elements(i1 - 1):
-            for y in self.synor_elements(i2 - 1):
+            for y in ys:
                 if self.L.join_of(self.to_L[x], self.to_L[y]) == self.L.top:
                     return self._witness(i1, i2, k, x, y, stage="bruteforce")
         return None
@@ -199,10 +197,8 @@ class TopAnalysis:
     def _witness(self, i1, i2, k, x, y, stage: str) -> DecompositionWitness:
         n1, n2 = self.to_L[x], self.to_L[y]
         cert = {
-            "rank1": homology_rank(
-                self.P.sub(self.P.strictly_below(x)), i1 - 2, self.field),
-            "rank2": homology_rank(
-                self.P.sub(self.P.strictly_below(y)), i2 - 2, self.field),
+            "rank1": self._rank_below(x, i1 - 2),
+            "rank2": self._rank_below(y, i2 - 2),
             "join_is_top": self.L.join_of(n1, n2) == self.L.top,
             "stage": stage,
         }
@@ -241,12 +237,11 @@ class TopAnalysis:
         return red
 
     def _chain_idx(self, dim: int) -> dict:
-        cache = getattr(self, "_chain_indices", None)
-        if cache is None:
-            cache = self._chain_indices = {}
-        if dim not in cache:
-            cache[dim] = {c: i for i, c in enumerate(self.P.chains(dim))}
-        return cache[dim]
+        idx = self._chain_indices.get(dim)
+        if idx is None:
+            idx = {c: i for i, c in enumerate(self.P.chains(dim))}
+            self._chain_indices[dim] = idx
+        return idx
 
     def _middle_boundary_reduces_to_zero(self, c: FormalChain) -> bool:
         """Whether a middle-supported cycle bounds inside the middle part."""

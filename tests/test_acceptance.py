@@ -6,8 +6,9 @@ run.  Runtime-limited checks assert their own wall-clock budgets.
 """
 
 import time
+from itertools import combinations
 
-from synorres.algebra import Monomial, RationalField
+from synorres.algebra import Monomial, PrimeField, RationalField
 from synorres.chains import all_homology_ranks
 from synorres.corpus import (MmixRandom, corpus_ideals, ideal_powers,
                              random_chain, random_ideal, random_poset)
@@ -237,3 +238,36 @@ def test_criterion_11_interval_decomposition():
         ok = ok and good
         instances += len(lines)
     note(11, "interval-decomposition-corpus", ok and instances > 0)
+
+
+# the 6-vertex triangulation of the real projective plane
+RP2_TRIANGLES = ("123", "134", "145", "156", "126",
+                 "235", "346", "245", "356", "246")
+
+
+def rp2_lattice():
+    """lcm lattice of the Stanley-Reisner ideal of the 6-vertex RP^2:
+    every edge is a face, so the ideal is generated by the ten vertex
+    triples that are not triangles."""
+    faces = {frozenset(map(int, t)) for t in RP2_TRIANGLES}
+    gens = [Monomial(tuple(int(v in triple) for v in range(1, 7)))
+            for triple in map(frozenset, combinations(range(1, 7), 3))
+            if triple not in faces]
+    assert len(gens) == 10
+    return build_lcm_lattice(gens, tuple(f"x{v}" for v in range(1, 7)))
+
+
+def test_criterion_12_field_dependence_rp2():
+    # one lattice object across fields: the interval memo must keep them
+    # apart, and GF(2) sees the torsion of H_1(RP^2)
+    L = rp2_lattice()
+    runs = [(QQ, (1, 10, 15, 6)), (PrimeField(2), (1, 10, 15, 7, 1)),
+            (PrimeField(3), (1, 10, 15, 6)), (QQ, (1, 10, 15, 6))]
+    ok = L.n == 33
+    for field, totals in runs:
+        R = synor_resolution(L, field)
+        T = betti_from_resolution(R)
+        ok = (ok and T == betti_from_intervals(L, field)
+              and T.totals() == totals
+              and certify_resolution(R, L, field).ok)
+    note(12, "field-dependence-rp2", ok)

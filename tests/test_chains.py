@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from synorres.algebra import (DimensionError, DomainError, RationalField,
                               ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
-                             concat, graded_component, homology,
-                             homology_rank, normalize)
+                             concat, graded_component, homology, normalize)
 from synorres.corpus import MmixRandom, random_chain, random_poset
 from synorres.poset import open_interval, proper_parts
 
@@ -77,13 +76,14 @@ def test_graded_component_splits():
 
 def test_homology_of_antichain():
     P = random_poset(1, 1).sub([0])  # single point
-    assert homology_rank(P, -1, QQ) == 0
+    assert all_homology_ranks(P, QQ).get(-1, 0) == 0
     # three incomparable points: reduced H_0 has rank 2
     leq = [[a == b for b in range(3)] for a in range(3)]
     from synorres.poset import Poset
     Q = Poset(leq)
-    assert homology_rank(Q, 0, QQ) == 2
-    assert homology_rank(Q, 1, QQ) == 0
+    ranks = all_homology_ranks(Q, QQ)
+    assert ranks.get(0, 0) == 2
+    assert ranks.get(1, 0) == 0
 
 
 def test_homology_of_cycle_middle(cycle_lattice):
@@ -119,4 +119,3 @@ def test_rank_only_homology_matches_cycle_bases(seed, n):
     ranks = all_homology_ranks(P, QQ)
     assert ranks == {d: homology(P, d, QQ).rank
                      for d in range(-1, P.max_chain_dim() + 1)}
-    assert all(homology_rank(P, d, QQ) == r for d, r in ranks.items())

@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synorres.algebra import (DimensionError, DomainError, Monomial,
@@ -163,7 +163,8 @@ def loop_canonical_form(P):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(1, 10**6), n=st.integers(1, 6))
+@given(seed=st.integers(1, 10**6), n=st.integers(0, 6))
+@example(seed=1, n=0)  # the empty poset: its code is b""
 def test_canonical_form_matches_bit_loop_reference(seed, n):
     P = Poset(relabeled(random_poset(seed, n), seeded_permutation(seed, n)))
     form = canonical_form(P)

@@ -1,10 +1,14 @@
 import json
+import sys
+from collections import Counter
 
 import pytest
 
-from synorres.algebra import DomainError, Monomial, RationalField
-from synorres import verify
-from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
+from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
+from synorres import chains, verify
+from synorres.cli import main
+from synorres.corpus import (ideal_example62, ideal_kpq, ideal_powers,
+                             random_ideal)
 from synorres.poset import Lattice, build_lcm_lattice, enumerate_lattices
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
                                  synor_resolution)
@@ -263,3 +267,43 @@ def test_theorem_contradiction_payload_is_json_ready(cycle_lattice):
         seen = e
     assert seen.payload["stage"] == "unit-test"
     json.dumps(seen.payload, default=str)
+
+
+def lattice_of(spec):
+    return build_lcm_lattice(list(spec.generators), spec.variables)
+
+
+def test_each_interval_is_computed_once_per_run(monkeypatch, capsys):
+    real = chains.all_homology_ranks
+    labels = []
+
+    def counted(P, field):
+        labels.append(P.labels)
+        return real(P, field)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "synorres"
+                and getattr(module, "all_homology_ranks", None) is real):
+            monkeypatch.setattr(module, "all_homology_ranks", counted)
+    assert main(["verify", "decomposition", "@kpq:3,2"]) == 0
+    assert main(["verify", "subadditivity", "@example62"]) == 0
+    capsys.readouterr()
+    seen = Counter(labels)
+    # a nonempty interval (0, x) is named by its labels; an empty one lies
+    # below an atom, so there are at most as many as atoms
+    assert [lab for lab, c in seen.items() if lab and c > 1] == []
+    atoms = sum(len(lattice_of(spec).atoms)
+                for spec in (ideal_kpq(3, 2), ideal_example62()))
+    assert 0 < seen[()] <= atoms
+
+
+def test_sweep_lines_do_not_depend_on_a_warm_memo():
+    def lines(L):
+        return (verify_lattice_instances(L, QQ)[1]
+                + verify_intervals(L, QQ)[1])
+
+    cold = lines(lattice_of(ideal_kpq(3, 2)))
+    warm = lattice_of(ideal_kpq(3, 2))
+    betti_from_intervals(warm, PrimeField(2))
+    betti_from_intervals(warm, QQ)
+    assert lines(warm) == cold
