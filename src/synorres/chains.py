@@ -12,12 +12,30 @@ keys of one dimension.  The kind tag distinguishes strict order chains
 ("order"), weakly decreasing multichains ("multi"), and synor-complex
 generator combinations ("synor"); the first two share the same boundary
 formula, the last is owned by the synor module.
+
+The module owns chain arithmetic: every sparse sum of scaled chains goes
+through accumulate, and basis_homology serves order and synor complexes.
 """
 
 from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
 from .linalg import HomologyBasis, homology_of_complex, rank_of
+
+
+def accumulate(terms: dict, pairs, scale=None) -> dict:
+    """Add each (key, coeff) of pairs, times scale if given, into terms in
+    place, dropping keys whose sum is zero; returns terms."""
+    for k, v in pairs:
+        if scale is not None:
+            v = v * scale
+        w = terms.get(k)
+        w = v if w is None else w + v
+        if w:
+            terms[k] = w
+        else:
+            terms.pop(k, None)
+    return terms
 
 
 class FormalChain:
@@ -43,6 +61,17 @@ class FormalChain:
         return cls(dim, field, {}, kind)
 
     @classmethod
+    def combination(cls, dim: int, field, summands,
+                    kind: str = "order") -> "FormalChain":
+        """sum s * c over the (s, c) pairs of summands, accumulated into one
+        dict; each c must have this dim and kind, as for +."""
+        out = cls(dim, field, None, kind)
+        for s, c in summands:
+            out._match(c)
+            accumulate(out.terms, c.terms.items(), s)
+        return out
+
+    @classmethod
     def single(cls, key: tuple, field, coeff=None, kind: str = "order") -> "FormalChain":
         coeff = field.one if coeff is None else coeff
         return cls(len(key) - 1 if kind != "synor" else key[1], field,
@@ -62,15 +91,9 @@ class FormalChain:
 
     def __add__(self, other: "FormalChain") -> "FormalChain":
         self._match(other)
-        terms = dict(self.terms)
-        for k, v in other.terms.items():
-            w = terms.get(k)
-            w = v if w is None else w + v
-            if w:
-                terms[k] = w
-            else:
-                terms.pop(k, None)
-        return FormalChain(self.dim, self.field, terms, self.kind)
+        return FormalChain(self.dim, self.field,
+                           accumulate(dict(self.terms), other.terms.items()),
+                           self.kind)
 
     def __sub__(self, other: "FormalChain") -> "FormalChain":
         return self + (-other)
@@ -135,39 +158,17 @@ def boundary(c: FormalChain) -> FormalChain:
     empty chain with coefficient 1."""
     if c.kind == "synor":
         raise ValidationError("boundary acts on order/multi chains")
-    out = FormalChain.zero(c.dim - 1, c.field, c.kind)
-    if c.dim < 0:
-        return out
     terms: dict = {}
     for key, v in c.terms.items():
-        sign = c.field.one
-        for j in range(len(key)):
-            fkey = key[:j] + key[j + 1:]
-            w = terms.get(fkey)
-            add = v * sign
-            w = add if w is None else w + add
-            if w:
-                terms[fkey] = w
-            else:
-                terms.pop(fkey, None)
-            sign = -sign
+        accumulate(terms, boundary_key(key, c.field).items(), v)
     return FormalChain(c.dim - 1, c.field, terms, c.kind)
 
 
 def boundary_key(key: tuple, field) -> dict:
     """Boundary of one basis chain as a raw {key: scalar} dict."""
-    out: dict = {}
-    sign = field.one
-    for j in range(len(key)):
-        fkey = key[:j] + key[j + 1:]
-        w = out.get(fkey)
-        w = sign if w is None else w + sign
-        if w:
-            out[fkey] = w
-        else:
-            out.pop(fkey, None)
-        sign = -sign
-    return out
+    signs = (field.one, -field.one)
+    return accumulate({}, ((key[:j] + key[j + 1:], signs[j % 2])
+                           for j in range(len(key))))
 
 
 def normalize(c: FormalChain) -> FormalChain:
@@ -227,42 +228,34 @@ def graded_component(c: FormalChain, x: int) -> FormalChain:
     return FormalChain(c.dim, c.field, terms, c.kind)
 
 
-# --- homology of the order complex ---
+# --- homology ---
 
 
-def _boundary_columns(P, dim: int, index_prev: dict, field) -> list[dict]:
-    cols = []
-    for key in P.chains(dim):
-        raw = boundary_key(key, field)
-        cols.append({index_prev[f]: v for f, v in raw.items()})
-    return cols
+def boundary_columns(basis, boundary_of, row_basis) -> list[dict]:
+    """Matrix columns of boundary_of on basis, over row_basis positions."""
+    row = {c: i for i, c in enumerate(row_basis)}
+    return [{row[f]: v for f, v in boundary_of(key).items()} for key in basis]
+
+
+def basis_homology(basis_of, boundary_of, field, k: int,
+                   kind: str) -> HomologyBasis:
+    """Homology in degree k of the complex with degree-d basis basis_of(d)
+    and boundary_of(key) the raw boundary dict of a basis key; cycles are
+    FormalChains of the given kind."""
+    basis_k = basis_of(k)
+    hb = homology_of_complex(
+        boundary_columns(basis_k, boundary_of, basis_of(k - 1)),
+        boundary_columns(basis_of(k + 1), boundary_of, basis_k), field, k)
+    return HomologyBasis(k, hb.rank, [
+        FormalChain(k, field, {basis_k[i]: v for i, v in vec.items()}, kind)
+        for vec in hb.cycles])
 
 
 def homology(P, k: int, field) -> HomologyBasis:
     """Reduced order-complex homology of P in degree k, with
     echelon-deterministic representative cycles as FormalChains."""
-    basis_prev = P.chains(k - 1)
-    basis_k = P.chains(k)
-    basis_next = P.chains(k + 1)
-    index_prev = {c: i for i, c in enumerate(basis_prev)}
-    index_k = {c: i for i, c in enumerate(basis_k)}
-    cols_k = _boundary_columns(P, k, index_prev, field) if basis_k else []
-    cols_next = (
-        _boundary_columns(P, k + 1, index_k, field) if basis_next else []
-    )
-    hb = homology_of_complex(cols_k, cols_next, field, k)
-    cycles = [
-        FormalChain(k, field,
-                    {basis_k[i]: v for i, v in vec.items()}, "order")
-        for vec in hb.cycles
-    ]
-    return HomologyBasis(k, hb.rank, cycles)
-
-
-def _boundary_rank(P, dim: int, field) -> int:
-    """Rank of the boundary map out of the dimension-dim chains of P."""
-    index_prev = {c: i for i, c in enumerate(P.chains(dim - 1))}
-    return rank_of(_boundary_columns(P, dim, index_prev, field), field)
+    return basis_homology(P.chains, lambda key: boundary_key(key, field),
+                          field, k, "order")
 
 
 def all_homology_ranks(P, field) -> dict[int, int]:
@@ -270,6 +263,9 @@ def all_homology_ranks(P, field) -> dict[int, int]:
     rank-nullity: dim C_d - rank d_d - rank d_{d+1}; each boundary matrix
     is built and reduced once."""
     top = P.max_chain_dim()
-    ranks = [_boundary_rank(P, d, field) for d in range(-1, top + 1)] + [0]
+    ranks = [rank_of(boundary_columns(P.chains(d),
+                                      lambda key: boundary_key(key, field),
+                                      P.chains(d - 1)), field)
+             for d in range(-1, top + 1)] + [0]
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
             for d in range(-1, top + 1)}

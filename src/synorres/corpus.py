@@ -173,7 +173,7 @@ def random_chain(P: Poset, dim: int, rng: MmixRandom, field,
     basis chains with small nonzero coefficients; may come out zero."""
     from .chains import FormalChain
 
-    out = FormalChain.zero(dim, field, "order")
+    summands = []
     for _ in range(1 + rng.below(max_terms)):
         key = []
         candidates = list(range(P.n))
@@ -185,9 +185,9 @@ def random_chain(P: Poset, dim: int, rng: MmixRandom, field,
             key.append(candidates[rng.below(len(candidates))])
         if len(key) != dim + 1:
             continue
-        coeff = field.of(1 + rng.below(5))
-        out = out + FormalChain.single(tuple(key), field, coeff)
-    return out
+        summands.append((field.of(1 + rng.below(5)),
+                         FormalChain.single(tuple(key), field)))
+    return FormalChain.combination(dim, field, summands, "order")
 
 
 def parse_ideal_text(text: str) -> tuple:

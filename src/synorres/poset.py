@@ -26,6 +26,11 @@ import numpy as np
 from .algebra import (DimensionError, DomainError, Monomial, ValidationError,
                       parse_monomial)
 
+# Exponential inputs fail fast with a DomainError beyond these sizes; an
+# lcm lattice of 2048 elements (B11) builds in about 9 s at an 86 MiB peak.
+LATTICE_ENUMERATION_CAP = 8
+LCM_LATTICE_CAP = 2048
+
 
 class Poset:
     """A finite poset on ids 0..n-1 with a frozen order matrix."""
@@ -259,7 +264,8 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
     """The lcm lattice of the ideal generated by the given monomials.
 
     Generators must be a minimal generating set (an antichain under
-    divisibility); a redundant generator is rejected by name.
+    divisibility); a redundant generator is rejected by name.  A lattice
+    of more than LCM_LATTICE_CAP elements is refused.
     """
     gens = list(generators)
     variables = tuple(variables)
@@ -272,6 +278,7 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
             raise DimensionError("generator does not match variable list")
         if g.is_one():
             raise ValidationError("the unit monomial cannot be a minimal generator")
+    _check_lcm_lattice_size(len(gens) + 1)  # the bottom and the generators
     for i, gi in enumerate(gens):
         for j, gj in enumerate(gens):
             if i != j and gi.divides(gj):
@@ -291,6 +298,7 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
                 if c not in elems:
                     elems.add(c)
                     new.append(c)
+                    _check_lcm_lattice_size(len(elems))
         frontier = new
     ordered = sorted(elems, key=lambda m: m.exps)
     index = {m: i for i, m in enumerate(ordered)}
@@ -298,6 +306,12 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
     leq = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
     atoms = sorted(index[g] for g in gens)
     return LcmLattice(leq, ordered, variables, atoms, validate=False)
+
+
+def _check_lcm_lattice_size(count: int):
+    if count > LCM_LATTICE_CAP:
+        raise DomainError(f"refusing to build an lcm lattice with more "
+                          f"than {LCM_LATTICE_CAP} elements")
 
 
 # --- intervals and order ideals ---
@@ -326,8 +340,6 @@ def proper_parts(L: Lattice) -> tuple[Poset, Poset]:
 
 
 # --- enumeration of small lattices up to isomorphism ---
-
-LATTICE_ENUMERATION_CAP = 8
 
 
 def _natural_posets(m: int):
@@ -379,35 +391,38 @@ def canonical_form(P: Poset) -> bytes:
     Only relabelings that are linear extensions are considered; the
     minimum encoding is itself naturally labeled, so decoding it yields a
     poset whose id order is a linear extension.
+
+    Bit a*n + b of the big-endian code is leq[perm[a], perm[b]], zero for
+    b < a, so rows are most significant from the top position down.  The
+    search fills positions from the top, extending only the partial
+    labelings whose code so far is least (every tie is kept).
     """
     n = P.n
-    lt = P.leq & ~np.eye(n, dtype=bool)
-    below_masks = [sum(1 << j for j in np.flatnonzero(col).tolist())
-                   for col in lt.T]
-    best: list[bytes | None] = [None]
-
-    def encode(perm):
-        # perm[k] = original id placed at position k; bit a*n + b of the
-        # big-endian code is leq[perm[a], perm[b]]
-        p = np.array(perm, dtype=int)
-        return np.packbits(P.leq[p[:, None], p], axis=None,
-                           bitorder="little")[::-1].tobytes()
-
-    def rec(perm, placed):
-        if len(perm) == n:
-            enc = encode(perm)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
-        for i in range(n):
-            if not placed >> i & 1 and below_masks[i] & ~placed == 0:
-                perm.append(i)
-                rec(perm, placed | (1 << i))
-                perm.pop()
-
-    rec([], 0)
-    assert best[0] is not None
-    return best[0]
+    strict_up = [sum(1 << int(j) for j in np.flatnonzero(row)) & ~(1 << x)
+                 for x, row in enumerate(P.leq)]
+    code = 0
+    states = [(0, (0,) * n)]  # (placed mask, position bit of each element)
+    for a in range(n - 1, -1, -1):
+        best, ties = None, []
+        for placed, posbit in states:
+            for x in range(n):
+                up = strict_up[x]
+                if placed >> x & 1 or up & ~placed:
+                    continue
+                row = 1 << a
+                while up:
+                    low = up & -up
+                    row |= posbit[low.bit_length() - 1]
+                    up ^= low
+                if best is None or row < best:
+                    best, ties = row, []
+                if row == best:
+                    bits = list(posbit)
+                    bits[x] = 1 << a
+                    ties.append((placed | 1 << x, tuple(bits)))
+        code = code << n | best
+        states = ties
+    return code.to_bytes((n * n + 7) // 8, "big")
 
 
 def _decode_canonical(data: bytes, n: int) -> np.ndarray:

@@ -17,6 +17,8 @@ reader of the oracle goes through it.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .algebra import Monomial, ValidationError
 from .chains import all_homology_ranks
 from .linalg import rank_of
@@ -238,10 +240,15 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     def record(name: str, good: bool):
         checks.append((name, good))
 
-    # labels must be consistent with the stored monomial weights
+    # labels must be consistent with the stored monomial weights; the same
+    # pass builds each differential's column view: column -> [(row, scalar)]
     consistent = True
+    by_col: list[dict[int, list]] = []
     for k, mat in enumerate(R.differentials):
+        view: dict[int, list] = {}
+        by_col.append(view)
         for (r, c), (mono, v) in mat.items():
+            view.setdefault(c, []).append((r, v))
             if not v:
                 consistent = False
                 problems.append(f"zero scalar stored in differential {k + 1}")
@@ -254,17 +261,10 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     # d . d = 0; all monomial weights along a path agree, so scalar sums decide
     square_zero = True
     for k in range(len(R.differentials) - 1):
-        lower, upper = R.differentials[k], R.differentials[k + 1]
-        lower_by_col: dict[int, list] = {}
-        for (r2, c2), (_m2, w) in lower.items():
-            lower_by_col.setdefault(c2, []).append((r2, w))
-        by_col: dict[int, list] = {}
-        for (r, c), (_m, v) in upper.items():
-            by_col.setdefault(c, []).append((r, v))
-        for c, col in by_col.items():
+        for c, col in by_col[k + 1].items():
             acc: dict[int, object] = {}
             for mid, v in col:
-                for r2, w in lower_by_col.get(mid, ()):
+                for r2, w in by_col[k].get(mid, ()):
                     acc[r2] = acc.get(r2, field.zero) + w * v
             if any(acc.values()):
                 square_zero = False
@@ -292,27 +292,31 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
         problems.append("first module does not present the ideal's generators")
     record("cokernel is the ideal", presents)
 
-    # strand exactness at every lattice multidegree above the bottom
+    # strand exactness at every lattice multidegree above the bottom;
+    # divides[i][m, j]: label j of module i divides lattice monomial m
+    nvars = len(L.variables)
+    lattice_exps = np.array([m.exps for m in L.monomials]).reshape(L.n, nvars)
+    divides = [
+        (np.array([lab.exps for lab in labs]).reshape(len(labs), nvars)
+         <= lattice_exps[:, None]).all(axis=2)
+        for labs in R.labels
+    ]
     exact = True
     for m_id in range(L.n):
         if m_id == L.bottom:
             continue
         m = L.monomials[m_id]
-        dims = []
-        keep = []
-        for labs in R.labels:
-            sel = [j for j, lab in enumerate(labs) if lab.divides(m)]
-            keep.append({j: t for t, j in enumerate(sel)})
-            dims.append(len(sel))
+        keep = [{int(j): t for t, j in enumerate(np.flatnonzero(d[m_id]))}
+                for d in divides]
+        dims = [len(sel) for sel in keep]
         while dims and dims[-1] == 0:
             dims.pop()
             keep.pop()
         ranks = []
         for k in range(len(dims) - 1):
-            cols = [dict() for _ in range(dims[k + 1])]
-            for (r, c), (_mono, v) in R.differentials[k].items():
-                if c in keep[k + 1] and r in keep[k]:
-                    cols[keep[k + 1][c]][keep[k][r]] = v
+            rows = keep[k]
+            cols = [{rows[r]: v for r, v in by_col[k].get(c, ()) if r in rows}
+                    for c in keep[k + 1]]
             ranks.append(rank_of(cols, field))
         ranks.append(0)
         # m lies in the ideal, so the strand must be exact everywhere:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import DomainError, ValidationError
-from .chains import FormalChain, boundary
+from .chains import FormalChain, accumulate, boundary
 from itertools import combinations
 
 
@@ -106,25 +106,22 @@ def shuffle_product(c: FormalChain, c2: FormalChain, L,
     for key in c2.terms:
         _validate_key(L, key, strict=c2.kind == "order")
     shuffles = enumerate_shuffles(c.dim, c2.dim)
-    terms: dict = {}
-    for k1, v1 in c.terms.items():
-        for k2, v2 in c2.terms.items():
-            combined = k1 + k2
-            base = v1 * v2
-            for sh in shuffles:
-                mkey = tau(tuple(combined[s] for s in sh.word), L)
-                if normalized and any(
-                    mkey[p] == mkey[p + 1] for p in range(len(mkey) - 1)
-                ):
-                    continue
-                add = base if sh.sign > 0 else -base
-                w = terms.get(mkey)
-                w = add if w is None else w + add
-                if w:
-                    terms[mkey] = w
-                else:
-                    terms.pop(mkey, None)
-    return FormalChain(out_dim, field, terms, out_kind)
+
+    def signed_terms():
+        for k1, v1 in c.terms.items():
+            for k2, v2 in c2.terms.items():
+                combined = k1 + k2
+                base = v1 * v2
+                for sh in shuffles:
+                    mkey = tau(tuple(combined[s] for s in sh.word), L)
+                    if normalized and any(
+                        mkey[p] == mkey[p + 1] for p in range(len(mkey) - 1)
+                    ):
+                        continue
+                    yield mkey, base if sh.sign > 0 else -base
+
+    return FormalChain(out_dim, field, accumulate({}, signed_terms()),
+                       out_kind)
 
 
 def check_chain_map(c: FormalChain, c2: FormalChain, L) -> bool:

@@ -29,12 +29,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DimensionError, DomainError, Monomial, ValidationError
-from .chains import (FormalChain, all_homology_ranks, boundary,
-                     boundary_key, concat, graded_component)
+from .chains import (FormalChain, all_homology_ranks, basis_homology,
+                     boundary, boundary_key, concat, graded_component)
 # Bound only so that perfbench's self-test can check that the tracer
 # wraps functions through module-level aliases.
 from .chains import homology as simplicial_homology  # noqa: F401
-from .linalg import HomologyBasis, Reducer, homology_of_complex, solve
+from .linalg import HomologyBasis, Reducer, solve
 from .poset import Poset
 
 
@@ -85,10 +85,9 @@ class SynorComplex:
     def delta_chain(self, chain: FormalChain) -> FormalChain:
         if chain.kind != "synor":
             raise ValidationError("expected a synor chain")
-        out = FormalChain.zero(chain.dim - 1, self.field, "synor")
-        for g, v in chain.terms.items():
-            out = out + self.delta[g].scale(v)
-        return out
+        return FormalChain.combination(
+            chain.dim - 1, self.field,
+            ((v, self.delta[g]) for g, v in chain.terms.items()), "synor")
 
     def phi(self, g: Generator) -> FormalChain:
         """The order-chain image of a generator (memoized)."""
@@ -105,10 +104,9 @@ class SynorComplex:
     def phi_chain(self, chain: FormalChain) -> FormalChain:
         if chain.kind != "synor":
             raise ValidationError("expected a synor chain")
-        out = FormalChain.zero(chain.dim, self.field, "order")
-        for g, v in chain.terms.items():
-            out = out + self.phi(g).scale(v)
-        return out
+        return FormalChain.combination(
+            chain.dim, self.field,
+            ((v, self.phi(g)) for g, v in chain.terms.items()), "order")
 
     # --- restriction and homology ---
 
@@ -132,26 +130,8 @@ class SynorComplex:
 
     def homology(self, k: int) -> HomologyBasis:
         """Homology of the restricted complex; cycles are synor chains."""
-        basis_prev = self.generators(k - 1)
-        basis_k = self.generators(k)
-        basis_next = self.generators(k + 1)
-        index_prev = {g: i for i, g in enumerate(basis_prev)}
-        index_k = {g: i for i, g in enumerate(basis_k)}
-        cols_k = [
-            {index_prev[h]: v for h, v in self.delta[g].terms.items()}
-            for g in basis_k
-        ]
-        cols_next = [
-            {index_k[h]: v for h, v in self.delta[g].terms.items()}
-            for g in basis_next
-        ]
-        hb = homology_of_complex(cols_k, cols_next, self.field, k)
-        cycles = [
-            FormalChain(k, self.field,
-                        {basis_k[i]: v for i, v in vec.items()}, "synor")
-            for vec in hb.cycles
-        ]
-        return HomologyBasis(k, hb.rank, cycles)
+        return basis_homology(self.generators, lambda g: self.delta[g].terms,
+                              self.field, k, "synor")
 
 
 def build_synor_complex(P: Poset, field) -> SynorComplex:
@@ -279,9 +259,10 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
         S._rho[key] = out
         return out
     k = len(key) - 1
-    target = FormalChain.zero(k - 1, S.field, "synor")
-    for face, coeff in boundary_key(key, S.field).items():
-        target = target + rho(S, face).scale(coeff)
+    target = FormalChain.combination(
+        k - 1, S.field,
+        ((coeff, rho(S, face))
+         for face, coeff in boundary_key(key, S.field).items()), "synor")
     ideal = sorted(y for y in S.element_set if S.poset.le(y, key[0]))
     sub = S.restrict(ideal)
     cols_basis = sub.generators(k)
@@ -309,10 +290,9 @@ def rho_chain(S: SynorComplex, chain: FormalChain) -> FormalChain:
     """Linear extension of rho to order-chain combinations."""
     if chain.kind != "order":
         raise ValidationError("rho acts on order chains")
-    out = FormalChain.zero(chain.dim, S.field, "synor")
-    for key, v in chain.terms.items():
-        out = out + rho(S, key).scale(v)
-    return out
+    return FormalChain.combination(
+        chain.dim, S.field,
+        ((v, rho(S, key)) for key, v in chain.terms.items()), "synor")
 
 
 # --- relative homology comparison ---

@@ -27,7 +27,8 @@ diffable.
 from __future__ import annotations
 
 from .algebra import DomainError, Monomial, RationalField, ValidationError
-from .chains import FormalChain, boundary, boundary_key, graded_component
+from .chains import (FormalChain, boundary, boundary_columns, boundary_key,
+                     graded_component)
 from .linalg import Reducer, kernel_basis
 from .poset import (Lattice, LcmLattice, enumerate_lattices, lattice_hash,
                     poset_to_json)
@@ -272,14 +273,7 @@ class TopAnalysis:
                 self._payload(i1, i2, k, "nontriviality"))
 
         reps = ell_representation(self.S, g, ell)
-        total = None
-        for chi in sorted(reps):
-            rho_phi = self.S.phi_chain(rho(self.S, chi))
-            zeta_phi_chi = self.S.phi_chain(reps[chi])
-            sh = shuffle_product(_map_chain(rho_phi, self.to_L),
-                                 _map_chain(zeta_phi_chi, self.to_L), self.L)
-            total = sh if total is None else total + sh
-        total = _map_chain(total, self.from_L)
+        total = self._shuffle_sum(reps, m, skip=0)
 
         try:
             same_class = homologous_in_pair(self.S.phi(g), total, self.P,
@@ -336,14 +330,21 @@ class TopAnalysis:
     def step_lemma_sum(self, g: Generator, ell: int) -> FormalChain:
         """Sum over the ell-representation of rho of the chain minus its
         top, shuffled with the suffix; a cycle supported in the middle."""
-        reps = ell_representation(self.S, g, ell)
-        total = None
-        for chi in sorted(reps):
-            rho_phi = self.S.phi_chain(rho(self.S, chi[1:]))
-            zeta_phi = self.S.phi_chain(reps[chi])
-            sh = shuffle_product(_map_chain(rho_phi, self.to_L),
-                                 _map_chain(zeta_phi, self.to_L), self.L)
-            total = sh if total is None else total + sh
+        return self._shuffle_sum(ell_representation(self.S, g, ell),
+                                 g.dim - 1, skip=1)
+
+    def _shuffle_sum(self, reps, dim: int, skip: int) -> FormalChain:
+        """sum over chi of phi(rho(chi[skip:])) shuffled with phi(reps[chi]),
+        taken in L and mapped back to P; a chain of dimension dim."""
+        def product(chi):
+            left = self.S.phi_chain(rho(self.S, chi[skip:]))
+            right = self.S.phi_chain(reps[chi])
+            return shuffle_product(_map_chain(left, self.to_L),
+                                   _map_chain(right, self.to_L), self.L)
+
+        total = FormalChain.combination(
+            dim, self.field,
+            ((self.field.one, product(chi)) for chi in sorted(reps)))
         return _map_chain(total, self.from_L)
 
     def verify_step_lemma(self, g: Generator, ell: int) -> bool:
@@ -519,11 +520,8 @@ def check_bracket_vanishing(S: SynorComplex, field) -> VerifyReport:
     top_dim = max(S.dims(), default=-1)
     for d in range(0, top_dim + 1):
         basis = S.generators(d)
-        prev = {g: i for i, g in enumerate(S.generators(d - 1))}
-        cols = [
-            {prev[h]: v for h, v in S.delta_of(g).terms.items()}
-            for g in basis
-        ]
+        cols = boundary_columns(basis, lambda g: S.delta_of(g).terms,
+                                S.generators(d - 1))
         for vec in kernel_basis(cols, field):
             cycle = FormalChain(d, field,
                                 {basis[i]: v for i, v in vec.items()}, "synor")
@@ -562,13 +560,13 @@ def check_class_sums(S: SynorComplex, g: Generator, ell: int,
     j0_nonzero = False
     lines = []
     for j in range(0, ell + 1):
-        classes: dict[tuple, FormalChain] = {}
+        classes: dict[tuple, list] = {}
         for chi, zeta in reps.items():
-            mask = chi[:j] + chi[j + 1:]
-            cur = classes.get(mask)
-            classes[mask] = zeta if cur is None else cur + zeta
-        nonzero = [mask for mask, total in classes.items()
-                   if not total.is_zero()]
+            classes.setdefault(chi[:j] + chi[j + 1:], []).append(
+                (field.one, zeta))
+        nonzero = [mask for mask, zetas in classes.items()
+                   if not FormalChain.combination(
+                       g.dim - ell - 1, field, zetas, "synor").is_zero()]
         if j == 0:
             j0_nonzero = bool(nonzero)
         elif nonzero:

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -148,6 +149,15 @@ def test_unknown_corpus_form(capsys):
 def test_missing_file(capsys):
     code, _, err = run(capsys, "betti", "/no/such/file")
     assert code == 1
+
+
+def test_oversized_lcm_lattice_fails_fast(capsys):
+    # @powers:30,1 would have 2^30 elements; the size cap refuses it
+    start = time.perf_counter()
+    code, _, err = run(capsys, "betti", "@powers:30,1")
+    assert code == 1
+    assert "more than 2048 elements" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_usage_exits_one(capsys):

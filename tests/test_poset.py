@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from synorres.algebra import (DimensionError, DomainError, Monomial,
                               ValidationError)
 from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
-                             random_ideal, random_poset)
+                             ideal_powers, random_ideal, random_poset)
 from synorres.poset import (Lattice, Poset, _bounded_closure,
                             _decode_canonical, _natural_posets,
                             build_lcm_lattice, canonical_form,
@@ -175,6 +175,18 @@ def test_canonical_form_matches_bit_loop_reference(seed, n):
     assert _decode_canonical(form, n).tolist() == decoded
 
 
+def test_canonical_form_is_fixed_and_invariant_on_enumerated_lattices():
+    # tie-heavy inputs: M6 (bottom, six atoms, top) has 720 automorphisms
+    for n in range(2, 9):
+        for i, L in enumerate(enumerate_lattices(n)):
+            form = canonical_form(L)
+            own = np.packbits(L.leq, axis=None,
+                              bitorder="little")[::-1].tobytes()
+            assert form == own
+            perm = seeded_permutation(1000 * n + i, n)
+            assert canonical_form(Poset(relabeled(L, perm))) == form
+
+
 def test_bounded_closure_matches_bit_loop_reference():
     for m in range(4):
         for down in _natural_posets(m):
@@ -230,6 +242,21 @@ def test_lcm_lattice_requires_minimal_generators():
         build_lcm_lattice([Monomial((1, 0))], ("x",))
     with pytest.raises(ValidationError):
         build_lcm_lattice([Monomial.one(2)], ("x", "y"))
+
+
+def test_lcm_lattice_size_cap(monkeypatch):
+    import synorres.poset as poset_module
+
+    spec = ideal_powers(3, 1)  # B3: 8 elements
+    gens = list(spec.generators)
+    monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", 3)
+    with pytest.raises(DomainError, match="more than 3 elements"):
+        build_lcm_lattice(gens, spec.variables)  # 3 generators need 4
+    monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", 7)
+    with pytest.raises(DomainError, match="more than 7 elements"):
+        build_lcm_lattice(gens, spec.variables)  # caught in the closure
+    monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", 8)
+    assert build_lcm_lattice(gens, spec.variables).n == 8
 
 
 def test_example62_lattice_size(example62_lattice):
