@@ -2,8 +2,12 @@
 
 All homology in this package is computed over an exact field: the rationals
 (the default) or a prime field GF(p).  Floating point never appears.  Field
-elements are ordinary Python objects supporting +, -, *, / and truthiness
-(zero is falsy), so the linear algebra layer stays field-agnostic.
+elements are plain Python numbers: ints, plus fractions.Fraction for a
+non-integer rational.  GF(p) elements are ints in [0, p); the arithmetic
+loops that add or multiply them reduce mod field.modulus (0 for QQ, so
+skipped), and field.of(n) is the field element of an integer or rational
+n.  No element promises `/`: the one division goes through field.inverse,
+and zero is falsy.
 
 Monomials are immutable exponent vectors over a fixed variable list.  The
 variable names themselves are carried by whatever owns the ambient ring (an
@@ -33,20 +37,29 @@ class ValidationError(ValueError):
 
 
 class RationalField:
-    """The field of rational numbers, elements are fractions.Fraction."""
+    """The field of rational numbers.  Elements are ints, with a
+    fractions.Fraction only for a non-integer value; division goes through
+    inverse, which returns a unit (1 or -1) unchanged."""
 
     name = "QQ"
     characteristic = 0
+    modulus = 0
+    zero = 0
+    one = 1
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    def of(self, n):
+        if type(n) is int:
+            return n
+        q = Fraction(n)
+        return q.numerator if q.denominator == 1 else q
 
-    def of(self, n) -> Fraction:
-        return Fraction(n)
+    def parse(self, text: str):
+        return self.of(Fraction(text))
 
-    def parse(self, text: str) -> Fraction:
-        return Fraction(text)
+    def inverse(self, x):
+        if x == 1 or x == -1:
+            return x
+        return self.of(Fraction(1, x))
 
     def __repr__(self):
         return "QQ"
@@ -56,74 +69,6 @@ class RationalField:
 
     def __hash__(self):
         return hash("QQ")
-
-
-class PrimeFieldElement:
-    """A residue in GF(p).  Arithmetic is mod p; division by inverse."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _check(self, other) -> "PrimeFieldElement":
-        if isinstance(other, int):
-            return PrimeFieldElement(other, self.p)
-        if not isinstance(other, PrimeFieldElement) or other.p != self.p:
-            raise DomainError("mixed prime-field arithmetic")
-        return other
-
-    def __add__(self, other):
-        other = self._check(other)
-        return PrimeFieldElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return PrimeFieldElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return PrimeFieldElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return self * other.inverse()
-
-    def __neg__(self):
-        return PrimeFieldElement(-self.value, self.p)
-
-    def inverse(self) -> "PrimeFieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("inverse of zero in GF(p)")
-        return PrimeFieldElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return (
-            isinstance(other, PrimeFieldElement)
-            and self.p == other.p
-            and self.value == other.value
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"{self.value}"
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -153,7 +98,10 @@ def _is_prime(p: int) -> bool:
 
 
 class PrimeField:
-    """GF(p) for a prime p."""
+    """GF(p) for a prime p; elements are ints in [0, p)."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p >= 2 ** 64:
@@ -163,14 +111,18 @@ class PrimeField:
         self.p = p
         self.name = f"GF({p})"
         self.characteristic = p
-        self.zero = PrimeFieldElement(0, p)
-        self.one = PrimeFieldElement(1, p)
+        self.modulus = p
 
-    def of(self, n: int) -> PrimeFieldElement:
-        return PrimeFieldElement(int(n), self.p)
+    def of(self, n) -> int:
+        return int(n) % self.p
 
-    def parse(self, text: str) -> PrimeFieldElement:
+    def parse(self, text: str) -> int:
         return self.of(int(text))
+
+    def inverse(self, x: int) -> int:
+        if not x % self.p:
+            raise ZeroDivisionError("inverse of zero in GF(p)")
+        return pow(x, self.p - 2, self.p)
 
     def __repr__(self):
         return self.name

@@ -15,6 +15,9 @@ formula, the last is owned by the synor module.
 
 The module owns chain arithmetic: every sparse sum of scaled chains goes
 through accumulate, and basis_homology serves order and synor complexes.
+Over GF(p) accumulate reduces its sums mod field.modulus, and the
+FormalChain constructor reduces every coefficient it is given (which
+covers negation and scale), so stored coefficients lie in [0, p).
 """
 
 from __future__ import annotations
@@ -23,14 +26,17 @@ from .algebra import DimensionError, DomainError, ValidationError
 from .linalg import HomologyBasis, homology_of_complex, rank_of
 
 
-def accumulate(terms: dict, pairs, scale=None) -> dict:
+def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
     """Add each (key, coeff) of pairs, times scale if given, into terms in
-    place, dropping keys whose sum is zero; returns terms."""
+    place, mod p unless p is 0, dropping keys whose sum is zero; returns
+    terms."""
     for k, v in pairs:
         if scale is not None:
             v = v * scale
         w = terms.get(k)
         w = v if w is None else w + v
+        if p:
+            w %= p
         if w:
             terms[k] = w
         else:
@@ -49,7 +55,10 @@ class FormalChain:
         self.kind = kind
         clean = {}
         if terms:
+            p = field.modulus
             for key, coeff in dict(terms).items():
+                if p:
+                    coeff %= p
                 if coeff:
                     clean[key] = coeff
         self.terms = clean
@@ -68,7 +77,7 @@ class FormalChain:
         out = cls(dim, field, None, kind)
         for s, c in summands:
             out._match(c)
-            accumulate(out.terms, c.terms.items(), s)
+            accumulate(out.terms, c.terms.items(), s, field.modulus)
         return out
 
     @classmethod
@@ -88,6 +97,9 @@ class FormalChain:
         if self.kind != other.kind:
             raise ValidationError(
                 f"chain kinds differ: {self.kind} vs {other.kind}")
+        if self.field != other.field:
+            raise DomainError(
+                f"chain fields differ: {self.field} vs {other.field}")
 
     def __add__(self, other: "FormalChain") -> "FormalChain":
         self._match(other)
@@ -166,9 +178,9 @@ def boundary(c: FormalChain) -> FormalChain:
 
 def boundary_key(key: tuple, field) -> dict:
     """Boundary of one basis chain as a raw {key: scalar} dict."""
-    signs = (field.one, -field.one)
+    signs = (field.one, field.of(-1))
     return accumulate({}, ((key[:j] + key[j + 1:], signs[j % 2])
-                           for j in range(len(key))))
+                           for j in range(len(key))), None, field.modulus)
 
 
 def normalize(c: FormalChain) -> FormalChain:

@@ -21,6 +21,7 @@ from .algebra import (DimensionError, DomainError, ValidationError,
                       field_from_flag, parse_monomial)
 from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
                      parse_ideal_text, random_ideal, random_poset)
+from . import poset
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
                     poset_to_json, proper_parts)
 from .resolution import (betti_from_intervals, betti_from_resolution,
@@ -61,6 +62,11 @@ def load_ideal(source: str) -> IdealSpec:
         if name == "example62" and not ints:
             return ideal_example62()
         if name == "powers" and len(ints) == 2:
+            # its lcm lattice is the Boolean lattice B_n, of 2^n elements
+            if ints[0] >= poset.LCM_LATTICE_CAP.bit_length():
+                raise DomainError(
+                    f"{source}: refusing to build an lcm lattice with more "
+                    f"than {poset.LCM_LATTICE_CAP} elements (2^{ints[0]})")
             return ideal_powers(*ints)
         if name == "kpq" and len(ints) == 2:
             return ideal_kpq(*ints)

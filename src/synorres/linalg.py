@@ -1,21 +1,25 @@
 """Exact sparse linear algebra over a field.
 
 Vectors are dicts {index: scalar} with zero entries dropped; indices are
-ints from some fixed basis ordering.  The central object is Reducer, an
-incremental reduced-row-echelon accumulator with deterministic least-index
-pivoting.  Everything downstream (ranks, kernels, solves, homology bases)
-is phrased through it, which is what makes representative cycles and
-witness choices reproducible run to run.
+ints from some fixed basis ordering.  Scalars are plain numbers (see
+algebra): _axpy, the pivot normalization and solve's negation reduce them
+mod p over GF(p), so entries stay in [0, p).  The central object
+is Reducer, an incremental reduced-row-echelon accumulator with
+deterministic least-index pivoting.  Everything downstream (ranks,
+kernels, solves, homology bases) is phrased through it, which is what
+makes representative cycles and witness choices reproducible run to run.
 """
 
 from __future__ import annotations
 
 
-def _axpy(target: dict, c, source: dict):
-    """target -= c * source, in place, dropping zeros."""
+def _axpy(target: dict, c, source: dict, p: int):
+    """target -= c * source, in place, dropping zeros; mod p unless p is 0."""
     for k, v in source.items():
         w = target.get(k)
         w = -(c * v) if w is None else w - c * v
+        if p:
+            w %= p
         if w:
             target[k] = w
         else:
@@ -48,28 +52,32 @@ class Reducer:
         columns present in vec can only introduce non-pivot columns and a
         single pass over sorted pivots suffices.
         """
+        p = self.field.modulus
         vec = dict(vec)
         wit = dict(wit) if wit is not None else None
         for piv in sorted(k for k in vec if k in self.rows):
             c = vec.get(piv)
             if not c:
                 continue
-            _axpy(vec, c, self.rows[piv])
+            _axpy(vec, c, self.rows[piv], p)
             if wit is not None:
-                _axpy(wit, c, self.wits[piv])
+                _axpy(wit, c, self.wits[piv], p)
         return vec, wit
 
     def _store(self, vec: dict, wit: dict | None):
         """Normalize a reduced, nonzero vector and add it as a new row."""
         piv = min(vec)
-        inv = self.field.one / vec[piv]
-        vec = {k: v * inv for k, v in vec.items()}
-        wit = {k: v * inv for k, v in wit.items()} if wit is not None else {}
-        for p in self.rows:
-            c = self.rows[p].get(piv)
+        inv = self.field.inverse(vec[piv])
+        p = self.field.modulus
+        wit = {} if wit is None else wit
+        if inv != 1:
+            vec = {k: v * inv % p if p else v * inv for k, v in vec.items()}
+            wit = {k: v * inv % p if p else v * inv for k, v in wit.items()}
+        for q, row in self.rows.items():
+            c = row.get(piv)
             if c:
-                _axpy(self.rows[p], c, vec)
-                _axpy(self.wits[p], c, wit)
+                _axpy(row, c, vec, p)
+                _axpy(self.wits[q], c, wit, p)
         self.rows[piv] = vec
         self.wits[piv] = wit
         return piv
@@ -126,7 +134,7 @@ def solve(columns, target: dict, field) -> dict | None:
     # Reduction maintains residual = target - sum wit[j]*row_j with each
     # row_j = a combination of original columns recorded in its witness;
     # the accumulated wit therefore satisfies 0 = target + sum wit[j]*col_j.
-    return {j: -v for j, v in wit.items() if v}
+    return {j: field.of(-v) for j, v in wit.items() if v}
 
 
 class HomologyBasis:

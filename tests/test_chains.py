@@ -2,10 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synorres.algebra import (DimensionError, DomainError, RationalField,
-                              ValidationError)
+from synorres.algebra import (DimensionError, DomainError, PrimeField,
+                              RationalField, ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
-                             concat, graded_component, homology, normalize)
+                             boundary_key, concat, graded_component, homology,
+                             normalize)
 from synorres.corpus import MmixRandom, random_chain, random_poset
 from synorres.poset import open_interval, proper_parts
 
@@ -24,6 +25,32 @@ def test_zero_and_single():
 def test_add_rejects_dimension_mismatch():
     with pytest.raises((ValidationError, DimensionError)):
         FormalChain.single((2, 1), QQ) + FormalChain.single((1,), QQ)
+
+
+def test_mixed_fields_are_refused():
+    F3, F5 = PrimeField(3), PrimeField(5)
+    a = FormalChain.single((2, 1), F3)
+    b = FormalChain.single((2, 1), F5)
+    with pytest.raises(DomainError):
+        a + b
+    with pytest.raises(DomainError):
+        a - b
+    with pytest.raises(DomainError):
+        FormalChain.combination(1, F3, [(F3.one, a), (F3.one, b)])
+    with pytest.raises(DomainError):
+        FormalChain.single((2, 1), QQ) + FormalChain.single((2, 1), F3)
+
+
+def test_prime_field_coefficients_stay_reduced():
+    F3 = PrimeField(3)
+    c = FormalChain.single((2, 1), F3)
+    assert (-c).coeff((2, 1)) == 2
+    assert c.scale(-1) == -c
+    assert (c + c).coeff((2, 1)) == 2
+    assert (c + c + c).is_zero()
+    assert FormalChain.combination(1, F3, [(2, c), (1, c)]).is_zero()
+    assert boundary(c).terms == {(1,): 1, (2,): 2}
+    assert boundary_key((2, 2), F3) == {}  # +1 and -1 = 2 cancel mod 3
 
 
 def test_boundary_of_edge():

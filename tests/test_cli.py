@@ -160,6 +160,44 @@ def test_oversized_lcm_lattice_fails_fast(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_oversized_power_ideal_fails_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = run(capsys, "betti", "@powers:1200,1")
+    assert code == 1
+    assert "more than 2048 elements" in err
+    assert time.perf_counter() - start < 3.0
+
+
+def test_oversized_power_ideal_is_refused_by_the_parser(capsys, monkeypatch):
+    # the generator list alone would hold 10^10 exponents
+    def never(*args):
+        raise AssertionError("ideal_powers ran for an oversized lattice")
+    monkeypatch.setattr("synorres.cli.ideal_powers", never)
+    code, _, err = run(capsys, "betti", "@powers:100000,1")
+    assert code == 1
+    assert "more than 2048 elements" in err
+
+
+@pytest.mark.parametrize("field", ["q", "3"])
+def test_json_dumps_write_coefficients_as_strings(capsys, field):
+    # scalars are plain ints, so a dump that let json see them raw would
+    # write numbers; every coefficient must stay a JSON string
+    code, out, _ = run(capsys, "resolve", "@kpq:3,2", "--field", field,
+                       "--format", "json")
+    assert code == 0
+    entries = [e for d in json.loads(out)["resolution"]["differentials"]
+               for e in d["entries"]]
+    assert entries and all(isinstance(e[3], str) for e in entries)
+    code, out, _ = run(capsys, "synor", "@kpq:3,2", "--field", field,
+                       "--format", "json")
+    assert code == 0
+    gens = json.loads(out)["generators"]
+    coeffs = [v for g in gens for key in ("delta", "phi") for _k, v in g[key]]
+    assert coeffs and all(isinstance(v, str) for v in coeffs)
+    if field == "3":
+        assert "2" in coeffs and not any(v.startswith("-") for v in coeffs)
+
+
 def test_bad_usage_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["betti"])  # missing input argument

@@ -10,11 +10,14 @@ QQ = RationalField()
 
 # sparse-vector arithmetic for building reference combinations below
 
-def vec_add(a: dict, b: dict) -> dict:
+def vec_add(a: dict, b: dict, p: int = 0) -> dict:
+    """a + b, mod p unless p is 0."""
     out = dict(a)
     for k, v in b.items():
         w = out.get(k)
         w = v if w is None else w + v
+        if p:
+            w %= p
         if w:
             out[k] = w
         else:
@@ -22,10 +25,11 @@ def vec_add(a: dict, b: dict) -> dict:
     return out
 
 
-def vec_scale(a: dict, s) -> dict:
+def vec_scale(a: dict, s, p: int = 0) -> dict:
+    """s * a, mod p unless p is 0."""
     if not s:
         return {}
-    return {k: v * s for k, v in a.items()}
+    return {k: v * s % p if p else v * s for k, v in a.items()}
 
 
 def vec_sub(a: dict, b: dict) -> dict:
@@ -101,8 +105,9 @@ def test_reducer_witness_reconstructs(rows, field):
         # the witness is a certificate: applying it to the originals
         # reproduces the residue
         acc = {}
+        p = field.modulus
         for i, c in wit.items():
-            acc = vec_add(acc, vec_scale(cols[i], c))
+            acc = vec_add(acc, vec_scale(cols[i], c, p), p)
         assert acc == residue
         if residue:
             red.insert(residue, wit)

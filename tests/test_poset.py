@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import numpy as np
@@ -257,6 +258,16 @@ def test_lcm_lattice_size_cap(monkeypatch):
         build_lcm_lattice(gens, spec.variables)  # caught in the closure
     monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", 8)
     assert build_lcm_lattice(gens, spec.variables).n == 8
+
+
+def test_oversized_lcm_lattice_fails_before_the_minimality_scan():
+    # B_1200 passes the cap early in the closure; the quadratic minimality
+    # scan over 1200 generators of length 1200 would take tens of seconds
+    spec = ideal_powers(1200, 1)
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="more than 2048 elements"):
+        build_lcm_lattice(list(spec.generators), spec.variables)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_example62_lattice_size(example62_lattice):

@@ -1,13 +1,16 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synorres.algebra import Monomial, PrimeField, RationalField
 from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
-from synorres.poset import build_lcm_lattice
+from synorres.poset import build_lcm_lattice, proper_parts
 from synorres.resolution import (BettiTable, betti_from_intervals,
                                  betti_from_resolution, certify_resolution,
                                  resolution_to_json, synor_resolution)
+from synorres.synor import build_synor_complex
 
 QQ = RationalField()
 
@@ -65,6 +68,27 @@ def test_synor_betti_equals_interval_betti(seed, n, g, emax, field):
     L = build_lcm_lattice(list(spec.generators), spec.variables)
     R = synor_resolution(L, field)
     assert betti_from_resolution(R) == betti_from_intervals(L, field)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 3),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3), PrimeField(32003)]))
+def test_stored_scalars_are_plain_numbers(seed, n, g, emax, field):
+    # GF(p): an int in [1, p); QQ: an int, or a Fraction only when it is
+    # not an integer
+    spec = random_ideal(seed, n, g, emax)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, field)
+    S = build_synor_complex(proper_parts(L)[0], field)
+    scalars = [v for mat in R.differentials for _mono, v in mat.values()]
+    scalars += [v for chain in S.delta.values() for v in chain.terms.values()]
+    for v in scalars:
+        if field.modulus:
+            assert type(v) is int and 1 <= v < field.modulus
+        else:
+            assert type(v) is int or (type(v) is Fraction
+                                      and v.denominator != 1)
 
 
 def test_resolution_over_f2(example62_lattice):
