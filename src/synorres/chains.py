@@ -14,7 +14,9 @@ generator combinations ("synor"); the first two share the same boundary
 formula, the last is owned by the synor module.
 
 The module owns chain arithmetic: every sparse sum of scaled chains goes
-through accumulate, and basis_homology serves order and synor complexes.
+through accumulate, and basis_homology gives the homology of order and
+synor complexes in a range of degrees, building each basis and boundary
+matrix once and eliminating each matrix once (linalg.complex_homology).
 Over GF(p) accumulate reduces its sums mod field.modulus, and the
 FormalChain constructor reduces every coefficient it is given (which
 covers negation and scale), so stored coefficients lie in [0, p).
@@ -23,7 +25,7 @@ covers negation and scale), so stored coefficients lie in [0, p).
 from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
-from .linalg import HomologyBasis, homology_of_complex, rank_of
+from .linalg import HomologyBasis, complex_homology, rank_of
 
 
 def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
@@ -148,19 +150,6 @@ class FormalChain:
                         for k, v in self.items()) or "0"
         return f"<{self.kind} dim={self.dim}: {body}>"
 
-    def format(self, P) -> str:
-        """Debug dump with poset labels, e.g. '+3(a>b) -1(c)'."""
-        if self.is_zero():
-            return "0"
-        parts = []
-        for key, v in self.items():
-            name = ">".join(str(P.label_of(i)) for i in key) if key else "()"
-            sv = str(v)
-            if not sv.startswith("-"):
-                sv = "+" + sv
-            parts.append(f"{sv}({name})")
-        return " ".join(parts)
-
 
 # --- boundary ---
 
@@ -249,25 +238,28 @@ def boundary_columns(basis, boundary_of, row_basis) -> list[dict]:
     return [{row[f]: v for f, v in boundary_of(key).items()} for key in basis]
 
 
-def basis_homology(basis_of, boundary_of, field, k: int,
-                   kind: str) -> HomologyBasis:
-    """Homology in degree k of the complex with degree-d basis basis_of(d)
-    and boundary_of(key) the raw boundary dict of a basis key; cycles are
-    FormalChains of the given kind."""
-    basis_k = basis_of(k)
-    hb = homology_of_complex(
-        boundary_columns(basis_k, boundary_of, basis_of(k - 1)),
-        boundary_columns(basis_of(k + 1), boundary_of, basis_k), field, k)
-    return HomologyBasis(k, hb.rank, [
-        FormalChain(k, field, {basis_k[i]: v for i, v in vec.items()}, kind)
+def basis_homology(basis_of, boundary_of, field, degrees: range,
+                   kind: str) -> list[HomologyBasis]:
+    """Homology in each of the consecutive degrees of the complex with
+    degree-d basis basis_of(d) and boundary_of(key) the raw boundary dict
+    of a basis key; each basis and boundary matrix is built and eliminated
+    once, and cycles are FormalChains of the given kind."""
+    lo, hi = degrees.start, degrees.stop
+    bases = {d: basis_of(d) for d in range(lo - 1, hi + 1)}
+    matrices = [boundary_columns(bases[d], boundary_of, bases[d - 1])
+                for d in range(lo, hi + 1)]
+    return [HomologyBasis(hb.dim, hb.rank, [
+        FormalChain(hb.dim, field, {bases[hb.dim][i]: v
+                                    for i, v in vec.items()}, kind)
         for vec in hb.cycles])
+        for hb in complex_homology(matrices, field, lo)]
 
 
 def homology(P, k: int, field) -> HomologyBasis:
     """Reduced order-complex homology of P in degree k, with
     echelon-deterministic representative cycles as FormalChains."""
     return basis_homology(P.chains, lambda key: boundary_key(key, field),
-                          field, k, "order")
+                          field, range(k, k + 1), "order")[0]
 
 
 def all_homology_ranks(P, field) -> dict[int, int]:

@@ -25,8 +25,8 @@ from . import poset
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
                     poset_to_json, proper_parts)
 from .resolution import (betti_from_intervals, betti_from_resolution,
-                         certify_resolution, interval_ranks,
-                         resolution_to_json, synor_resolution)
+                         certify_resolution, resolution_to_json,
+                         synor_resolution)
 from .shuffle import shuffle_product
 from .chains import FormalChain, all_homology_ranks
 from .synor import build_synor_complex, synor_to_json, synors
@@ -126,10 +126,14 @@ def cmd_resolve(args) -> int:
 def cmd_lattice(args) -> int:
     L = lattice_of(load_ideal(args.input))
     field = field_from_flag(args.field)
+    # x is an (i-1)-synor of multiplicity beta_{i,x}: the rank of reduced
+    # homology in degree i - 2 of the open interval below x
+    table = betti_from_resolution(synor_resolution(L, field))
     synor_rows = [
-        [L.format_label(x), d + 1, r]
+        [L.format_label(x), i - 1, b]
         for x in range(L.n) if x != L.bottom
-        for d, r in interval_ranks(L, x, field).items() if r
+        for i in range(1, table.projective_dimension() + 1)
+        if (b := table.beta(i, L.monomials[x]))
     ]
     payload = poset_to_json(L)
     payload["hash"] = lattice_hash(L)
@@ -249,6 +253,9 @@ def _verify_properties(args) -> tuple[bool, list[str]]:
     the simplicial oracle, homology of a restriction, bracket vanishing."""
     field = field_from_flag(args.field)
     count = args.max if args.max is not None else 25
+    if count < 1:
+        raise ValidationError(
+            f"verify properties needs --max of at least 1 trial, not {count}")
     base = args.seed
     ok = True
     lines = []

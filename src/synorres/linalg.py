@@ -3,14 +3,18 @@
 Vectors are dicts {index: scalar} with zero entries dropped; indices are
 ints from some fixed basis ordering.  Scalars are plain numbers (see
 algebra): _axpy, the pivot normalization and solve's negation reduce them
-mod p over GF(p), so entries stay in [0, p).  The central object
-is Reducer, an incremental reduced-row-echelon accumulator with
-deterministic least-index pivoting.  Everything downstream (ranks,
-kernels, solves, homology bases) is phrased through it, which is what
-makes representative cycles and witness choices reproducible run to run.
+mod p over GF(p), so entries stay in [0, p).  The central object is
+Reducer, an incremental reduced-row-echelon accumulator with
+deterministic least-index pivoting.  One column reduction, eliminate,
+gives a matrix's span and kernel at once; kernels, solves and the
+homology of a whole complex (one elimination per boundary matrix) are
+views of it, which is what makes representative cycles and witness
+choices reproducible run to run.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 
 def _axpy(target: dict, c, source: dict, p: int):
@@ -101,22 +105,27 @@ def rank_of(columns, field) -> int:
     return red.rank
 
 
-def kernel_basis(columns, field) -> list[dict]:
-    """Kernel of the map e_j -> columns[j], as vectors over column indices.
+def eliminate(columns, field) -> tuple[Reducer, list[dict]]:
+    """The span's Reducer and the kernel of the map e_j -> columns[j].
 
-    Columns are inserted in order with witness e_j; a column that reduces
-    to zero yields its witness as a kernel vector (the dependency, with
-    coefficient 1 on that column).  Deterministic by construction.
+    Columns are inserted in order with witness e_j; one that reduces to
+    zero yields its witness as a kernel vector (coefficient 1 on that
+    column).  The stored rows do not depend on the witnesses.
     """
     red = Reducer(field)
-    out = []
+    kernel = []
     for j, col in enumerate(columns):
-        residual, wit = red.reduce(dict(col), {j: field.one})
+        residual, wit = red.reduce(col, {j: field.one})
         if residual:
             red._store(residual, wit)
         else:
-            out.append(wit)
-    return out
+            kernel.append(wit)
+    return red, kernel
+
+
+def kernel_basis(columns, field) -> list[dict]:
+    """Kernel of the map e_j -> columns[j], over column indices."""
+    return eliminate(columns, field)[1]
 
 
 def solve(columns, target: dict, field) -> dict | None:
@@ -125,10 +134,7 @@ def solve(columns, target: dict, field) -> dict | None:
     Returns {j: x_j} or None when target is outside the column span.  Free
     coordinates stay at zero, so the answer is deterministic.
     """
-    red = Reducer(field)
-    for j, col in enumerate(columns):
-        red.insert(dict(col), {j: field.one})
-    residual, wit = red.reduce(dict(target), {})
+    residual, wit = eliminate(columns, field)[0].reduce(target, {})
     if residual:
         return None
     # Reduction maintains residual = target - sum wit[j]*row_j with each
@@ -137,41 +143,38 @@ def solve(columns, target: dict, field) -> dict | None:
     return {j: field.of(-v) for j, v in wit.items() if v}
 
 
-class HomologyBasis:
+class HomologyBasis(NamedTuple):
     """Rank and echelon-deterministic representative cycles in one degree."""
 
-    __slots__ = ("dim", "rank", "cycles")
+    dim: int
+    rank: int
+    cycles: list
 
-    def __init__(self, dim: int, rank: int, cycles):
-        self.dim = dim
-        self.rank = rank
-        self.cycles = list(cycles)
 
-    def __repr__(self):
-        return f"HomologyBasis(dim={self.dim}, rank={self.rank})"
+def complex_homology(boundaries, field, lowest: int) -> list[HomologyBasis]:
+    """Homology at degrees lowest .. lowest + len(boundaries) - 2.
+
+    boundaries[i] holds the columns of the differential out of degree
+    lowest + i, each a vector over the basis one degree down.  Each matrix
+    is eliminated once.  Representatives are kernel vectors reduced
+    against the span of the matrix above, kept in echelon form as added.
+    """
+    eliminated = [eliminate(cols, field) for cols in boundaries]
+    out = []
+    for i, ((_, kernel), (above, _)) in enumerate(zip(eliminated,
+                                                      eliminated[1:])):
+        reps = Reducer(field)
+        cycles = []
+        for z in kernel:
+            piv = reps.insert(above.reduce(z)[0])
+            if piv is not None:
+                cycles.append(dict(reps.rows[piv]))
+        out.append(HomologyBasis(lowest + i, len(cycles), cycles))
+    return out
 
 
 def homology_of_complex(boundary_cols_k, boundary_cols_k_plus, field,
                         dim) -> HomologyBasis:
-    """Homology at one position of a complex, from two boundary matrices.
-
-    boundary_cols_k[j] is the boundary of the j-th degree-k basis element
-    as a vector over degree-(k-1) indices; boundary_cols_k_plus likewise
-    one level up (vectors over degree-k indices).  Representatives are
-    kernel vectors reduced against an RREF of the boundary image, kept in
-    echelon form, reported over degree-k indices.
-    """
-    bnd = Reducer(field)
-    for col in boundary_cols_k_plus:
-        bnd.insert(dict(col))
-    reps = Reducer(field)
-    out = []
-    for z in kernel_basis(boundary_cols_k, field):
-        residual, _ = bnd.reduce(z)
-        if not residual:
-            continue
-        before = reps.rank
-        piv = reps.insert(residual)
-        if piv is not None and reps.rank > before:
-            out.append(dict(reps.rows[piv]))
-    return HomologyBasis(dim, len(out), out)
+    """Homology in degree dim alone (see complex_homology)."""
+    return complex_homology([boundary_cols_k, boundary_cols_k_plus], field,
+                            dim)[0]

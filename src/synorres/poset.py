@@ -433,19 +433,17 @@ def _decode_canonical(data: bytes, n: int) -> np.ndarray:
     return bits[:n * n].reshape(n, n).astype(bool)
 
 
-def enumerate_lattices(n: int, cap: int = LATTICE_ENUMERATION_CAP):
+def enumerate_lattices(n: int):
     """Yield every lattice on n elements up to isomorphism exactly once.
 
     Canonically relabeled (ids form a linear extension, bottom first).
-    Refuses n above the cap: the middle-poset search grows too fast.
+    Refuses n above LATTICE_ENUMERATION_CAP: the middle-poset search grows
+    too fast.
     """
-    if n < 2:
-        raise DomainError("lattice enumeration starts at n = 2")
-    if n > cap:
+    if not 2 <= n <= LATTICE_ENUMERATION_CAP:
         raise DomainError(
-            f"refusing to enumerate lattices on {n} > {cap} elements; "
-            f"raise the cap explicitly if you accept the cost"
-        )
+            f"lattice enumeration covers 2 to {LATTICE_ENUMERATION_CAP} "
+            f"elements, not {n}")
     seen = set()
     for down in _natural_posets(n - 2):
         leq = _bounded_closure(down, n - 2)

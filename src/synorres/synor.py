@@ -12,9 +12,11 @@ zeta maps to x prepended to phi(zeta).  Restricting to any order ideal
 preserves homology, which is checked against the simplicial side in the
 test suite.
 
-The construction processes elements along a fixed linear extension and
-chooses echelon-deterministic cycle bases, so a complex is reproducible
-run to run.
+The construction processes elements along a fixed linear extension.  At
+each element it cuts the generator lists down to the strict down-set and
+takes the homology in every degree from one pass, one elimination per
+boundary matrix; the cycle bases are echelon-deterministic, so a complex
+is reproducible run to run.
 
 The module also houses the verification toolkit built on top of the
 complex: prefix representations of a generator's image, coefficient-sum
@@ -121,50 +123,46 @@ class SynorComplex:
             y, x = outside[missing[0, 0]], inside[missing[0, 1]]
             raise ValidationError(
                 f"{ideal_ids} is not an order ideal: missing {y} < {x}")
-        gens = {
-            d: [g for g in lst if g.element in ideal or g == EMPTY_GENERATOR]
-            for d, lst in self.gens_by_dim.items()
-        }
+        keep = ideal | {EMPTY_GENERATOR.element}
+        gens = {d: [g for g in lst if g.element in keep]
+                for d, lst in self.gens_by_dim.items()}
         return SynorComplex(self.poset, self.field, ideal, gens,
                             self.delta, self._phi, self._rho)
 
     def homology(self, k: int) -> HomologyBasis:
         """Homology of the restricted complex; cycles are synor chains."""
         return basis_homology(self.generators, lambda g: self.delta[g].terms,
-                              self.field, k, "synor")
+                              self.field, range(k, k + 1), "synor")[0]
 
 
 def build_synor_complex(P: Poset, field) -> SynorComplex:
     """Construct a synor complex of P with phi, deterministically.
 
     Elements are processed along P's linear extension; at each element the
-    homology of the already-built complex restricted to the strict ideal
-    below contributes one new generator per echelon basis cycle, with the
-    cycle as its differential.
+    homology of the already-built complex on the strict down-set below
+    (an order ideal, as P is transitive, so restrict's guard is not
+    needed) contributes one new generator per echelon basis cycle, with
+    the cycle as its differential.
     """
     gens_by_dim: dict[int, list[Generator]] = {-1: [EMPTY_GENERATOR]}
     delta: dict[Generator, FormalChain] = {
         EMPTY_GENERATOR: FormalChain.zero(-2, field, "synor")
     }
-    complex_so_far = SynorComplex(P, field, range(P.n), gens_by_dim, delta,
-                                  {}, {})
     for x in P.linear_extension():
-        below = frozenset(P.strictly_below(x))
-        sub = complex_so_far.restrict(below)
-        top_dim = max(sub.dims(), default=-1)
-        for d in range(-1, top_dim + 1):
-            hb = sub.homology(d)
+        below = {EMPTY_GENERATOR.element, *P.strictly_below(x)}
+        gens = {d: [g for g in lst if g.element in below]
+                for d, lst in gens_by_dim.items()}
+        top_dim = max(d for d, lst in gens.items() if lst)
+        for hb in basis_homology(lambda d: gens.get(d, []),
+                                 lambda g: delta[g].terms, field,
+                                 range(-1, top_dim + 1), "synor"):
             for idx, cycle in enumerate(hb.cycles):
-                g = Generator(x, d + 1, idx)
+                g = Generator(x, hb.dim + 1, idx)
                 delta[g] = cycle
-                gens_by_dim.setdefault(d + 1, []).append(g)
+                gens_by_dim.setdefault(hb.dim + 1, []).append(g)
     for d in gens_by_dim:
         gens_by_dim[d].sort()
-    return complex_so_far
-
-
-def restrict(S: SynorComplex, ideal_ids) -> SynorComplex:
-    return S.restrict(ideal_ids)
+    return SynorComplex(P, field, range(P.n), gens_by_dim, delta, {}, {})
 
 
 def synors(P: Poset, field) -> list[tuple[int, int, int]]:

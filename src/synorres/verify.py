@@ -30,8 +30,8 @@ from .algebra import DomainError, Monomial, RationalField, ValidationError
 from .chains import (FormalChain, boundary, boundary_columns, boundary_key,
                      graded_component)
 from .linalg import Reducer, kernel_basis
-from .poset import (Lattice, LcmLattice, enumerate_lattices, lattice_hash,
-                    poset_to_json)
+from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice,
+                    enumerate_lattices, lattice_hash, poset_to_json)
 from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
                          synor_resolution)
 from .shuffle import shuffle_product
@@ -640,7 +640,13 @@ def verify_lattice_instances(L: Lattice, field=None) -> tuple[bool, list[str]]:
 def sweep_lattices(max_n: int, field=None,
                    counts: dict | None = None) -> tuple[bool, list[str]]:
     """Both decomposition routes on every lattice with up to max_n
-    elements; lines are in canonical enumeration order."""
+    elements; lines are in canonical enumeration order.  A max_n that
+    would check nothing, or that passes the enumeration cap, is refused
+    before any lattice is built."""
+    if not 2 <= max_n <= LATTICE_ENUMERATION_CAP:
+        raise DomainError(
+            f"lattice sweeps cover 2 to {LATTICE_ENUMERATION_CAP} elements; "
+            f"got a maximum of {max_n}")
     field = field or RationalField()
     ok = True
     lines = []

@@ -16,7 +16,7 @@ from synorres.poset import build_lcm_lattice, proper_parts
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
                                  certify_resolution, synor_resolution)
 from synorres.shuffle import check_chain_map
-from synorres.synor import build_synor_complex, restrict, synors
+from synorres.synor import build_synor_complex, synors
 from synorres.verify import (check_bracket_vanishing, check_class_sums,
                              check_shift_count_bound, check_subadditivity,
                              sweep_lattices, verify_intervals,
@@ -174,7 +174,7 @@ def _s2_matches(P, S, rng, samples=3):
     for _ in range(samples):
         seed_ids = [x for x in range(P.n) if rng.chance()]
         ideal = sorted({y for x in seed_ids for y in P.below_or_equal(x)})
-        sub = restrict(S, ideal)
+        sub = S.restrict(ideal)
         simplicial = all_homology_ranks(P.sub(ideal), QQ)
         top = max(sub.dims(), default=-1)
         for k in range(-1, top + 2):

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
-from synorres.cli import REPRODUCER_PATH, load_ideal, main
+from synorres.algebra import field_from_flag
+from synorres.cli import REPRODUCER_PATH, lattice_of, load_ideal, main
+from synorres.resolution import interval_ranks
 from synorres.verify import TheoremContradiction
 
 EXAMPLE_TEXT = """\
@@ -88,6 +90,35 @@ def test_lattice_json_roundtrips(capsys):
     assert len(data["synors"]) > 0
 
 
+@pytest.mark.parametrize("source", ["@example62", "@kpq:4,3", "@powers:4,2",
+                                    "@random:3,4,6,3"])
+@pytest.mark.parametrize("field", ["q", "2"])
+def test_lattice_synor_rows_match_interval_homology(capsys, source, field):
+    # the rows come from the synor resolution's Betti table; the oracle
+    # reads them off the reduced homology of each open interval (0, x)
+    from synorres.algebra import field_from_flag
+    from synorres.cli import lattice_of
+    from synorres.resolution import interval_ranks
+    code, out, _ = run(capsys, "lattice", source, "--field", field,
+                       "--format", "json")
+    assert code == 0
+    L = lattice_of(load_ideal(source))
+    F = field_from_flag(field)
+    want = [[L.format_label(x), d + 1, r]
+            for x in range(L.n) if x != L.bottom
+            for d, r in interval_ranks(L, x, F).items() if r]
+    assert json.loads(out)["synors"] == want
+
+
+def test_lattice_on_boolean_lattice_b8_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "lattice", "@powers:8,1")
+    assert code == 0
+    assert "elements: 256" in out
+    assert "  x1*x2*x3*x4*x5*x6*x7*x8  7  1" in out.splitlines()
+    assert time.perf_counter() - start < 15.0
+
+
 def test_synor_dump(capsys):
     code, out, _ = run(capsys, "synor", "@example62")
     assert code == 0
@@ -126,6 +157,30 @@ def test_verify_lattices(capsys):
     code, out, _ = run(capsys, "verify", "lattices", "--max", "5")
     assert code == 0
     assert "n=5:5" in out
+
+
+def test_lattice_sweep_cap_fails_before_any_work(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("a lattice was enumerated past the cap")
+    monkeypatch.setattr("synorres.verify.enumerate_lattices", never)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "lattices", "--max", "9")
+    assert code == 1
+    assert out == ""
+    assert "lattice sweeps cover 2 to 8 elements" in err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("argv", [["lattices", "--max", "1"],
+                                  ["lattices", "--max", "0"],
+                                  ["lattices", "--max", "-3"],
+                                  ["properties", "--max", "0"],
+                                  ["properties", "--max", "-1"]])
+def test_verify_refuses_a_max_that_checks_nothing(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert "all pass" not in out
+    assert err.startswith("error: ")
 
 
 def test_verify_properties(capsys):

@@ -2,8 +2,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synorres.algebra import PrimeField, RationalField
-from synorres.linalg import (Reducer, homology_of_complex, kernel_basis,
-                             rank_of, solve)
+from synorres.chains import boundary_columns, boundary_key
+from synorres.corpus import random_poset
+from synorres.linalg import (Reducer, complex_homology, eliminate,
+                             homology_of_complex, kernel_basis, rank_of,
+                             solve)
 
 QQ = RationalField()
 
@@ -123,6 +126,32 @@ def test_homology_of_circle():
     # full triangle kills it
     d2 = to_cols([[1], [-1], [1]], QQ)
     assert homology_of_complex(d1, d2, QQ, 1).rank == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 300), st.sampled_from([QQ, PrimeField(3)]))
+def test_one_elimination_gives_every_position(seed, field):
+    # reference: per position, a witness-free span of the matrix above and
+    # the kernel of the matrix below, reduced and kept in echelon form
+    P = random_poset(seed, 3 + seed % 6)
+    top = P.max_chain_dim()
+    mats = [boundary_columns(P.chains(d), lambda k: boundary_key(k, field),
+                             P.chains(d - 1)) for d in range(-1, top + 2)]
+    got = complex_homology(mats, field, -1)
+    assert [hb.dim for hb in got] == list(range(-1, top + 1))
+    for hb, below, above in zip(got, mats, mats[1:]):
+        span = Reducer(field)
+        for col in above:
+            span.insert(col)
+        assert eliminate(above, field)[0].rows == span.rows
+        reps = Reducer(field)
+        want = []
+        for z in kernel_basis(below, field):
+            piv = reps.insert(span.reduce(z)[0])
+            if piv is not None:
+                want.append(dict(reps.rows[piv]))
+        assert hb.cycles == want and hb.rank == len(want)
+        assert homology_of_complex(below, above, field, hb.dim) == hb
 
 
 def test_vec_ops_cancel():

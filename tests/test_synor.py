@@ -2,14 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synorres.linalg as linalg
 from synorres.algebra import RationalField, ValidationError
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
                              graded_component)
 from synorres.corpus import random_poset
 from synorres.poset import Poset, proper_parts
-from synorres.synor import (EMPTY_GENERATOR, bracket, build_synor_complex,
-                            ell_representation, homologous_in_pair, restrict,
-                            rho, rho_chain, synor_to_json, synors)
+from synorres.synor import (EMPTY_GENERATOR, SynorComplex, bracket,
+                            build_synor_complex, ell_representation,
+                            homologous_in_pair, rho, rho_chain, synor_to_json,
+                            synors)
 
 QQ = RationalField()
 
@@ -63,7 +65,7 @@ def check_s1(P, field):
 
 
 def check_s2(P, S, ideal):
-    sub = restrict(S, ideal)
+    sub = S.restrict(ideal)
     Q = P.sub(ideal)
     simplicial = all_homology_ranks(Q, QQ)
     top = max(sub.dims(), default=-1)
@@ -86,7 +88,7 @@ def test_principal_weak_ideals_are_acyclic():
     P = random_poset(7, 8)
     S = build_synor_complex(P, QQ)
     for x in range(P.n):
-        sub = restrict(S, P.below_or_equal(x))
+        sub = S.restrict(P.below_or_equal(x))
         for k in range(0, max(sub.dims(), default=-1) + 1):
             assert sub.homology(k).rank == 0
 
@@ -109,11 +111,40 @@ def test_strict_grading_and_phi_chain_map(cycle_lattice):
                 assert key[0] == g.element
 
 
+def test_build_filters_generators_and_eliminates_each_matrix_once(
+        example62_lattice, monkeypatch):
+    # per element x the build needs no restrict guard, and it eliminates
+    # the boundary matrices out of degrees -1 .. top + 1 of the part
+    # strictly below x once each, top being the highest generator there
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_synor_complex called restrict")
+    monkeypatch.setattr(SynorComplex, "restrict", refuse)
+    widths = []
+    eliminate = linalg.eliminate
+
+    def counted(columns, field):
+        widths.append(len(columns))
+        return eliminate(columns, field)
+    monkeypatch.setattr(linalg, "eliminate", counted)
+    upper, _ = proper_parts(example62_lattice)
+    S = build_synor_complex(upper, QQ)
+    monkeypatch.undo()
+    expected = []
+    for x in upper.linear_extension():
+        below = set(upper.strictly_below(x))
+        counts = [1] + [sum(g.element in below for g in S.generators(d))
+                        for d in range(0, max(S.dims()) + 1)]
+        top = max(d for d, c in enumerate(counts, -1) if c)
+        expected.extend(counts[:top + 2] + [0])
+    assert max(S.dims()) >= 2
+    assert widths == expected
+
+
 def test_restrict_rejects_non_ideal(cycle_lattice):
     upper, _ = proper_parts(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     with pytest.raises(ValidationError):
-        restrict(S, [upper.n - 1])  # top without the atoms below it
+        S.restrict([upper.n - 1])  # top without the atoms below it
 
 
 def test_ell_representation_reassembles(example62_lattice):
