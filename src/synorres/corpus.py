@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import DomainError, Monomial, ValidationError, parse_monomial
+from . import poset
 from .poset import Poset
 
 
@@ -59,6 +60,10 @@ def ideal_kpq(p: int, q: int) -> IdealSpec:
     """
     if not p > q >= 2:
         raise DomainError("need p > q >= 2")
+    cap = poset.LCM_LATTICE_CAP  # vs. 2^(p+1) + 2^(q+1) - 3 lcm elements
+    if p >= cap.bit_length() or 2**(p + 1) + 2**(q + 1) - 3 > cap:
+        raise DomainError(f"kpq({p},{q}): refusing to build an lcm lattice "
+                          f"with more than {cap} elements")
     nx, ny = p + 1, q + 1
     variables = tuple(f"x{i}" for i in range(nx)) + \
         tuple(f"y{j}" for j in range(ny))

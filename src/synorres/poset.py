@@ -1,8 +1,9 @@
 """Finite posets, lattices, and lcm lattices of monomial ideals.
 
 A Poset is a frozen boolean matrix leq with leq[i, j] true iff element i
-is below element j, plus optional labels.  Lattices add a join table and
-distinguished bottom/top.  The lcm lattice of a monomial ideal has
+is below element j, plus optional labels.  Lattices add bottom and top,
+and read joins off ranked up-set bitmasks of the order, built on the
+first join.  The lcm lattice of a monomial ideal has
 elements the lcms of subsets of the minimal generators, ordered by
 divisibility, with join = lcm; its element ids are assigned in
 lexicographic order of exponent vectors, which puts the bottom (the unit
@@ -12,8 +13,9 @@ extension.
 Small abstract lattices can be enumerated up to isomorphism: every lattice
 on n >= 2 elements is the bounded closure of an arbitrary poset on n - 2
 "middle" elements, so we enumerate naturally-labeled middle posets, keep
-those whose closure has all joins, and deduplicate by a
-canonical form taken over order-preserving relabelings.
+those whose closure has all joins, and deduplicate by a canonical form
+taken over order-preserving relabelings.  Candidates stay bitmasks; only
+a kept lattice gets a leq matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from .algebra import (DimensionError, DomainError, Monomial, ValidationError,
                       parse_monomial)
 
 # Exponential inputs fail fast with a DomainError beyond these sizes; an
-# lcm lattice of 2048 elements (B11) builds in about 9 s at an 86 MiB peak.
+# lcm lattice of 2048 elements (B11) builds in about 0.5 s of CPU at an
+# 82 MiB peak, set by the n x n x nvars divisibility test behind leq.
 LATTICE_ENUMERATION_CAP = 8
 LCM_LATTICE_CAP = 2048
 
@@ -175,76 +178,77 @@ class Poset:
 
 
 class Lattice(Poset):
-    """A bounded lattice: its join table plus bottom and top.
+    """A bounded lattice: its order plus bottom and top; joins on demand.
 
     A finite poset with a bottom and all pairwise joins is a lattice (the
-    meet of a and b is the join of their common lower bounds), so the join
-    table, the one operation the lcm lattice is built on, is all we keep.
+    meet of a and b is the join of their common lower bounds), so joins,
+    read off `_ranked_up` from the first `join_of` on, are all we add.
+    With validate=True the order is checked and `_lattice_tables` tests
+    that it is a lattice.  validate=False trusts the caller (lcm lattices,
+    enumerated lattices, JSON lattices that passed `is_lattice`) and
+    builds nothing until the first join is read.
     """
 
     def __init__(self, leq, labels=None, validate=True):
         super().__init__(leq, labels=labels, validate=validate)
         if self.n == 0:
             raise DomainError("a lattice must be nonempty")
-        join = _lattice_tables(self.leq)
-        if join is None:
+        if validate and not _lattice_tables(*_ranked_up(self)):
             raise DomainError("poset is not a lattice")
-        join.setflags(write=False)
-        self.join = join
-        self.bottom = _unique_bottom(self.leq)
-        self.top = _unique_top(self.leq)
+        self.bottom = _unique(self.leq.all(axis=1), "bottom")
+        self.top = _unique(self.leq.all(axis=0), "top")
 
     def join_of(self, a: int, b: int) -> int:
-        return int(self.join[a, b])
+        order, up = _ranked_up(self)
+        u = up[a] & up[b]
+        return order[(u & -u).bit_length() - 1]
 
     def join_all(self, ids) -> int:
         x = self.bottom
         for i in ids:
-            x = int(self.join[x, i])
+            x = self.join_of(x, i)
         return x
 
 
-def _unique_bottom(leq) -> int:
-    mins = np.flatnonzero(leq.all(axis=1))
-    if len(mins) != 1:
-        raise DomainError("lattice must have a unique bottom")
-    return int(mins[0])
+def _unique(mask, what: str) -> int:
+    """The one id where mask is true: a lattice's bottom or top."""
+    ids = np.flatnonzero(mask)
+    if len(ids) != 1:
+        raise DomainError(f"lattice must have a unique {what}")
+    return int(ids[0])
 
 
-def _unique_top(leq) -> int:
-    maxs = np.flatnonzero(leq.all(axis=0))
-    if len(maxs) != 1:
-        raise DomainError("lattice must have a unique top")
-    return int(maxs[0])
+def _ranked_up(P: Poset):
+    """(order, up): P's linear extension, and for each id an int with bit
+    r set iff order[r] is at or above that id.  Memoized on P."""
+    if "ranked_up" not in P._cache:
+        order = P.linear_extension()
+        rows = np.packbits(P.leq[:, list(order)], axis=1, bitorder="little")
+        up = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        P._cache["ranked_up"] = (order, up)
+    return P._cache["ranked_up"]
 
 
-def _lattice_tables(leq):
-    """The join table, or None if some pair has no least upper bound.
+def _lattice_tables(order, up) -> bool:
+    """True iff every pair of elements has a least upper bound.
 
-    Row a is one query over all b >= a: of the common upper bounds of a
-    and b, only the one with the largest up-set can be least.  That
-    candidate's up-set lies inside the common upper bounds, so it lies
-    below all of them iff the two sets have the same size; a pair with no
-    upper bound fails the same test (0 against an up-set of at least 1).
+    The common upper bounds u = up[a] & up[b] lie above the element c at
+    the lowest rank of u, so only c can be least, and it is iff u is
+    nonempty and c's own up-set is all of u.
     """
-    n = leq.shape[0]
-    up_size = leq.sum(axis=1)
-    order = np.argsort(-up_size)
-    by_up = leq[:, order]  # columns by up-set size, largest first
-    join = np.empty((n, n), dtype=int)
-    for a in range(n):
-        ub = by_up[a] & by_up[a:]  # ub[b - a]: common upper bounds of a, b
-        pick = ub.argmax(axis=1)
-        if (np.count_nonzero(ub, axis=1) != up_size[order[pick]]).any():
-            return None
-        join[a, a:] = join[a:, a] = order[pick]
-    return join
+    least = [up[x] for x in order]  # least[r]: up-set of the rank-r element
+    for a, ua in enumerate(up):
+        for ub in up[a + 1:]:
+            u = ua & ub
+            if not u or least[(u & -u).bit_length() - 1] != u:
+                return False
+    return True
 
 
 def is_lattice(P: Poset) -> bool:
     """True iff P has a bottom and every pair of elements has a join."""
     return (P.n > 0 and bool(P.leq.all(axis=1).any())
-            and _lattice_tables(P.leq) is not None)
+            and _lattice_tables(*_ranked_up(P)))
 
 
 class LcmLattice(Lattice):
@@ -352,16 +356,11 @@ def _natural_posets(m: int):
     down-set, which produces each naturally-labeled poset exactly once.
     """
     def downsets(down, k):
-        out = []
-        full = (1 << k) - 1
-        for mask in range(1 << k):
-            ok = True
-            for i in range(k):
-                if mask >> i & 1 and down[i] & ~mask & full:
-                    ok = False
-                    break
-            if ok:
-                out.append(mask)
+        # step i appends the down-closed masks holding i: still ascending
+        out = [0]
+        for i in range(k):
+            out += [mask | 1 << i for mask in out
+                    if down[i] & ~mask == 1 << i]
         return out
 
     def rec(down):
@@ -376,15 +375,16 @@ def _natural_posets(m: int):
 
 
 def _bounded_closure(down, m):
-    """leq matrix of the middle poset with a new bottom and top added."""
-    n = m + 2
-    leq = np.zeros((n, n), dtype=bool)
-    leq[0, :] = True
-    leq[:, n - 1] = True
-    bits = np.array(down, dtype=np.int64) >> np.arange(m)[:, None] & 1
-    leq[1:n - 1, 1:n - 1] = bits  # leq[1 + j, 1 + i] is bit j of down[i]
-    np.fill_diagonal(leq, True)
-    return leq
+    """Up-set masks of the middle poset with a new bottom 0 and top m + 1.
+
+    Middle element i gets id 1 + i.  The ids are a linear extension, so
+    bit r of up[x] is set iff element r is at or above x, and the masks
+    are `_ranked_up`'s with order range(m + 2).
+    """
+    top = 1 << (m + 1)
+    middle = [top | sum(2 << j for j in range(i, m) if down[j] >> i & 1)
+              for i in range(m)]  # down[j] holds only bits up to j
+    return [(top << 1) - 1, *middle, top]
 
 
 def canonical_form(P: Poset) -> bytes:
@@ -393,29 +393,36 @@ def canonical_form(P: Poset) -> bytes:
     Only relabelings that are linear extensions are considered; the
     minimum encoding is itself naturally labeled, so decoding it yields a
     poset whose id order is a linear extension.
+    """
+    order, up = _ranked_up(P)
+    return _canonical_code([up[x] for x in order])
+
+
+def _canonical_code(up) -> bytes:
+    """`canonical_form` of the poset whose element x is above exactly the
+    elements of bitmask up[x] (x itself included).
 
     Bit a*n + b of the big-endian code is leq[perm[a], perm[b]], zero for
     b < a, so rows are most significant from the top position down.  The
     search fills positions from the top, extending only the partial
     labelings whose code so far is least (every tie is kept).
     """
-    n = P.n
-    strict_up = [sum(1 << int(j) for j in np.flatnonzero(row)) & ~(1 << x)
-                 for x, row in enumerate(P.leq)]
+    n = len(up)
+    strict_up = [u & ~(1 << x) for x, u in enumerate(up)]
     code = 0
     states = [(0, (0,) * n)]  # (placed mask, position bit of each element)
     for a in range(n - 1, -1, -1):
         best, ties = None, []
         for placed, posbit in states:
             for x in range(n):
-                up = strict_up[x]
-                if placed >> x & 1 or up & ~placed:
+                above = strict_up[x]
+                if placed >> x & 1 or above & ~placed:
                     continue
                 row = 1 << a
-                while up:
-                    low = up & -up
+                while above:
+                    low = above & -above
                     row |= posbit[low.bit_length() - 1]
-                    up ^= low
+                    above ^= low
                 if best is None or row < best:
                     best, ties = row, []
                 if row == best:
@@ -446,11 +453,10 @@ def enumerate_lattices(n: int):
             f"elements, not {n}")
     seen = set()
     for down in _natural_posets(n - 2):
-        leq = _bounded_closure(down, n - 2)
-        if _lattice_tables(leq) is None:
+        up = _bounded_closure(down, n - 2)
+        if not _lattice_tables(range(n), up):
             continue
-        P = Poset(leq, validate=False)
-        form = canonical_form(P)
+        form = _canonical_code(up)
         if form in seen:
             continue
         seen.add(form)
@@ -556,7 +562,7 @@ def poset_from_json(data: dict):
     variables = data.get("variables")
     if variables and labels:
         monomials = [parse_monomial(s, variables) for s in labels]
-        bottom = _unique_bottom(leq)
+        bottom = _unique(leq.all(axis=1), "bottom")
         atoms = [
             i for i in range(n)
             if i != bottom

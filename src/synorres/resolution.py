@@ -38,9 +38,6 @@ class BettiTable:
     def beta(self, i: int, m: Monomial) -> int:
         return self.entries.get((i, m), 0)
 
-    def graded(self, i: int) -> dict:
-        return {m: v for (j, m), v in sorted(self.entries.items()) if j == i}
-
     def projective_dimension(self) -> int:
         return max((i for (i, _m) in self.entries), default=0)
 
@@ -160,9 +157,6 @@ class FreeResolution:
     @property
     def ranks(self) -> tuple:
         return tuple(len(lab) for lab in self.labels)
-
-    def length(self) -> int:
-        return len(self.labels) - 1
 
     def __repr__(self):
         return f"FreeResolution(ranks={self.ranks})"

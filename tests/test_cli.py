@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from synorres.algebra import field_from_flag
+from synorres.algebra import DomainError, field_from_flag
 from synorres.cli import REPRODUCER_PATH, lattice_of, load_ideal, main
 from synorres.resolution import interval_ranks
 from synorres.verify import TheoremContradiction
@@ -231,6 +231,44 @@ def test_oversized_power_ideal_is_refused_by_the_parser(capsys, monkeypatch):
     code, _, err = run(capsys, "betti", "@powers:100000,1")
     assert code == 1
     assert "more than 2048 elements" in err
+
+
+@pytest.mark.parametrize("source", ["@kpq:1500,2", "@kpq:100000,2"])
+def test_oversized_kpq_ideal_is_refused_before_any_generator(capsys,
+                                                              monkeypatch,
+                                                              source):
+    # p + q + 1 generators of length p + q + 2 would come first
+    def never(*args):
+        raise AssertionError("a kpq generator was built")
+    monkeypatch.setattr("synorres.corpus.Monomial", never)
+    code, _, err = run(capsys, "betti", source)
+    assert code == 1
+    assert "more than 2048 elements" in err
+
+
+def test_kpq_size_rule_is_exact(monkeypatch):
+    import synorres.poset as poset_module
+
+    # kpq(9, 8) has 1533 elements, under the cap: it parses
+    assert len(load_ideal("@kpq:9,8").generators) == 9 + 8 + 1
+    for p, q in [(3, 2), (4, 3), (5, 2)]:
+        size = 2**(p + 1) + 2**(q + 1) - 3
+        monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", size)
+        assert lattice_of(load_ideal(f"@kpq:{p},{q}")).n == size
+        monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", size - 1)
+        with pytest.raises(DomainError, match=f"more than {size - 1} "):
+            load_ideal(f"@kpq:{p},{q}")
+
+
+@pytest.mark.parametrize("command", ["betti", "resolve", "lattice", "synor"])
+def test_resolution_path_never_runs_the_lattice_test(capsys, monkeypatch,
+                                                     command):
+    # an lcm lattice is a lattice by construction
+    def never(*args):
+        raise AssertionError("the lattice test ran")
+    monkeypatch.setattr("synorres.poset._lattice_tables", never)
+    code, _, _ = run(capsys, command, "@kpq:4,3")
+    assert code == 0
 
 
 @pytest.mark.parametrize("field", ["q", "3"])

@@ -7,6 +7,10 @@ a change of elimination order, pivot rule or witness tracking that moves
 a representative changes a digest.  The corpus forms have multiplicity 1
 at every element, so the three-cycle ideal (xy, xz, yz), whose top
 carries two classes, pins how a basis of several cycles is chosen.
+
+A second set pins the outputs that read joins or the lattice
+enumeration: the decomposition witnesses, the enumerated lattices with
+their hashes, the lattice dump, and a shuffle product's suffix joins.
 """
 
 import hashlib
@@ -72,3 +76,25 @@ def test_json_dump_bytes_are_pinned(capsys, tmp_path, command, source,
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == DIGESTS[key]
+
+
+ARGV_DIGESTS = {
+    ("verify", "lattices", "--max", "6"):
+        "a96ed9cb79d718e95dbc0d8f6a1202b03cbc86c5dbdb2dde003c99b4ae7ae05f",
+    ("verify", "decomposition", "@kpq:3,2", "--field", "q"):
+        "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
+    ("verify", "decomposition", "@kpq:3,2", "--field", "2"):
+        "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
+    ("lattice", "@kpq:4,3", "--format", "json"):
+        "40a271c1264aed7eb406b795a461cb2a98baf7ca7e5dc98c84676f757d54aeda",
+    ("shuffle-demo", "@powers:3,1", "x1*x2>x1", "x3", "--format", "json"):
+        "aa8c5d2ede17272221ab11005406d59c2d0629061e49407fa76d20ada853af2e",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ARGV_DIGESTS), ids=" ".join)
+def test_join_reading_output_bytes_are_pinned(capsys, argv):
+    code = main(list(argv))
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ARGV_DIGESTS[argv]

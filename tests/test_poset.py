@@ -137,6 +137,44 @@ def test_join_table_equals_brute_force_least_upper_bound():
                 assert L.join_of(a, b) == brute_force_join(L, a, b)
 
 
+def lattice_by_definition(P):
+    """Nonempty, with a bottom and a least upper bound for every pair."""
+    def has_join(a, b):
+        ubs = [c for c in range(P.n) if P.le(a, c) and P.le(b, c)]
+        return any(all(P.le(c, d) for d in ubs) for c in ubs)
+    return (P.n > 0 and any(all(P.le(x, y) for y in range(P.n))
+                            for x in range(P.n))
+            and all(has_join(a, b) for a in range(P.n) for b in range(P.n)))
+
+
+CLOSURES = [_bounded_closure(down, m) for m in range(7)
+            for down in _natural_posets(m)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(1, 10**6), n=st.integers(0, 7),
+       pick=st.integers(0, len(CLOSURES) - 1), closure=st.booleans())
+def test_lattice_test_matches_the_definition(seed, n, pick, closure):
+    if closure:  # a bottom and a top: non-lattices only by a missing join
+        up = CLOSURES[pick]
+        n = len(up)
+        leq = [[bool(up[x] >> y & 1) for y in range(n)] for x in range(n)]
+    else:
+        leq = random_poset(seed, n).leq
+    # relabeled so that ids are not a linear extension
+    P = Poset(relabeled(Poset(leq), seeded_permutation(seed, n)))
+    expected = lattice_by_definition(P)
+    assert is_lattice(P) == expected
+    if not expected:
+        with pytest.raises(DomainError):
+            Lattice(P.leq)
+        return
+    L = Lattice(P.leq)
+    for a in range(n):
+        for b in range(n):
+            assert L.join_of(a, b) == brute_force_join(L, a, b)
+
+
 @pytest.mark.parametrize("spec", [
     ideal_example62(), ideal_kpq(3, 2), random_ideal(3, 4, 6, 3)],
     ids=lambda s: s.name)
@@ -191,12 +229,15 @@ def test_canonical_form_is_fixed_and_invariant_on_enumerated_lattices():
 def test_bounded_closure_matches_bit_loop_reference():
     for m in range(4):
         for down in _natural_posets(m):
-            leq = _bounded_closure(down, m)
+            up = _bounded_closure(down, m)
+            n = m + 2
+            # leq[x, y] is bit y of up[x]
+            leq = [[bool(up[x] >> y & 1) for y in range(n)] for x in range(n)]
             for i in range(m):
                 for j in range(m):
-                    assert leq[1 + j, 1 + i] == bool(down[i] >> j & 1)
-            assert leq[0].all() and leq[:, m + 1].all()
-            assert leq.diagonal().all()
+                    assert leq[1 + j][1 + i] == bool(down[i] >> j & 1)
+            assert all(leq[0]) and all(row[m + 1] for row in leq)
+            assert all(leq[x][x] for x in range(n))
 
 
 def min_available_extension(P):
