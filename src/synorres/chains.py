@@ -16,7 +16,9 @@ formula, the last is owned by the synor module.
 The module owns chain arithmetic: every sparse sum of scaled chains goes
 through accumulate, and basis_homology gives the homology of order and
 synor complexes in a range of degrees, building each basis and boundary
-matrix once and eliminating each matrix once (linalg.complex_homology).
+matrix once; linalg.complex_homology spans each matrix once for the
+ranks and computes representative cycles only in degrees whose homology
+is nonzero.
 Over GF(p) accumulate reduces its sums mod field.modulus, and the
 FormalChain constructor reduces every coefficient it is given (which
 covers negation and scale), so stored coefficients lie in [0, p).
@@ -242,8 +244,9 @@ def basis_homology(basis_of, boundary_of, field, degrees: range,
                    kind: str) -> list[HomologyBasis]:
     """Homology in each of the consecutive degrees of the complex with
     degree-d basis basis_of(d) and boundary_of(key) the raw boundary dict
-    of a basis key; each basis and boundary matrix is built and eliminated
-    once, and cycles are FormalChains of the given kind."""
+    of a basis key; each basis and boundary matrix is built and spanned
+    once, a cycle pass runs only in degrees with homology, and cycles are
+    FormalChains of the given kind."""
     lo, hi = degrees.start, degrees.stop
     bases = {d: basis_of(d) for d in range(lo - 1, hi + 1)}
     matrices = [boundary_columns(bases[d], boundary_of, bases[d - 1])

@@ -5,11 +5,16 @@ ints from some fixed basis ordering.  Scalars are plain numbers (see
 algebra): _axpy, the pivot normalization and solve's negation reduce them
 mod p over GF(p), so entries stay in [0, p).  The central object is
 Reducer, an incremental reduced-row-echelon accumulator with
-deterministic least-index pivoting.  One column reduction, eliminate,
-gives a matrix's span and kernel at once; kernels, solves and the
-homology of a whole complex (one elimination per boundary matrix) are
-views of it, which is what makes representative cycles and witness
-choices reproducible run to run.
+deterministic least-index pivoting.  Two column reductions drive
+everything: span, without witnesses, gives a matrix's row space and
+rank; kernel_vectors, with witnesses, streams its kernel in column
+order.  Kernels and solves are views of the witness pass.  The homology
+of a whole complex is rank-first: one span per boundary matrix gives
+every degree's homology rank by rank-nullity, and a witness pass runs
+only in degrees whose homology is nonzero, stopping at the last new
+cycle.  Stored rows and kernel vectors are canonical for a fixed column
+order, so representative cycles and witness choices are reproducible
+run to run.
 """
 
 from __future__ import annotations
@@ -81,7 +86,8 @@ class Reducer:
             c = row.get(piv)
             if c:
                 _axpy(row, c, vec, p)
-                _axpy(self.wits[q], c, wit, p)
+                if wit:  # a witness-free span carries no witnesses
+                    _axpy(self.wits[q], c, wit, p)
         self.rows[piv] = vec
         self.wits[piv] = wit
         return piv
@@ -98,29 +104,39 @@ class Reducer:
         return not residual
 
 
-def rank_of(columns, field) -> int:
+def span(columns, field) -> Reducer:
+    """The Reducer of the columns' span, built without witnesses."""
     red = Reducer(field)
     for col in columns:
-        red.insert(dict(col))
-    return red.rank
+        red.insert(col)
+    return red
 
 
-def eliminate(columns, field) -> tuple[Reducer, list[dict]]:
-    """The span's Reducer and the kernel of the map e_j -> columns[j].
+def rank_of(columns, field) -> int:
+    return span(columns, field).rank
 
-    Columns are inserted in order with witness e_j; one that reduces to
-    zero yields its witness as a kernel vector (coefficient 1 on that
-    column).  The stored rows do not depend on the witnesses.
+
+def kernel_vectors(columns, red: Reducer):
+    """Yield the kernel of the map e_j -> columns[j] in column order.
+
+    Columns are inserted into red in order with witness e_j; one that
+    reduces to zero yields its witness as a kernel vector (coefficient 1
+    on that column).  The stored rows do not depend on the witnesses, and
+    each kernel vector depends only on the columns up to its own.
     """
-    red = Reducer(field)
-    kernel = []
+    one = red.field.one
     for j, col in enumerate(columns):
-        residual, wit = red.reduce(col, {j: field.one})
+        residual, wit = red.reduce(col, {j: one})
         if residual:
             red._store(residual, wit)
         else:
-            kernel.append(wit)
-    return red, kernel
+            yield wit
+
+
+def eliminate(columns, field) -> tuple[Reducer, list[dict]]:
+    """The span's Reducer, with witnesses, and the whole kernel."""
+    red = Reducer(field)
+    return red, list(kernel_vectors(columns, red))
 
 
 def kernel_basis(columns, field) -> list[dict]:
@@ -156,20 +172,27 @@ def complex_homology(boundaries, field, lowest: int) -> list[HomologyBasis]:
 
     boundaries[i] holds the columns of the differential out of degree
     lowest + i, each a vector over the basis one degree down.  Each matrix
-    is eliminated once.  Representatives are kernel vectors reduced
-    against the span of the matrix above, kept in echelon form as added.
+    is spanned once without witnesses, which gives every rank h_d = dim C_d
+    - rank d_d - rank d_{d+1}.  Only where h_d > 0 does a witness pass
+    stream the kernel of d_d; each kernel vector is reduced against the
+    span of d_{d+1} and kept in echelon form as added, until h_d cycles
+    are found.
     """
-    eliminated = [eliminate(cols, field) for cols in boundaries]
+    spans = [span(cols, field) for cols in boundaries]
     out = []
-    for i, ((_, kernel), (above, _)) in enumerate(zip(eliminated,
-                                                      eliminated[1:])):
-        reps = Reducer(field)
+    for i, (cols, below, above) in enumerate(zip(boundaries, spans,
+                                                  spans[1:])):
+        rank = len(cols) - below.rank - above.rank
         cycles = []
-        for z in kernel:
-            piv = reps.insert(above.reduce(z)[0])
-            if piv is not None:
-                cycles.append(dict(reps.rows[piv]))
-        out.append(HomologyBasis(lowest + i, len(cycles), cycles))
+        if rank:
+            reps = Reducer(field)
+            for z in kernel_vectors(cols, Reducer(field)):
+                piv = reps.insert(above.reduce(z)[0])
+                if piv is not None:
+                    cycles.append(dict(reps.rows[piv]))
+                    if len(cycles) == rank:
+                        break
+        out.append(HomologyBasis(lowest + i, rank, cycles))
     return out
 
 

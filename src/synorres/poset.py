@@ -29,8 +29,9 @@ from .algebra import (DimensionError, DomainError, Monomial, ValidationError,
                       parse_monomial)
 
 # Exponential inputs fail fast with a DomainError beyond these sizes; an
-# lcm lattice of 2048 elements (B11) builds in about 0.5 s of CPU at an
-# 82 MiB peak, set by the n x n x nvars divisibility test behind leq.
+# lcm lattice of 2048 elements (B11) builds in about 0.26 s of CPU at a
+# 42 MiB peak resident set, 32 MiB of it the interpreter and numpy; leq
+# is built one variable at a time, so no temporary exceeds n x n bools.
 LATTICE_ENUMERATION_CAP = 8
 LCM_LATTICE_CAP = 2048
 
@@ -309,7 +310,9 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
     ordered = sorted(elems, key=lambda m: m.exps)
     index = {m: i for i, m in enumerate(ordered)}
     exps = np.array([m.exps for m in ordered])
-    leq = (exps[:, None, :] <= exps[None, :, :]).all(axis=2)
+    leq = np.ones((len(ordered), len(ordered)), dtype=bool)
+    for col in exps.T:  # one variable at a time: no n x n x nvars temporary
+        leq &= col[:, None] <= col[None, :]
     atoms = sorted(index[g] for g in gens)
     return LcmLattice(leq, ordered, variables, atoms, validate=False)
 

@@ -14,9 +14,11 @@ test suite.
 
 The construction processes elements along a fixed linear extension.  At
 each element it cuts the generator lists down to the strict down-set and
-takes the homology in every degree from one pass, one elimination per
-boundary matrix; the cycle bases are echelon-deterministic, so a complex
-is reproducible run to run.
+takes the homology in every degree from one pass: a witness-free span of
+each boundary matrix gives every rank, and a cycle pass runs only in the
+degrees with homology, which are the degrees in which the element
+receives generators.  The cycle bases are echelon-deterministic, so a
+complex is reproducible run to run.
 
 The module also houses the verification toolkit built on top of the
 complex: prefix representations of a generator's image, coefficient-sum

@@ -189,6 +189,30 @@ def test_verify_properties(capsys):
     assert out.count("POSET") == 5
 
 
+def test_verify_properties_takes_restriction_homology_in_one_pass(
+        capsys, monkeypatch):
+    # one basis_homology call per trial covers degrees -1 .. top + 1 of
+    # the restriction; the per-degree SynorComplex.homology is not used
+    import synorres.cli as cli
+    from synorres.synor import SynorComplex
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify properties called SynorComplex.homology")
+    monkeypatch.setattr(SynorComplex, "homology", refuse)
+    calls = []
+    basis_homology = cli.basis_homology
+
+    def recorded(basis_of, boundary_of, field, degrees, kind):
+        calls.append(degrees)
+        return basis_homology(basis_of, boundary_of, field, degrees, kind)
+    monkeypatch.setattr(cli, "basis_homology", recorded)
+    code, out, _ = run(capsys, "verify", "properties", "--max", "5")
+    assert code == 0
+    assert out.count("restriction=ok") == 5
+    assert len(calls) == 5
+    assert all(r.start == -1 and len(r) >= 2 for r in calls)
+
+
 def test_verify_requires_input(capsys):
     code, _, err = run(capsys, "verify", "subadditivity")
     assert code == 1

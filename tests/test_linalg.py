@@ -1,12 +1,17 @@
-from hypothesis import given, settings
+import random
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import synorres.linalg as linalg
 
 from synorres.algebra import PrimeField, RationalField
 from synorres.chains import boundary_columns, boundary_key
 from synorres.corpus import random_poset
-from synorres.linalg import (Reducer, complex_homology, eliminate,
-                             homology_of_complex, kernel_basis, rank_of,
-                             solve)
+from synorres.linalg import (HomologyBasis, Reducer, complex_homology,
+                             eliminate, homology_of_complex, kernel_basis,
+                             rank_of, solve)
 
 QQ = RationalField()
 
@@ -152,6 +157,136 @@ def test_one_elimination_gives_every_position(seed, field):
                 want.append(dict(reps.rows[piv]))
         assert hb.cycles == want and hb.rank == len(want)
         assert homology_of_complex(below, above, field, hb.dim) == hb
+
+
+def random_complex(seed: int, field):
+    """Boundary matrices out of degrees 0 .. top + 1 of a random complex,
+    and its homology ranks in degrees 0 .. top.
+
+    The complex is a direct sum of spheres (one basis vector, zero
+    differential) and disks (an identity k[d] -> k[d - 1]) over degrees
+    -1 .. top + 1, with every degree's basis changed by random
+    elementary operations: a column operation on the matrix out of a
+    degree is undone by the inverse row operation on the matrix into it,
+    so d o d stays zero and the homology ranks are the sphere counts over
+    any field.  At least two degrees have homology.
+    """
+    rng = random.Random(seed)
+    top = rng.randint(1, 4)
+    degrees = range(-1, top + 2)
+    spheres = {d: rng.randint(0, 2) for d in degrees}
+    for d in rng.sample(range(0, top + 1), 2):
+        spheres[d] = max(spheres[d], 1)
+    disks = {d: rng.randint(0, 2) for d in degrees[1:]}  # k[d] -> k[d-1]
+    # basis of degree d: spheres, then disk sources, then disk targets
+    size = {d: spheres[d] + disks.get(d, 0) + disks.get(d + 1, 0)
+            for d in degrees}
+    mats = {d: [[0] * size[d] for _ in range(size[d - 1])]
+            for d in degrees[1:]}
+    for d, m in mats.items():
+        for t in range(disks[d]):
+            m[spheres[d - 1] + disks.get(d - 1, 0) + t][spheres[d] + t] = 1
+    for d in (d for d in degrees if size[d] >= 2):
+        for _ in range(3 * size[d]):
+            i, j = rng.sample(range(size[d]), 2)
+            if rng.random() < 0.2:  # swap basis vectors i and j
+                for row in mats.get(d, []):
+                    row[i], row[j] = row[j], row[i]
+                if d + 1 in mats:
+                    rows = mats[d + 1]
+                    rows[i], rows[j] = rows[j], rows[i]
+                continue
+            c = rng.choice([-2, -1, 1, 2])
+            for row in mats.get(d, []):  # col_i += c col_j
+                row[i] += c * row[j]
+            if d + 1 in mats:  # row_j -= c row_i
+                rows = mats[d + 1]
+                rows[j] = [a - c * b for a, b in zip(rows[j], rows[i])]
+    boundaries = []
+    for d in range(0, top + 2):
+        cols = []
+        for j in range(size[d]):
+            col = {i: field.of(row[j]) for i, row in enumerate(mats[d])}
+            cols.append({i: v for i, v in col.items() if v})
+        boundaries.append(cols)
+    return boundaries, [spheres[d] for d in range(0, top + 1)]
+
+
+def reference_homology(boundaries, field, lowest):
+    """The algorithm before rank-first homology: eliminate every matrix
+    with witnesses and reduce every kernel vector against the span of the
+    matrix above.  Also returns, per degree, how many kernel vectors come
+    up to and including the last one that gave a new cycle."""
+    eliminated = []
+    for cols in boundaries:
+        red = Reducer(field)
+        kernel = []
+        for j, col in enumerate(cols):
+            residual, wit = red.reduce(col, {j: field.one})
+            if residual:
+                red.insert(residual, wit)
+            else:
+                kernel.append(wit)
+        eliminated.append((red, kernel))
+    out, needed = [], []
+    for i, ((_, kernel), (above, _)) in enumerate(zip(eliminated,
+                                                      eliminated[1:])):
+        reps = Reducer(field)
+        cycles = []
+        last = 0
+        for n, z in enumerate(kernel, 1):
+            piv = reps.insert(above.reduce(z)[0])
+            if piv is not None:
+                cycles.append(dict(reps.rows[piv]))
+                last = n
+        out.append(HomologyBasis(lowest + i, len(cycles), cycles))
+        needed.append((last, len(kernel)))
+    return out, needed
+
+
+def check_rank_first(seed, field):
+    """complex_homology against the reference on random_complex(seed):
+    the same ranks and cycles, no witness pass where the homology is zero,
+    and each witness pass stops at the last new cycle.  Returns the number
+    of kernel vectors the early stops skipped."""
+    boundaries, ranks = random_complex(seed, field)
+    want, needed = reference_homology(boundaries, field, 0)
+    drawn = {}
+    kernel_vectors = linalg.kernel_vectors
+
+    def counted(columns, red):
+        drawn[id(columns)] = 0
+        for z in kernel_vectors(columns, red):
+            drawn[id(columns)] += 1
+            yield z
+    with mock.patch.object(linalg, "kernel_vectors", counted):
+        got = complex_homology(boundaries, field, 0)
+    assert got == want
+    assert [hb.rank for hb in got] == ranks
+    assert sum(r > 0 for r in ranks) >= 2
+    skipped = 0
+    for cols, hb, (last, kernel) in zip(boundaries, got, needed):
+        if hb.rank:
+            assert drawn[id(cols)] == last
+            skipped += kernel - last
+        else:
+            assert id(cols) not in drawn
+    return skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@example(2, QQ)
+def test_rank_first_homology_matches_the_full_elimination(seed, field):
+    check_rank_first(seed, field)
+
+
+def test_early_stop_skips_kernel_vectors_after_the_last_cycle():
+    # in random_complex(2) some degree has boundaries in its kernel after
+    # the last new cycle, over each field
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        assert check_rank_first(2, field) > 0
 
 
 def test_vec_ops_cancel():

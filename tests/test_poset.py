@@ -187,6 +187,18 @@ def test_lcm_lattice_order_and_join_are_divisibility_and_lcm(spec):
             assert mons[L.join_of(a, b)] == mons[a].lcm(mons[b])
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(1, 10**6), nvars=st.integers(1, 6),
+       gens=st.integers(1, 8), emax=st.integers(1, 3))
+def test_lcm_lattice_leq_is_divisibility(seed, nvars, gens, emax):
+    spec = random_ideal(seed, nvars, gens, emax)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    mons = L.monomials
+    want = [[a.divides(b) for b in mons] for a in mons]
+    assert L.leq.dtype == bool
+    assert L.leq.tolist() == want
+
+
 def loop_canonical_form(P):
     """Least big-endian code of leq over all linear-extension relabelings,
     with bit a*n + b set iff the elements at positions a, b are related."""

@@ -111,33 +111,57 @@ def test_strict_grading_and_phi_chain_map(cycle_lattice):
                 assert key[0] == g.element
 
 
-def test_build_filters_generators_and_eliminates_each_matrix_once(
+def test_build_spans_each_matrix_and_finds_cycles_where_homology_is_nonzero(
         example62_lattice, monkeypatch):
-    # per element x the build needs no restrict guard, and it eliminates
-    # the boundary matrices out of degrees -1 .. top + 1 of the part
-    # strictly below x once each, top being the highest generator there
+    # per element x the build needs no restrict guard; it spans the
+    # boundary matrices out of degrees -1 .. top + 1 of the part strictly
+    # below x once each, top being the highest generator there, and runs a
+    # witness pass on the matrix out of degree d exactly when x receives
+    # dimension-(d + 1) generators
     def refuse(*args, **kwargs):
         raise AssertionError("build_synor_complex called restrict")
     monkeypatch.setattr(SynorComplex, "restrict", refuse)
-    widths = []
-    eliminate = linalg.eliminate
+    calls = []
+    span, kernel_vectors = linalg.span, linalg.kernel_vectors
 
-    def counted(columns, field):
-        widths.append(len(columns))
-        return eliminate(columns, field)
-    monkeypatch.setattr(linalg, "eliminate", counted)
+    def spanned(columns, field):
+        calls.append(("span", columns))
+        return span(columns, field)
+
+    def streamed(columns, red):
+        calls.append(("witness", columns))
+        return kernel_vectors(columns, red)
+    monkeypatch.setattr(linalg, "span", spanned)
+    monkeypatch.setattr(linalg, "kernel_vectors", streamed)
     upper, _ = proper_parts(example62_lattice)
     S = build_synor_complex(upper, QQ)
     monkeypatch.undo()
-    expected = []
+    top_dim = max(S.dims())
+    pos = 0
     for x in upper.linear_extension():
         below = set(upper.strictly_below(x))
         counts = [1] + [sum(g.element in below for g in S.generators(d))
-                        for d in range(0, max(S.dims()) + 1)]
+                        for d in range(0, top_dim + 1)]
         top = max(d for d, c in enumerate(counts, -1) if c)
-        expected.extend(counts[:top + 2] + [0])
-    assert max(S.dims()) >= 2
-    assert widths == expected
+        widths = counts[:top + 2] + [0]
+        spans = calls[pos:pos + len(widths)]
+        pos += len(spans)
+        assert [kind for kind, _ in spans] == ["span"] * len(widths)
+        assert [len(cols) for _, cols in spans] == widths
+        # each witness pass reads the very matrix spanned for its degree
+        passes = []
+        while pos < len(calls) and calls[pos][0] == "witness":
+            cols = calls[pos][1]
+            passes.append(next(d for d, (_, c) in enumerate(spans, -1)
+                               if c is cols))
+            pos += 1
+        receives = sorted({g.dim - 1 for d in range(0, top_dim + 1)
+                           for g in S.generators(d) if g.element == x})
+        assert passes == receives
+    assert pos == len(calls)
+    assert top_dim >= 2
+    n_spans = sum(kind == "span" for kind, _ in calls)
+    assert 0 < len(calls) - n_spans < n_spans
 
 
 def test_restrict_rejects_non_ideal(cycle_lattice):
