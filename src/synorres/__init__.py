@@ -34,9 +34,7 @@ from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
 from .verify import (DecompositionWitness, TheoremContradiction, TopAnalysis,
                      check_bracket_vanishing, check_class_sums,
                      check_shift_count_bound, check_subadditivity,
-                     decompose_top_bruteforce, decompose_top_constructive,
                      sweep_lattices, verify_interval_decomposition,
-                     verify_intervals, verify_lattice_instances,
-                     verify_step_lemma)
+                     verify_intervals, verify_lattice_instances)
 
 __version__ = "0.1.0"

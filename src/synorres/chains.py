@@ -18,7 +18,8 @@ through accumulate, and basis_homology gives the homology of order and
 synor complexes in a range of degrees, building each basis and boundary
 matrix once; linalg.complex_homology spans each matrix once for the
 ranks and computes representative cycles only in degrees whose homology
-is nonzero.
+is nonzero.  bounds decides whether a chain is a boundary of chains in
+an ideal, from one memoized span per ideal, degree and field.
 Over GF(p) accumulate reduces its sums mod field.modulus, and the
 FormalChain constructor reduces every coefficient it is given (which
 covers negation and scale), so stored coefficients lie in [0, p).
@@ -27,7 +28,7 @@ covers negation and scale), so stored coefficients lie in [0, p).
 from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
-from .linalg import HomologyBasis, complex_homology, rank_of
+from .linalg import HomologyBasis, complex_homology, rank_of, span
 
 
 def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
@@ -263,6 +264,29 @@ def homology(P, k: int, field) -> HomologyBasis:
     echelon-deterministic representative cycles as FormalChains."""
     return basis_homology(P.chains, lambda key: boundary_key(key, field),
                           field, range(k, k + 1), "order")[0]
+
+
+def bounds(P, ideal_ids, c: FormalChain) -> bool:
+    """Whether the order chain c is the boundary of a chain of P supported
+    in ideal_ids.
+
+    The span of the boundaries of the supported (c.dim + 1)-chains, over
+    the supported c.dim-chains, is built once per (ideal, degree, field)
+    and memoized in P's cache under ("bounds", ideal, c.dim, field), which
+    only this function writes."""
+    ideal = frozenset(int(i) for i in ideal_ids)
+    key = ("bounds", ideal, c.dim, c.field)
+    if key not in P._cache:
+        rows = [k for k in P.chains(c.dim) if set(k) <= ideal]
+        cols = [k for k in P.chains(c.dim + 1) if set(k) <= ideal]
+        columns = boundary_columns(
+            cols, lambda k: boundary_key(k, c.field), rows)
+        P._cache[key] = ({k: i for i, k in enumerate(rows)},
+                         span(columns, c.field))
+    index, red = P._cache[key]
+    if not all(k in index for k in c.terms):
+        return False
+    return red.contains({index[k]: v for k, v in c.terms.items()})
 
 
 def all_homology_ranks(P, field) -> dict[int, int]:

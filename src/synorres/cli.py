@@ -222,7 +222,7 @@ def _verify_subadditivity(args) -> tuple[bool, list[str]]:
                     f"RESULT={'pass' if rep.ok else 'fail'} {head}")
                 lines.extend("  " + w for w in rep.lines()[1:])
             if i1 + i2 <= pd:
-                rep = check_shift_count_bound(L, i1, i2, field, table)
+                rep = check_shift_count_bound(table, i1, i2)
                 ok = ok and rep.ok
                 lines.append(
                     f"ACOUNT i1={i1} i2={i2} "

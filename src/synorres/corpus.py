@@ -20,6 +20,11 @@ from . import poset
 from .poset import Poset
 
 
+# Exponent draws random_ideal makes at most (n per generator): 2^20 take
+# a few seconds, and all of them are held until the antichain is pruned.
+RANDOM_DRAW_CAP = 2**20
+
+
 class IdealSpec(NamedTuple):
     """A named monomial ideal plus optional expected invariants."""
 
@@ -137,9 +142,14 @@ def _prune_to_antichain(monomials) -> tuple:
 
 def random_ideal(seed: int, n: int, g: int, emax: int) -> IdealSpec:
     """g random monomials in n variables, exponents <= emax, pruned to the
-    minimal antichain; fully determined by the seed."""
+    minimal antichain; fully determined by the seed.  More than
+    RANDOM_DRAW_CAP exponent draws (n * g) are refused before any."""
     if n < 1 or g < 1 or emax < 1:
         raise DomainError("need n, g, emax >= 1")
+    if n * g > RANDOM_DRAW_CAP:
+        raise DomainError(
+            f"random({seed},{n},{g},{emax}): refusing {n * g} exponent "
+            f"draws, more than {RANDOM_DRAW_CAP}")
     rng = MmixRandom(seed)
     variables = tuple(f"x{i + 1}" for i in range(n))
     monos = []

@@ -24,6 +24,11 @@ The module also houses the verification toolkit built on top of the
 complex: prefix representations of a generator's image, coefficient-sum
 brackets, the deterministic retraction rho from order chains to synor
 chains, and the relative-homology comparison of chains modulo an ideal.
+That comparison rests on the connecting isomorphism H_m(P, I) = H~_{m-1}(I)
+of the pair's long exact sequence, which holds when P is a cone (has a
+unique maximal element, so its reduced homology vanishes): two relative
+cycles are homologous rel I exactly when the boundary of their
+difference bounds inside I, which chains.bounds decides.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ import numpy as np
 
 from .algebra import DimensionError, DomainError, Monomial, ValidationError
 from .chains import (FormalChain, all_homology_ranks, basis_homology,
-                     boundary, boundary_key, concat, graded_component)
+                     boundary, boundary_columns, boundary_key, bounds,
+                     concat, graded_component)
 # Bound only so that perfbench's self-test can check that the tracer
 # wraps functions through module-level aliases.
 from .chains import homology as simplicial_homology  # noqa: F401
-from .linalg import HomologyBasis, Reducer, solve
+from .linalg import HomologyBasis, solve
 from .poset import Poset
 
 
@@ -241,8 +247,10 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
     rho of the empty chain is the empty generator; rho of a longer chain
     is the least-pivot solution xi of delta(xi) = rho(boundary), taken
     among generators at elements below the chain's top, which exists
-    because the complex restricted to a principal ideal is acyclic.
-    Solutions are memoized per complex and shared by its restrictions.
+    because the complex restricted to a principal ideal is acyclic.  Those
+    elements form an order ideal, as the complex's elements do, so delta
+    and the target stay on them.  Solutions are memoized per complex and
+    shared by its restrictions.
     """
     key = tuple(int(x) for x in key)
     cached = S._rho.get(key)
@@ -263,18 +271,12 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
         k - 1, S.field,
         ((coeff, rho(S, face))
          for face, coeff in boundary_key(key, S.field).items()), "synor")
-    ideal = sorted(y for y in S.element_set if S.poset.le(y, key[0]))
-    sub = S.restrict(ideal)
-    cols_basis = sub.generators(k)
-    rows = {g: i for i, g in enumerate(sub.generators(k - 1))}
-    columns = [
-        {rows[h]: v for h, v in S.delta[g].terms.items()} for g in cols_basis
-    ]
-    tvec = {}
-    for h, v in target.terms.items():
-        if h not in rows:
-            raise DomainError("rho target escapes the principal ideal")
-        tvec[rows[h]] = v
+    below = {EMPTY_GENERATOR.element,
+             *(y for y in S.element_set if S.poset.le(y, key[0]))}
+    cols_basis = [g for g in S.generators(k) if g.element in below]
+    rows = [g for g in S.generators(k - 1) if g.element in below]
+    columns = boundary_columns(cols_basis, lambda g: S.delta[g].terms, rows)
+    tvec = boundary_columns([target], lambda t: t.terms, rows)[0]
     sol = solve(columns, tvec, S.field)
     if sol is None:
         raise DomainError(
@@ -302,35 +304,22 @@ def homologous_in_pair(g: FormalChain, g2: FormalChain, P: Poset,
                        ideal_ids) -> bool:
     """Whether two relative cycles agree in the homology of (P, ideal).
 
-    Both chains must have boundaries supported in the ideal.  P must have
-    a unique maximal element (it is a cone, which is what makes the
-    membership test below a complete criterion).  The test: g - g2 must
-    lie in the span of chains supported in the ideal plus boundaries of
-    one-higher chains of P.
+    Both chains must have boundaries supported in the ideal, and P must
+    have a unique maximal element.  P is then a cone, whose reduced
+    homology vanishes, so the connecting map H_m(P, I) -> H~_{m-1}(I) of
+    the pair's long exact sequence is an isomorphism: g and g2 are
+    homologous rel I exactly when the boundary of g - g2 is a boundary
+    of chains supported in I.
     """
     if g.dim != g2.dim:
         raise DimensionError("relative cycles of different dimensions")
     if len(P.maximal_elements()) != 1:
         raise DomainError("relative comparison requires a unique maximal element")
     ideal = frozenset(int(i) for i in ideal_ids)
-    m = g.dim
-    for c in (g, g2):
-        db = boundary(c)
-        for key in db.terms:
-            if not set(key) <= ideal:
-                raise ValidationError("input is not a relative cycle")
-    basis_m = P.chains(m)
-    index_m = {c: i for i, c in enumerate(basis_m)}
-    red = Reducer(g.field)
-    for key in basis_m:
-        if key and set(key) <= ideal:
-            red.insert({index_m[key]: g.field.one})
-    for key in P.chains(m + 1):
-        raw = boundary_key(key, g.field)
-        red.insert({index_m[f]: v for f, v in raw.items()})
-    diff = g - g2
-    vec = {index_m[key]: v for key, v in diff.terms.items()}
-    return red.contains(vec)
+    db, db2 = boundary(g), boundary(g2)
+    if not all(set(key) <= ideal for c in (db, db2) for key in c.terms):
+        raise ValidationError("input is not a relative cycle")
+    return bounds(P, ideal, db - db2)
 
 
 # --- serialization ---

@@ -26,10 +26,10 @@ diffable.
 
 from __future__ import annotations
 
-from .algebra import DomainError, Monomial, RationalField, ValidationError
-from .chains import (FormalChain, boundary, boundary_columns, boundary_key,
+from .algebra import DomainError, Monomial, ValidationError
+from .chains import (FormalChain, boundary, boundary_columns, bounds,
                      graded_component)
-from .linalg import Reducer, kernel_basis
+from .linalg import kernel_basis
 from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice,
                     enumerate_lattices, lattice_hash, poset_to_json)
 from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
@@ -67,8 +67,7 @@ class DecompositionWitness:
         self.target = target
         self.certification = certification
 
-    def verify(self, field=None) -> bool:
-        field = field or RationalField()
+    def verify(self, field) -> bool:
         L = self.lattice
         try:
             r1 = interval_ranks(L, self.n1, field).get(self.i1 - 2, 0)
@@ -121,9 +120,11 @@ class TopAnalysis:
     """Per-lattice workspace for decomposition checks.
 
     Holds the lattice, the poset P = L minus bottom (the synor complex
-    lives there), the middle part (P minus top) as an id set, and caches
-    for chain indices and boundary spans.  Below a P-id x lies the open
-    interval (0, to_L[x]) of L, whose ranks the lattice's memo holds.
+    lives there) and the middle part (P minus top) as an id set.  Below a
+    P-id x lies the open interval (0, to_L[x]) of L, whose ranks the
+    lattice's memo holds.  Whether a chain bounds in the middle part is
+    read from chains.bounds, whose span per degree P's cache holds, so
+    the nontriviality, relative-homology and step-lemma checks share it.
     """
 
     def __init__(self, L: Lattice, field):
@@ -137,8 +138,6 @@ class TopAnalysis:
         self.top = self.from_L[L.top]
         self.middle = frozenset(i for i in range(self.P.n) if i != self.top)
         self._S: SynorComplex | None = None
-        self._boundary_spans: dict = {}
-        self._chain_indices: dict = {}
 
     @property
     def S(self) -> SynorComplex:
@@ -224,32 +223,6 @@ class TopAnalysis:
 
     # --- constructive route ---
 
-    def _boundary_span(self, dim: int) -> Reducer:
-        """Span of boundaries of (dim+1)-chains supported in the middle."""
-        red = self._boundary_spans.get(dim)
-        if red is None:
-            red = Reducer(self.field)
-            idx = self._chain_idx(dim)
-            for key in self.P.chains(dim + 1):
-                if set(key) <= self.middle:
-                    raw = boundary_key(key, self.field)
-                    red.insert({idx[f]: v for f, v in raw.items()})
-            self._boundary_spans[dim] = red
-        return red
-
-    def _chain_idx(self, dim: int) -> dict:
-        idx = self._chain_indices.get(dim)
-        if idx is None:
-            idx = {c: i for i, c in enumerate(self.P.chains(dim))}
-            self._chain_indices[dim] = idx
-        return idx
-
-    def _middle_boundary_reduces_to_zero(self, c: FormalChain) -> bool:
-        """Whether a middle-supported cycle bounds inside the middle part."""
-        idx = self._chain_idx(c.dim)
-        vec = {idx[key]: v for key, v in c.terms.items()}
-        return self._boundary_span(c.dim).contains(vec)
-
     def principal_generators(self, m: int) -> list[Generator]:
         return [g for g in self.S.generators(m) if g.element == self.top]
 
@@ -267,7 +240,7 @@ class TopAnalysis:
         # of the middle part, which is what makes the relative class of
         # the chain itself nonzero
         zeta_phi = self.S.phi_chain(self.S.delta_of(g))
-        if self._middle_boundary_reduces_to_zero(zeta_phi):
+        if bounds(self.P, self.middle, zeta_phi):
             raise TheoremContradiction(
                 "principal chain has trivial relative class",
                 self._payload(i1, i2, k, "nontriviality"))
@@ -359,22 +332,7 @@ class TopAnalysis:
                 return False
             if not boundary(c).is_zero():
                 return False
-        return self._middle_boundary_reduces_to_zero(a - b)
-
-
-def decompose_top_bruteforce(L: Lattice, i1: int, i2: int, k: int,
-                             field=None) -> DecompositionWitness | None:
-    return TopAnalysis(L, field or RationalField()).bruteforce(i1, i2, k)
-
-
-def decompose_top_constructive(L: Lattice, i1: int, i2: int, k: int,
-                               field=None) -> DecompositionWitness | None:
-    return TopAnalysis(L, field or RationalField()).constructive(i1, i2, k)
-
-
-def verify_step_lemma(L: Lattice, g: Generator, ell: int,
-                      field=None) -> bool:
-    return TopAnalysis(L, field or RationalField()).verify_step_lemma(g, ell)
+        return bounds(self.P, self.middle, a - b)
 
 
 def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
@@ -415,14 +373,13 @@ def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
 
 
 def verify_interval_decomposition(L: LcmLattice, m: int, i1: int, i2: int,
-                                  field=None) -> DecompositionWitness:
+                                  field) -> DecompositionWitness:
     """Betti-level decomposition: a certified pair joining to m.
 
     Requires beta_{i1+i2,m} > 0, read off the synor resolution; the
     witness pair is found inside the closed interval [0, m] and
     re-verified by order-complex homology.
     """
-    field = field or RationalField()
     if not isinstance(L, LcmLattice):
         raise DomainError("Betti-level decomposition needs an lcm lattice")
     if isinstance(m, Monomial):
@@ -440,7 +397,7 @@ def verify_interval_decomposition(L: LcmLattice, m: int, i1: int, i2: int,
 
 
 def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
-                        field=None, table: BettiTable | None = None) -> VerifyReport:
+                        field, table: BettiTable | None = None) -> VerifyReport:
     """Maximal-shift inequality with witness pairs at the extremal degree.
 
     Asserts t_{i1+i2-k} <= t_{i1} + t_{i2}.  When the left side is
@@ -449,7 +406,6 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
     numbers in columns i1 and i2; witness degrees are bounded by the
     column maxima.
     """
-    field = field or RationalField()
     if k < 0 or k > min(i1, i2):
         raise DomainError("need 0 <= k <= min(i1, i2)")
     if table is None:
@@ -487,14 +443,11 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
                         {"t": (ts, t1, t2), "witnesses": witnesses})
 
 
-def check_shift_count_bound(L: LcmLattice, i1: int, i2: int,
-                            field=None, table: BettiTable | None = None) -> VerifyReport:
+def check_shift_count_bound(table: BettiTable, i1: int,
+                            i2: int) -> VerifyReport:
     """Product bound on the number of distinct shifts per column."""
-    field = field or RationalField()
     if i1 < 0 or i2 < 0:
         raise DomainError("need i1, i2 >= 0")
-    if table is None:
-        table = betti_from_resolution(synor_resolution(L, field))
     lhs = table.a(i1 + i2)
     rhs = table.a(i1) * table.a(i2)
     ok = lhs <= rhs
@@ -581,14 +534,11 @@ def check_class_sums(S: SynorComplex, g: Generator, ell: int,
 # --- sweeps ---
 
 
-def verify_intervals(L: LcmLattice, field=None,
-                     table: BettiTable | None = None) -> tuple[bool, list[str]]:
+def verify_intervals(L: LcmLattice, field) -> tuple[bool, list[str]]:
     """Betti-level decomposition at every multidegree: for each m and
     each split i1 + i2 of a column with nonzero entry at m, a certified
     pair with lcm dominating m.  One line per instance."""
-    field = field or RationalField()
-    if table is None:
-        table = betti_from_resolution(synor_resolution(L, field))
+    table = betti_from_resolution(synor_resolution(L, field))
     monomial_of = {m: i for i, m in enumerate(L.monomials)}
     ok = True
     lines = []
@@ -611,9 +561,8 @@ def verify_intervals(L: LcmLattice, field=None,
     return ok, lines
 
 
-def verify_lattice_instances(L: Lattice, field=None) -> tuple[bool, list[str]]:
+def verify_lattice_instances(L: Lattice, field) -> tuple[bool, list[str]]:
     """All valid (i1, i2, k) for one lattice, both routes, one line each."""
-    field = field or RationalField()
     analysis = TopAnalysis(L, field)
     h = lattice_hash(L)
     ok = True
@@ -637,7 +586,7 @@ def verify_lattice_instances(L: Lattice, field=None) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def sweep_lattices(max_n: int, field=None,
+def sweep_lattices(max_n: int, field,
                    counts: dict | None = None) -> tuple[bool, list[str]]:
     """Both decomposition routes on every lattice with up to max_n
     elements; lines are in canonical enumeration order.  A max_n that
@@ -647,7 +596,6 @@ def sweep_lattices(max_n: int, field=None,
         raise DomainError(
             f"lattice sweeps cover 2 to {LATTICE_ENUMERATION_CAP} elements; "
             f"got a maximum of {max_n}")
-    field = field or RationalField()
     ok = True
     lines = []
     for n in range(2, max_n + 1):

@@ -127,7 +127,7 @@ def test_criterion_06_shift_count_bound():
             for i2 in range(i1, pd + 1):
                 if i1 + i2 > pd:
                     continue
-                if not check_shift_count_bound(L, i1, i2, QQ, T).ok:
+                if not check_shift_count_bound(T, i1, i2).ok:
                     ok = False
     note(6, "shift-count-bound", ok)
 

@@ -270,6 +270,28 @@ def test_oversized_kpq_ideal_is_refused_before_any_generator(capsys,
     assert "more than 2048 elements" in err
 
 
+def test_oversized_random_ideal_is_refused_before_any_draw(capsys,
+                                                           monkeypatch):
+    # 2 * 10^8 exponent draws would take minutes and about 10 GB
+    def never(*args):
+        raise AssertionError("a random generator was built")
+    monkeypatch.setattr("synorres.corpus.Monomial", never)
+    start = time.perf_counter()
+    code, _, err = run(capsys, "betti", "@random:1,2,100000000,1")
+    assert code == 1
+    assert "refusing 200000000 exponent draws, more than 1048576" in err
+    assert time.perf_counter() - start < 3.0
+
+
+def test_random_draw_cap_is_exact(monkeypatch):
+    import synorres.corpus as corpus_module
+
+    monkeypatch.setattr(corpus_module, "RANDOM_DRAW_CAP", 12)
+    assert len(load_ideal("@random:1,3,4,2").generators) >= 1
+    with pytest.raises(DomainError, match="more than 12"):
+        load_ideal("@random:1,3,5,2")
+
+
 def test_kpq_size_rule_is_exact(monkeypatch):
     import synorres.poset as poset_module
 

@@ -3,11 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synorres.linalg as linalg
-from synorres.algebra import RationalField, ValidationError
+from synorres.algebra import (DimensionError, DomainError, PrimeField,
+                              RationalField, ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
+                             boundary_columns, boundary_key, concat,
                              graded_component)
-from synorres.corpus import random_poset
-from synorres.poset import Poset, proper_parts
+from synorres.corpus import MmixRandom, random_ideal, random_poset
+from synorres.linalg import Reducer, kernel_basis
+from synorres.poset import (Poset, build_lcm_lattice, enumerate_lattices,
+                            proper_parts)
 from synorres.synor import (EMPTY_GENERATOR, SynorComplex, bracket,
                             build_synor_complex, ell_representation,
                             homologous_in_pair, rho, rho_chain, synor_to_json,
@@ -185,7 +189,6 @@ def test_ell_representation_reassembles(example62_lattice):
             assert chi[0] == g.element
             assert not zeta.is_zero()
             assert S.delta_chain(zeta).is_zero()
-            from synorres.chains import concat
             total = total + concat(upper, chi, S.phi_chain(zeta))
         assert total == phi_g
 
@@ -263,3 +266,119 @@ def test_synor_json_shape(cycle_lattice):
     assert data["n"] == upper.n
     labels = [g["label"] for g in data["generators"] if g["dim"] == 0]
     assert sorted(labels) == ["x*y", "x*z", "y*z"]
+
+
+def homologous_in_pair_by_span(g, g2, P, ideal_ids):
+    """The comparison before the connecting isomorphism, kept as the
+    reference: g - g2 must lie in the span of chains supported in the
+    ideal plus boundaries of one-higher chains of P."""
+    if g.dim != g2.dim:
+        raise DimensionError("relative cycles of different dimensions")
+    if len(P.maximal_elements()) != 1:
+        raise DomainError("relative comparison requires a unique maximal element")
+    ideal = frozenset(int(i) for i in ideal_ids)
+    m = g.dim
+    for c in (g, g2):
+        db = boundary(c)
+        for key in db.terms:
+            if not set(key) <= ideal:
+                raise ValidationError("input is not a relative cycle")
+    basis_m = P.chains(m)
+    index_m = {c: i for i, c in enumerate(basis_m)}
+    red = Reducer(g.field)
+    for key in basis_m:
+        if key and set(key) <= ideal:
+            red.insert({index_m[key]: g.field.one})
+    for key in P.chains(m + 1):
+        raw = boundary_key(key, g.field)
+        red.insert({index_m[f]: v for f, v in raw.items()})
+    diff = g - g2
+    vec = {index_m[key]: v for key, v in diff.terms.items()}
+    return red.contains(vec)
+
+
+PAIR_FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+def pair_instance(seed: int, field):
+    """P = L minus bottom for an lcm lattice of a random ideal (odd seeds)
+    or an enumerated lattice (even seeds), a random order ideal of P
+    without the top, a degree m, and two relative m-cycles
+    concat((top,), a) + b with a a cycle of the ideal and b a chain in it
+    (half the time the second a differs from the first by a boundary),
+    and a non-cycle when the ideal has (m - 1)-chains."""
+    rng = MmixRandom(seed)
+    if seed % 2:
+        spec = random_ideal(seed, 1 + rng.below(4), 1 + rng.below(6),
+                            1 + rng.below(2))
+        L = build_lcm_lattice(list(spec.generators), spec.variables)
+    else:
+        lattices = list(enumerate_lattices(2 + rng.below(6)))
+        L = lattices[rng.below(len(lattices))]
+    P = L.sub([i for i in range(L.n) if i != L.bottom])
+    (top,) = P.maximal_elements()
+    ideal = set()
+    for x in range(P.n):
+        if x != top and rng.below(2):
+            ideal.update(P.below_or_equal(x))
+    ideal = frozenset(ideal)
+    Q = P.sub(ideal)  # ids ascend, so Q's chains map back through Q.origin
+
+    def chains(d):
+        return [tuple(Q.origin[i] for i in key) for key in Q.chains(d)]
+
+    def coeff():
+        return field.of(rng.below(field.modulus or 5))
+
+    def combination(d, vectors):
+        return FormalChain.combination(d, field, (
+            (coeff(), FormalChain(d, field, vec)) for vec in vectors))
+
+    m = rng.below(Q.max_chain_dim() + 2)
+    rows = chains(m - 1)
+    cycles = [{rows[i]: v for i, v in vec.items()} for vec in kernel_basis(
+        boundary_columns(rows, lambda key: boundary_key(key, field),
+                         chains(m - 2)), field)]
+    units = [{key: field.one} for key in chains(m)]
+
+    def relative_cycle(a):
+        return concat(P, (top,), a) + combination(m, units)
+
+    a = combination(m - 1, cycles)
+    if rng.below(2):
+        a2 = a + boundary(combination(m, units))
+    else:
+        a2 = combination(m - 1, cycles)
+    # top * c for a chain c of the ideal has top * boundary(c) in its
+    # boundary, so it is no relative cycle
+    bad = next((concat(P, (top,), FormalChain(m - 1, field, {key: field.one}))
+                for key in rows if key), None)
+    return P, ideal, relative_cycle(a), relative_cycle(a2), bad
+
+
+def check_connecting_isomorphism(seed, field):
+    P, ideal, g, g2, bad = pair_instance(seed, field)
+    want = homologous_in_pair_by_span(g, g2, P, ideal)
+    assert homologous_in_pair(g, g2, P, ideal) == want
+    assert homologous_in_pair(g, g, P, ideal)
+    if bad is not None:
+        for compare in (homologous_in_pair, homologous_in_pair_by_span):
+            with pytest.raises(ValidationError):
+                compare(bad, g, P, ideal)
+    return want, bad is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**6), st.sampled_from(PAIR_FIELDS))
+def test_homologous_in_pair_is_the_connecting_isomorphism(seed, field):
+    # H_m(P, I) = H~_{m-1}(I) for the cone P: the pair comparison agrees
+    # with the span test of the relative complex it replaced
+    check_connecting_isomorphism(seed, field)
+
+
+def test_connecting_isomorphism_cases_reach_both_outcomes():
+    for field in PAIR_FIELDS:
+        seen = {check_connecting_isomorphism(seed, field)
+                for seed in range(1, 41)}
+        assert {True, False} <= {want for want, _ in seen}
+        assert any(refused for _, refused in seen)

@@ -15,10 +15,8 @@ from synorres.resolution import (betti_from_intervals, betti_from_resolution,
 from synorres.verify import (DecompositionWitness, TheoremContradiction,
                              TopAnalysis, _interval_witness, check_class_sums,
                              check_shift_count_bound, check_subadditivity,
-                             decompose_top_bruteforce,
-                             decompose_top_constructive, sweep_lattices,
-                             verify_interval_decomposition, verify_intervals,
-                             verify_lattice_instances, verify_step_lemma)
+                             sweep_lattices, verify_interval_decomposition,
+                             verify_intervals, verify_lattice_instances)
 
 QQ = RationalField()
 
@@ -62,8 +60,9 @@ def test_constructive_matches_hypotheses(example62_lattice):
 
 
 def test_decomposition_wrappers(cycle_lattice):
-    w1 = decompose_top_bruteforce(cycle_lattice, 1, 1, 0, QQ)
-    w2 = decompose_top_constructive(cycle_lattice, 1, 1, 0, QQ)
+    ana = TopAnalysis(cycle_lattice, QQ)
+    w1 = ana.bruteforce(1, 1, 0)
+    w2 = ana.constructive(1, 1, 0)
     for w in (w1, w2):
         assert w is not None
         assert cycle_lattice.join_of(w.n1, w.n2) == cycle_lattice.top
@@ -107,10 +106,21 @@ def test_step_lemma_small_and_example(cycle_lattice, example62_lattice):
         ana2.verify_step_lemma(g4, 5)
 
 
-def test_step_lemma_wrapper(cycle_lattice):
-    ana = TopAnalysis(cycle_lattice, QQ)
-    g = [g for g in ana.S.generators(1) if g.element == ana.top][0]
-    assert verify_step_lemma(cycle_lattice, g, 1, QQ)
+def test_constructive_checks_share_one_span_per_degree():
+    # the nontriviality, relative-homology and step-lemma checks of every
+    # valid triple ask whether a chain bounds in the middle part in degree
+    # m - 1, where m is 1 or 4; each degree is spanned once, in P's cache
+    L = lattice_of(ideal_example62())
+    ana = TopAnalysis(L, QQ)
+    triples = ana.valid_triples()
+    assert len(triples) == 23
+    for triple in triples:
+        assert ana.constructive(*triple) is not None
+    g4 = [g for g in ana.S.generators(4) if g.element == ana.top][0]
+    assert ana.verify_step_lemma(g4, 2)
+    spans = [key for key in ana.P._cache if key[0] == "bounds"]
+    assert sorted(spans, key=lambda key: key[2]) == [
+        ("bounds", ana.middle, d, QQ) for d in (0, 3)]
 
 
 def test_class_sums_negative_control(example62_lattice):
@@ -227,7 +237,7 @@ def test_subadditivity_reports(example62_lattice):
 def test_shift_count_bound(example62_lattice):
     T = betti_from_intervals(example62_lattice, QQ)
     for (i1, i2) in ((1, 1), (1, 2), (2, 3), (0, 4)):
-        rep = check_shift_count_bound(example62_lattice, i1, i2, QQ, T)
+        rep = check_shift_count_bound(T, i1, i2)
         assert rep.ok
 
 
