@@ -18,8 +18,12 @@ through accumulate, and basis_homology gives the homology of order and
 synor complexes in a range of degrees, building each basis and boundary
 matrix once; linalg.complex_homology spans each matrix once for the
 ranks and computes representative cycles only in degrees whose homology
-is nonzero.  bounds decides whether a chain is a boundary of chains in
-an ideal, from one memoized span per ideal, degree and field.
+is nonzero.  all_homology_ranks, the order-complex oracle, gets its ranks
+from linalg.cleared_spans and never builds a cleared column.  Both clear
+(skip the columns of d_d that are pivots of d_{d+1}'s span), which is
+exact because the boundary of a boundary is zero.  bounds decides
+whether a chain is a boundary of chains in an ideal, from one memoized
+span per ideal, degree and field.
 Over GF(p) accumulate reduces its sums mod field.modulus, and the
 FormalChain constructor reduces every coefficient it is given (which
 covers negation and scale), so stored coefficients lie in [0, p).
@@ -28,7 +32,7 @@ covers negation and scale), so stored coefficients lie in [0, p).
 from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
-from .linalg import HomologyBasis, complex_homology, rank_of, span
+from .linalg import HomologyBasis, cleared_spans, complex_homology, span
 
 
 def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
@@ -291,12 +295,18 @@ def bounds(P, ideal_ids, c: FormalChain) -> bool:
 
 def all_homology_ranks(P, field) -> dict[int, int]:
     """Reduced homology ranks in every degree where chains exist, by
-    rank-nullity: dim C_d - rank d_d - rank d_{d+1}; each boundary matrix
-    is built and reduced once."""
+    rank-nullity: dim C_d - rank d_d - rank d_{d+1}.  The boundary
+    matrices are spanned top degree first with clearing, which needs only
+    d_d . d_{d+1} = 0: the chains whose index is a pivot of d_{d+1}'s span
+    get no column of d_d built, and the ranks are those of the full
+    matrices."""
     top = P.max_chain_dim()
-    ranks = [rank_of(boundary_columns(P.chains(d),
-                                      lambda key: boundary_key(key, field),
-                                      P.chains(d - 1)), field)
-             for d in range(-1, top + 1)] + [0]
+
+    def columns_of(i, cleared):
+        return boundary_columns(
+            [key for j, key in enumerate(P.chains(i - 1)) if j not in cleared],
+            lambda key: boundary_key(key, field), P.chains(i - 2))
+    ranks = [red.rank for red in cleared_spans(columns_of, top + 2, field)]
+    ranks.append(0)
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
             for d in range(-1, top + 1)}

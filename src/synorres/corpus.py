@@ -11,6 +11,7 @@ and implementations.
 
 from __future__ import annotations
 
+from operator import le
 from typing import NamedTuple
 
 import numpy as np
@@ -133,17 +134,31 @@ class MmixRandom:
 
 
 def _prune_to_antichain(monomials) -> tuple:
-    unique = sorted(set(monomials))
-    return tuple(
-        m for m in unique
-        if not any(o != m and o.divides(m) for o in unique)
-    )
+    """The minimal monomials under divisibility, lex-sorted.
+
+    Exponent tuples are visited by degree, so a proper divisor comes
+    before its multiples and each tuple is tested only against the minimal
+    ones kept so far.  Once LCM_LATTICE_CAP are kept the ideal is refused:
+    its lcm lattice would have more elements than the cap allows."""
+    cap = poset.LCM_LATTICE_CAP
+    kept: list[tuple] = []
+    for exps in sorted({m.exps for m in monomials}, key=sum):
+        if not any(all(map(le, k, exps)) for k in kept):
+            kept.append(exps)
+            if len(kept) >= cap:
+                raise DomainError(
+                    f"refusing an ideal with at least {cap} minimal "
+                    f"generators: its lcm lattice would have more than "
+                    f"{cap} elements")
+    return tuple(sorted(Monomial(exps) for exps in kept))
 
 
 def random_ideal(seed: int, n: int, g: int, emax: int) -> IdealSpec:
     """g random monomials in n variables, exponents <= emax, pruned to the
     minimal antichain; fully determined by the seed.  More than
-    RANDOM_DRAW_CAP exponent draws (n * g) are refused before any."""
+    RANDOM_DRAW_CAP exponent draws (n * g) are refused before any, and a
+    minimal antichain that reaches LCM_LATTICE_CAP generators while
+    pruning."""
     if n < 1 or g < 1 or emax < 1:
         raise DomainError("need n, g, emax >= 1")
     if n * g > RANDOM_DRAW_CAP:

@@ -9,12 +9,15 @@ deterministic least-index pivoting.  Two column reductions drive
 everything: span, without witnesses, gives a matrix's row space and
 rank; kernel_vectors, with witnesses, streams its kernel in column
 order.  Kernels and solves are views of the witness pass.  The homology
-of a whole complex is rank-first: one span per boundary matrix gives
-every degree's homology rank by rank-nullity, and a witness pass runs
-only in degrees whose homology is nonzero, stopping at the last new
-cycle.  Stored rows and kernel vectors are canonical for a fixed column
-order, so representative cycles and witness choices are reproducible
-run to run.
+of a whole complex is rank-first: cleared_spans spans its boundary
+matrices from the top degree down, and a witness pass runs only in
+degrees whose homology is nonzero, stopping at the last new cycle.  The
+spans use clearing (Chen-Kerber's twist): given d_d . d_{d+1} = 0, a
+column of d_d whose index is a pivot of d_{d+1}'s span lies in the span
+of the columns after it, so it is never inserted; the rank and the RREF
+rows stay those of the full matrix.  Stored rows and kernel vectors are
+canonical for a fixed column order, so representative cycles and
+witness choices are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -116,6 +119,27 @@ def rank_of(columns, field) -> int:
     return span(columns, field).rank
 
 
+def cleared_spans(columns_of, count: int, field) -> list[Reducer]:
+    """Spans of the count boundary matrices of a complex, with clearing.
+
+    Matrix i maps degree i to degree i - 1 of some grading, and the
+    caller guarantees that matrix i composed with matrix i + 1 is zero.
+    columns_of(i, cleared) returns the columns of matrix i in order,
+    leaving out those whose index is in cleared.  Matrices are spanned
+    from the top down, and matrix i's cleared set is the pivots of matrix
+    i + 1's span: a row with least index j is a boundary that matrix i
+    kills, so column j lies in the span of the columns after it.  Each
+    Reducer has the rank and the RREF rows of its full matrix's span.
+    """
+    spans: list[Reducer] = []
+    cleared: dict = {}
+    for i in reversed(range(count)):
+        red = span(columns_of(i, cleared), field)
+        spans.append(red)
+        cleared = red.rows
+    return spans[::-1]
+
+
 def kernel_vectors(columns, red: Reducer):
     """Yield the kernel of the map e_j -> columns[j] in column order.
 
@@ -171,14 +195,19 @@ def complex_homology(boundaries, field, lowest: int) -> list[HomologyBasis]:
     """Homology at degrees lowest .. lowest + len(boundaries) - 2.
 
     boundaries[i] holds the columns of the differential out of degree
-    lowest + i, each a vector over the basis one degree down.  Each matrix
-    is spanned once without witnesses, which gives every rank h_d = dim C_d
-    - rank d_d - rank d_{d+1}.  Only where h_d > 0 does a witness pass
-    stream the kernel of d_d; each kernel vector is reduced against the
-    span of d_{d+1} and kept in echelon form as added, until h_d cycles
-    are found.
+    lowest + i, each a vector over the basis one degree down; consecutive
+    differentials must compose to zero.  cleared_spans spans the matrices
+    top degree first without witnesses, d_d receiving only the dim C_d -
+    rank d_{d+1} columns that d_{d+1}'s span leaves uncleared, which gives
+    every rank h_d = dim C_d - rank d_d - rank d_{d+1}.  Only where h_d > 0
+    does a witness pass stream the kernel of the full d_d; each kernel
+    vector is reduced against the span of d_{d+1} and kept in echelon form
+    as added, until h_d cycles are found.
     """
-    spans = [span(cols, field) for cols in boundaries]
+    spans = cleared_spans(
+        lambda i, cleared: [col for j, col in enumerate(boundaries[i])
+                            if j not in cleared],
+        len(boundaries), field)
     out = []
     for i, (cols, below, above) in enumerate(zip(boundaries, spans,
                                                   spans[1:])):

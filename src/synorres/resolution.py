@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Monomial, ValidationError
 from .chains import all_homology_ranks
-from .linalg import rank_of
+from .linalg import cleared_spans, rank_of
 from .poset import Lattice, LcmLattice, open_interval, proper_parts
 from .synor import EMPTY_GENERATOR, build_synor_complex
 
@@ -227,6 +227,12 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     lattice coincide with the strand at their largest lattice divisor, so
     lattice monomials suffice); no entry is a unit; the first differential
     presents exactly the ideal's minimal generators.
+
+    Once the grading is consistent and d . d = 0 are proven, each strand
+    is a complex, and its ranks come from linalg.cleared_spans from the
+    top module down: a strand column whose index is a pivot of the span
+    one module up is never built.  Otherwise clearing would not be exact,
+    and every strand matrix is spanned in full.
     """
     problems: list[str] = []
     checks: list[tuple[str, bool]] = []
@@ -306,12 +312,18 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
         while dims and dims[-1] == 0:
             dims.pop()
             keep.pop()
-        ranks = []
-        for k in range(len(dims) - 1):
+
+        def columns_of(k, cleared):
             rows = keep[k]
-            cols = [{rows[r]: v for r, v in by_col[k].get(c, ()) if r in rows}
-                    for c in keep[k + 1]]
-            ranks.append(rank_of(cols, field))
+            return [{rows[r]: v for r, v in by_col[k].get(c, ())
+                     if r in rows}
+                    for c, t in keep[k + 1].items() if t not in cleared]
+        if consistent and square_zero:
+            ranks = [red.rank for red in
+                     cleared_spans(columns_of, len(dims) - 1, field)]
+        else:
+            ranks = [rank_of(columns_of(k, ()), field)
+                     for k in range(len(dims) - 1)]
         ranks.append(0)
         # m lies in the ideal, so the strand must be exact everywhere:
         # one generator at the bottom, killed by rank-1 d_1, and

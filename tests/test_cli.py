@@ -283,6 +283,16 @@ def test_oversized_random_ideal_is_refused_before_any_draw(capsys,
     assert time.perf_counter() - start < 3.0
 
 
+def test_random_ideal_at_the_lattice_cap_fails_fast(capsys):
+    # 4000 draws in 20 variables with huge exponents keep more than 2048
+    # minimal generators, so no lcm lattice could be built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "betti", "@random:1,20,4000,1000000000")
+    assert code == 1
+    assert "at least 2048 minimal generators" in err
+    assert time.perf_counter() - start < 10.0
+
+
 def test_random_draw_cap_is_exact(monkeypatch):
     import synorres.corpus as corpus_module
 

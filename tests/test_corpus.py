@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import synorres.poset as poset_module
 
 from synorres.algebra import (DomainError, Monomial, RationalField,
                               ValidationError)
-from synorres.corpus import (MmixRandom, corpus_ideals, ideal_example62,
-                             ideal_kpq, ideal_powers, parse_ideal_text,
-                             random_ideal, random_poset)
+from synorres.corpus import (MmixRandom, _prune_to_antichain, corpus_ideals,
+                             ideal_example62, ideal_kpq, ideal_powers,
+                             parse_ideal_text, random_ideal, random_poset)
 from synorres.poset import build_lcm_lattice, is_lattice
 
 QQ = RationalField()
@@ -43,6 +47,32 @@ def test_random_ideal_generators_form_antichain():
                     assert not a.divides(b)
         # buildable without validation errors
         build_lcm_lattice(list(gens), spec.variables)
+
+
+def quadratic_prune(monomials) -> tuple:
+    """The pruning before degree order: every pair of distinct monomials."""
+    unique = sorted(set(monomials))
+    return tuple(m for m in unique
+                 if not any(o != m and o.divides(m) for o in unique))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), min_size=3, max_size=3),
+                min_size=1, max_size=40))
+def test_prune_to_antichain_matches_the_quadratic_pruning(exponents):
+    monomials = [Monomial(e) for e in exponents]
+    assert _prune_to_antichain(monomials) == quadratic_prune(monomials)
+
+
+def test_prune_refuses_an_antichain_at_the_lattice_cap(monkeypatch):
+    # x^2, xy, y^2 is an antichain of three; z^2 makes a fourth
+    monos = [Monomial(e) for e in
+             [(2, 0, 0), (1, 1, 0), (0, 2, 0), (2, 1, 0), (0, 0, 2)]]
+    monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", 5)
+    assert len(_prune_to_antichain(monos)) == 4
+    monkeypatch.setattr(poset_module, "LCM_LATTICE_CAP", 4)
+    with pytest.raises(DomainError, match="at least 4 minimal generators"):
+        _prune_to_antichain(monos)
 
 
 def test_random_poset_is_poset_and_deterministic():

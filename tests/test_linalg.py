@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 import synorres.linalg as linalg
 
 from synorres.algebra import PrimeField, RationalField
+import synorres.chains as chains
 from synorres.chains import boundary_columns, boundary_key
 from synorres.corpus import random_poset
-from synorres.linalg import (HomologyBasis, Reducer, complex_homology,
-                             eliminate, homology_of_complex, kernel_basis,
-                             rank_of, solve)
+from synorres.chains import all_homology_ranks
+from synorres.linalg import (HomologyBasis, Reducer, cleared_spans,
+                             complex_homology, eliminate, homology_of_complex,
+                             kernel_basis, rank_of, solve)
 
 QQ = RationalField()
 
@@ -293,3 +295,77 @@ def test_vec_ops_cancel():
     a = {0: QQ.of(2), 1: QQ.of(-1)}
     assert vec_sub(a, a) == {}
     assert vec_scale(a, QQ.zero) == {}
+
+
+def check_cleared_spans(seed, field):
+    """cleared_spans against plain spans on random_complex(seed): each
+    matrix gets the columns that are not pivots of the span above, and
+    each span has the plain span's rows and rank.  Returns the number of
+    columns cleared."""
+    boundaries, _ = random_complex(seed, field)
+    given = {}
+
+    def columns_of(i, cleared):
+        given[i] = set(cleared)
+        return [c for j, c in enumerate(boundaries[i]) if j not in cleared]
+    got = cleared_spans(columns_of, len(boundaries), field)
+    assert len(got) == len(boundaries)
+    assert list(given) == list(reversed(range(len(boundaries))))
+    for i, (cols, red) in enumerate(zip(boundaries, got)):
+        plain = linalg.span(cols, field)
+        assert red.rows == plain.rows and red.rank == plain.rank
+        above = got[i + 1].rows if i + 1 < len(got) else {}
+        assert given[i] == set(above)
+    return sum(len(c) for c in given.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@example(2, QQ)
+def test_cleared_spans_equal_plain_spans(seed, field):
+    check_cleared_spans(seed, field)
+
+
+def test_cleared_spans_skip_columns():
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        assert check_cleared_spans(2, field) > 0
+
+
+def reference_homology_ranks(P, field):
+    """all_homology_ranks before clearing: every boundary matrix built and
+    ranked in full."""
+    top = P.max_chain_dim()
+    ranks = [rank_of(boundary_columns(P.chains(d),
+                                      lambda key: boundary_key(key, field),
+                                      P.chains(d - 1)), field)
+             for d in range(-1, top + 1)] + [0]
+    return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
+            for d in range(-1, top + 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 9),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+def test_all_homology_ranks_matches_the_full_ranks(seed, n, field):
+    # cleared chains get no boundary built: one boundary_key call per
+    # chain of degree d that is not a pivot of d_{d+1}'s span, which is
+    # dim C_d - rank d_{d+1} of them
+    P = random_poset(seed, n)
+    want = reference_homology_ranks(P, field)
+    built = []
+    key_of = chains.boundary_key
+
+    def counted(key, field):
+        built.append(key)
+        return key_of(key, field)
+    with mock.patch.object(chains, "boundary_key", counted):
+        got = all_homology_ranks(P, field)
+    assert got == want
+    top = P.max_chain_dim()
+    ranks = [rank_of(boundary_columns(P.chains(d),
+                                      lambda key: key_of(key, field),
+                                      P.chains(d - 1)), field)
+             for d in range(-1, top + 2)]
+    assert len(built) == sum(len(P.chains(d)) - ranks[d + 2]
+                             for d in range(-1, top + 1))

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import synorres.linalg as linalg
+import synorres.resolution as resolution
 from synorres.algebra import Monomial, PrimeField, RationalField
 from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
 from synorres.poset import build_lcm_lattice, proper_parts
@@ -157,3 +159,86 @@ def test_betti_table_json(cycle_lattice):
     assert data["t"] == [0, 2, 3]
     assert ["2", "x*y*z", 2] in [
         [str(i), m, r] for i, m, r in data["entries"]]
+
+
+def mutated_cycle_resolution(cycle_lattice, shift):
+    """The cycle ideal's resolution with shift added to the first stored
+    scalar of its second differential."""
+    R = synor_resolution(cycle_lattice, QQ)
+    entries = dict(R.differentials[1])
+    key = next(iter(entries))
+    mono, scalar = entries[key]
+    entries[key] = (mono, scalar + shift)
+    return type(R)(R.variables, R.labels,
+                   [R.differentials[0], entries] + list(R.differentials[2:]))
+
+
+def full_spans(columns_of, count, field):
+    """cleared_spans without clearing: every matrix spanned in full."""
+    return [linalg.span(columns_of(i, ()), field) for i in range(count)]
+
+
+def test_truncated_resolution_is_not_exact_on_the_cleared_path(monkeypatch):
+    # negative control with d . d = 0: dropping the last module of the
+    # Koszul resolution of (x1, x2, x3) leaves a complex that is not exact
+    # at x1*x2*x3; the cleared path reports the full spans' dims and ranks
+    spec = ideal_powers(3, 1)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, QQ)
+    assert R.ranks == (1, 3, 3, 1)
+    bad = type(R)(R.variables, R.labels[:-1], R.differentials[:-1])
+    engine, cleared = resolution.cleared_spans, []
+
+    def spy(columns_of, count, field):
+        cleared.append(count)
+        return engine(columns_of, count, field)
+    monkeypatch.setattr(resolution, "cleared_spans", spy)
+    rep = certify_resolution(bad, L, QQ)
+    assert cleared
+    assert not rep.ok
+    assert rep.lines() == [
+        "ok  grading consistent", "ok  differential squares to zero",
+        "ok  no unit entries", "ok  cokernel is the ideal",
+        "FAIL  all multidegree strands exact",
+        "     strand at x1*x2*x3 not exact (dims [1, 3, 3], ranks [1, 2])",
+        "NOT CERTIFIED"]
+    monkeypatch.setattr(resolution, "cleared_spans", full_spans)
+    assert certify_resolution(bad, L, QQ).lines() == rep.lines()
+
+
+@pytest.mark.parametrize("shift, problems", [
+    # criterion 03's mutation: the scalar becomes 0, so the grading check
+    # and the squared differential both fail
+    (1, ["zero scalar stored in differential 2",
+         "composite of differentials 2 and 1 nonzero on generator 0"]),
+    # a nonzero scalar: only the squared differential fails
+    (2, ["composite of differentials 2 and 1 nonzero on generator 0"]),
+])
+def test_nonzero_square_never_reaches_the_cleared_path(cycle_lattice,
+                                                       monkeypatch, shift,
+                                                       problems):
+    # clearing is sound only for d . d = 0, so a mutation that breaks it
+    # must be ranked with full spans and report what it always reported
+    def refuse(*args):
+        raise AssertionError("certify_resolution cleared a strand")
+    monkeypatch.setattr(resolution, "cleared_spans", refuse)
+    bad = mutated_cycle_resolution(cycle_lattice, shift)
+    rep = certify_resolution(bad, cycle_lattice, QQ)
+    assert not rep.ok
+    assert rep.problems == problems
+    assert rep.lines()[:2] == [
+        f"{'FAIL' if shift == 1 else 'ok'}  grading consistent",
+        "FAIL  differential squares to zero"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ideal_powers(4, 1), lambda: ideal_kpq(4, 3),
+    lambda: random_ideal(5, 4, 6, 3)])
+def test_certify_clears_and_agrees_with_full_spans(make, monkeypatch):
+    spec = make()
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, QQ)
+    rep = certify_resolution(R, L, QQ)
+    assert rep.ok
+    monkeypatch.setattr(resolution, "cleared_spans", full_spans)
+    assert certify_resolution(R, L, QQ).lines() == rep.lines()

@@ -115,13 +115,15 @@ def test_strict_grading_and_phi_chain_map(cycle_lattice):
                 assert key[0] == g.element
 
 
-def test_build_spans_each_matrix_and_finds_cycles_where_homology_is_nonzero(
+def test_build_spans_top_down_with_clearing_and_finds_cycles_where_homology_is_nonzero(
         example62_lattice, monkeypatch):
     # per element x the build needs no restrict guard; it spans the
-    # boundary matrices out of degrees -1 .. top + 1 of the part strictly
-    # below x once each, top being the highest generator there, and runs a
-    # witness pass on the matrix out of degree d exactly when x receives
-    # dimension-(d + 1) generators
+    # boundary matrices out of degrees top + 1 .. -1 of the part strictly
+    # below x once each, top degree first, top being the highest generator
+    # there; d_d's span receives exactly the dim C_d - rank d_{d+1}
+    # columns of d_d whose index is not a pivot of d_{d+1}'s span; and a
+    # witness pass runs on the full matrix out of degree d exactly when x
+    # receives dimension-(d + 1) generators
     def refuse(*args, **kwargs):
         raise AssertionError("build_synor_complex called restrict")
     monkeypatch.setattr(SynorComplex, "restrict", refuse)
@@ -129,11 +131,12 @@ def test_build_spans_each_matrix_and_finds_cycles_where_homology_is_nonzero(
     span, kernel_vectors = linalg.span, linalg.kernel_vectors
 
     def spanned(columns, field):
-        calls.append(("span", columns))
-        return span(columns, field)
+        red = span(columns, field)
+        calls.append(("span", columns, red))
+        return red
 
     def streamed(columns, red):
-        calls.append(("witness", columns))
+        calls.append(("witness", columns, None))
         return kernel_vectors(columns, red)
     monkeypatch.setattr(linalg, "span", spanned)
     monkeypatch.setattr(linalg, "kernel_vectors", streamed)
@@ -141,30 +144,46 @@ def test_build_spans_each_matrix_and_finds_cycles_where_homology_is_nonzero(
     S = build_synor_complex(upper, QQ)
     monkeypatch.undo()
     top_dim = max(S.dims())
+    order = {x: i for i, x in enumerate(upper.linear_extension())}
     pos = 0
+    cleared_columns = 0
     for x in upper.linear_extension():
         below = set(upper.strictly_below(x))
-        counts = [1] + [sum(g.element in below for g in S.generators(d))
-                        for d in range(0, top_dim + 1)]
-        top = max(d for d, c in enumerate(counts, -1) if c)
-        widths = counts[:top + 2] + [0]
-        spans = calls[pos:pos + len(widths)]
+        # the generators below x in the order the build appended them
+        gens = {d: sorted((g for g in S.generators(d)
+                           if g.element in below or g == EMPTY_GENERATOR),
+                          key=lambda g: (order.get(g.element, -1), g.index))
+                for d in range(-2, top_dim + 2)}
+        top = max(d for d, lst in gens.items() if lst)
+        full = {d: boundary_columns(gens[d], lambda g: S.delta_of(g).terms,
+                                    gens[d - 1])
+                for d in range(top + 1, -2, -1)}
+        spans = calls[pos:pos + len(full)]
         pos += len(spans)
-        assert [kind for kind, _ in spans] == ["span"] * len(widths)
-        assert [len(cols) for _, cols in spans] == widths
-        # each witness pass reads the very matrix spanned for its degree
+        assert [kind for kind, _, _ in spans] == ["span"] * len(full)
+        pivots = {}
+        for d, (_, cols, red) in zip(full, spans):
+            want = [c for j, c in enumerate(full[d]) if j not in pivots]
+            assert cols == want
+            assert len(cols) == len(gens[d]) - len(pivots)
+            assert red.rank == linalg.rank_of(full[d], QQ)
+            cleared_columns += len(pivots)
+            pivots = red.rows
+        # each witness pass reads the full matrix out of its degree
         passes = []
         while pos < len(calls) and calls[pos][0] == "witness":
             cols = calls[pos][1]
-            passes.append(next(d for d, (_, c) in enumerate(spans, -1)
-                               if c is cols))
+            matches = [d for d in full if full[d] == cols]
+            assert len(matches) == 1
+            passes.append(matches[0])
             pos += 1
         receives = sorted({g.dim - 1 for d in range(0, top_dim + 1)
                            for g in S.generators(d) if g.element == x})
         assert passes == receives
     assert pos == len(calls)
     assert top_dim >= 2
-    n_spans = sum(kind == "span" for kind, _ in calls)
+    assert cleared_columns > 0
+    n_spans = sum(kind == "span" for kind, _, _ in calls)
     assert 0 < len(calls) - n_spans < n_spans
 
 
