@@ -17,8 +17,8 @@ each element it cuts the generator lists down to the strict down-set and
 takes the homology in every degree from one pass: witness-free spans of
 the boundary matrices, top degree first with clearing, give every rank,
 and a cycle pass runs only in the degrees with homology, which are the
-degrees in which the element receives generators.  The cycle bases are echelon-deterministic, so a
-complex is reproducible run to run.
+degrees in which the element receives generators.  The cycle bases are
+echelon-deterministic, so a complex is reproducible run to run.
 
 The module also houses the verification toolkit built on top of the
 complex: prefix representations of a generator's image, coefficient-sum
