@@ -4,13 +4,12 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import synorres.chains as chains
 import synorres.linalg as linalg
 
 from synorres.algebra import PrimeField, RationalField
-import synorres.chains as chains
-from synorres.chains import boundary_columns, boundary_key
+from synorres.chains import all_homology_ranks, boundary_columns, boundary_key
 from synorres.corpus import random_poset
-from synorres.chains import all_homology_ranks
 from synorres.linalg import (HomologyBasis, Reducer, cleared_spans,
                              complex_homology, eliminate, homology_of_complex,
                              kernel_basis, rank_of, solve)
