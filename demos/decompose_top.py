@@ -39,8 +39,10 @@ print()
 
 # the same decomposition applies inside any interval, which is how the
 # subadditivity witnesses in verify.check_subadditivity are found
+from synorres import betti_from_resolution, synor_resolution
 from synorres.verify import check_subadditivity
 
-report = check_subadditivity(L, 2, 2, 0, field)
+table = betti_from_resolution(synor_resolution(L, field))
+report = check_subadditivity(L, 2, 2, 0, field, table)
 for line in report.lines():
     print(line)

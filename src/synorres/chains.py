@@ -15,11 +15,14 @@ formula, the last is owned by the synor module.
 
 The module owns chain arithmetic: every sparse sum of scaled chains goes
 through accumulate, and basis_homology gives the homology of order and
-synor complexes in a range of degrees, building each basis and boundary
-matrix once; linalg.complex_homology spans each matrix once for the
-ranks and computes representative cycles only in degrees whose homology
-is nonzero.  all_homology_ranks, the order-complex oracle, gets its ranks
-from linalg.cleared_spans and never builds a cleared column.  Both clear
+synor complexes in a range of degrees, building each boundary matrix
+once as {basis key: boundary vector}; linalg.complex_homology spans each
+matrix once for the ranks and computes representative cycles only in
+degrees whose homology is nonzero.  Vectors are keyed by basis element,
+and pivots are least keys, which is why chains(d) comes in
+lexicographic order and generators sort in build order.
+all_homology_ranks, the order-complex oracle, gets its ranks from
+linalg.cleared_spans and never builds a cleared column.  Both clear
 (skip the columns of d_d that are pivots of d_{d+1}'s span), which is
 exact because the boundary of a boundary is zero.  bounds decides
 whether a chain is a boundary of chains in an ideal, from one memoized
@@ -239,28 +242,19 @@ def graded_component(c: FormalChain, x: int) -> FormalChain:
 # --- homology ---
 
 
-def boundary_columns(basis, boundary_of, row_basis) -> list[dict]:
-    """Matrix columns of boundary_of on basis, over row_basis positions."""
-    row = {c: i for i, c in enumerate(row_basis)}
-    return [{row[f]: v for f, v in boundary_of(key).items()} for key in basis]
-
-
 def basis_homology(basis_of, boundary_of, field, degrees: range,
                    kind: str) -> list[HomologyBasis]:
     """Homology in each of the consecutive degrees of the complex with
     degree-d basis basis_of(d) and boundary_of(key) the raw boundary dict
-    of a basis key; each basis and boundary matrix is built and spanned
-    once, a cycle pass runs only in degrees with homology, and cycles are
-    FormalChains of the given kind."""
-    lo, hi = degrees.start, degrees.stop
-    bases = {d: basis_of(d) for d in range(lo - 1, hi + 1)}
-    matrices = [boundary_columns(bases[d], boundary_of, bases[d - 1])
-                for d in range(lo, hi + 1)]
+    of a basis key.  Each degree's matrix is {key: boundary_of(key)},
+    built and spanned once, so keys must sort in basis order (least keys
+    are pivots); a cycle pass runs only in degrees with homology, and the
+    cycles, keyed by basis key, become FormalChains of the given kind."""
+    matrices = [{key: boundary_of(key) for key in basis_of(d)}
+                for d in range(degrees.start, degrees.stop + 1)]
     return [HomologyBasis(hb.dim, hb.rank, [
-        FormalChain(hb.dim, field, {bases[hb.dim][i]: v
-                                    for i, v in vec.items()}, kind)
-        for vec in hb.cycles])
-        for hb in complex_homology(matrices, field, lo)]
+        FormalChain(hb.dim, field, vec, kind) for vec in hb.cycles])
+        for hb in complex_homology(matrices, field, degrees.start)]
 
 
 def homology(P, k: int, field) -> HomologyBasis:
@@ -274,23 +268,18 @@ def bounds(P, ideal_ids, c: FormalChain) -> bool:
     """Whether the order chain c is the boundary of a chain of P supported
     in ideal_ids.
 
-    The span of the boundaries of the supported (c.dim + 1)-chains, over
-    the supported c.dim-chains, is built once per (ideal, degree, field)
-    and memoized in P's cache under ("bounds", ideal, c.dim, field), which
-    only this function writes."""
+    The span of the boundaries of the supported (c.dim + 1)-chains, keyed
+    by chain, is built once per (ideal, degree, field) and memoized in
+    P's cache under ("bounds", ideal, c.dim, field), which only this
+    function writes.  A term of c outside the ideal is in no row of the
+    span, so it stays in the residual."""
     ideal = frozenset(int(i) for i in ideal_ids)
     key = ("bounds", ideal, c.dim, c.field)
     if key not in P._cache:
-        rows = [k for k in P.chains(c.dim) if set(k) <= ideal]
-        cols = [k for k in P.chains(c.dim + 1) if set(k) <= ideal]
-        columns = boundary_columns(
-            cols, lambda k: boundary_key(k, c.field), rows)
-        P._cache[key] = ({k: i for i, k in enumerate(rows)},
-                         span(columns, c.field))
-    index, red = P._cache[key]
-    if not all(k in index for k in c.terms):
-        return False
-    return red.contains({index[k]: v for k, v in c.terms.items()})
+        P._cache[key] = span((boundary_key(k, c.field)
+                              for k in P.chains(c.dim + 1)
+                              if set(k) <= ideal), c.field)
+    return P._cache[key].contains(c.terms)
 
 
 def all_homology_ranks(P, field) -> dict[int, int]:
@@ -299,13 +288,15 @@ def all_homology_ranks(P, field) -> dict[int, int]:
     matrices are spanned top degree first with clearing, which needs only
     d_d . d_{d+1} = 0: the chains whose index is a pivot of d_{d+1}'s span
     get no column of d_d built, and the ranks are those of the full
-    matrices."""
+    matrices.  Unlike every other matrix here, the rows are chain
+    positions, not chains: the ranks do not depend on the keys, and on
+    `resolve @powers:6,1` chain-tuple rows cost about 17% more time."""
     top = P.max_chain_dim()
 
     def columns_of(i, cleared):
-        return boundary_columns(
-            [key for j, key in enumerate(P.chains(i - 1)) if j not in cleared],
-            lambda key: boundary_key(key, field), P.chains(i - 2))
+        row = {key: j for j, key in enumerate(P.chains(i - 2))}
+        return [{row[f]: v for f, v in boundary_key(key, field).items()}
+                for j, key in enumerate(P.chains(i - 1)) if j not in cleared]
     ranks = [red.rank for red in cleared_spans(columns_of, top + 2, field)]
     ranks.append(0)
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]

@@ -1,23 +1,26 @@
 """Exact sparse linear algebra over a field.
 
-Vectors are dicts {index: scalar} with zero entries dropped; indices are
-ints from some fixed basis ordering.  Scalars are plain numbers (see
-algebra): _axpy, the pivot normalization and solve's negation reduce them
-mod p over GF(p), so entries stay in [0, p).  The central object is
-Reducer, an incremental reduced-row-echelon accumulator with
-deterministic least-index pivoting.  Two column reductions drive
-everything: span, without witnesses, gives a matrix's row space and
-rank; kernel_vectors, with witnesses, streams its kernel in column
-order.  Kernels and solves are views of the witness pass.  The homology
-of a whole complex is rank-first: cleared_spans spans its boundary
-matrices from the top degree down, and a witness pass runs only in
-degrees whose homology is nonzero, stopping at the last new cycle.  The
-spans use clearing (Chen-Kerber's twist): given d_d . d_{d+1} = 0, a
-column of d_d whose index is a pivot of d_{d+1}'s span lies in the span
-of the columns after it, so it is never inserted; the rank and the RREF
-rows stay those of the full matrix.  Stored rows and kernel vectors are
-canonical for a fixed column order, so representative cycles and
-witness choices are reproducible run to run.
+Vectors are dicts {key: scalar} with zero entries dropped.  Keys are the
+basis elements themselves (ints, order-chain tuples, synor generators)
+and must sort in basis order, since every pivot is a least key.  A
+matrix is a mapping {column key: column vector}, read in insertion
+order, and kernel vectors, solutions and cycles come back keyed by
+column key.  Scalars are plain numbers (see algebra): _axpy, the pivot
+normalization and solve's negation reduce them mod p over GF(p), so
+entries stay in [0, p).  The central object is Reducer, an incremental
+reduced-row-echelon accumulator.  Two column reductions drive
+everything: span, without witnesses, gives the row space and rank of an
+iterable of columns; kernel_vectors, with witnesses, streams a matrix's
+kernel in column order.  Kernels and solves are views of the witness
+pass.  The homology of a whole complex is rank-first: cleared_spans
+spans its boundary matrices from the top degree down, and a witness pass
+runs only in degrees whose homology is nonzero, stopping at the last new
+cycle.  The spans use clearing (Chen-Kerber's twist): given d_d .
+d_{d+1} = 0, a column of d_d whose key is a pivot of d_{d+1}'s span lies
+in the span of the columns with larger keys, so it is never inserted;
+the rank and the RREF rows stay those of the full matrix.  Stored rows
+and kernel vectors are canonical for a fixed column order, so
+representative cycles and witness choices are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class Reducer:
     """Incremental RREF container with optional witness tracking.
 
     Rows are kept fully inter-reduced and pivot-normalized to 1; pivots are
-    least indices.  A witness vector rides along through the same row
+    least keys.  A witness vector rides along through the same row
     operations; for rows built from inserted vectors it records the
     combination of original inputs the row equals, which yields kernel
     vectors and solve coefficients without a second elimination pass.
@@ -50,8 +53,8 @@ class Reducer:
 
     def __init__(self, field):
         self.field = field
-        self.rows: dict[int, dict] = {}  # pivot -> row vector (row[pivot] == 1)
-        self.wits: dict[int, dict] = {}  # pivot -> witness vector
+        self.rows: dict = {}  # pivot key -> row vector (row[pivot] == 1)
+        self.wits: dict = {}  # pivot key -> witness vector
 
     @property
     def rank(self) -> int:
@@ -124,11 +127,11 @@ def cleared_spans(columns_of, count: int, field) -> list[Reducer]:
 
     Matrix i maps degree i to degree i - 1 of some grading, and the
     caller guarantees that matrix i composed with matrix i + 1 is zero.
-    columns_of(i, cleared) returns the columns of matrix i in order,
-    leaving out those whose index is in cleared.  Matrices are spanned
-    from the top down, and matrix i's cleared set is the pivots of matrix
-    i + 1's span: a row with least index j is a boundary that matrix i
-    kills, so column j lies in the span of the columns after it.  Each
+    columns_of(i, cleared) returns the columns of matrix i, leaving out
+    those whose key is in cleared.  Matrices are spanned from the top
+    down, and matrix i's cleared set is the pivots of matrix i + 1's
+    span: a row with least key j is a boundary that matrix i kills, so
+    column j lies in the span of the columns with larger keys.  Each
     Reducer has the rank and the RREF rows of its full matrix's span.
     """
     spans: list[Reducer] = []
@@ -140,39 +143,43 @@ def cleared_spans(columns_of, count: int, field) -> list[Reducer]:
     return spans[::-1]
 
 
-def kernel_vectors(columns, red: Reducer):
-    """Yield the kernel of the map e_j -> columns[j] in column order.
+def kernel_vectors(columns: dict, red: Reducer):
+    """Yield the kernel of the matrix columns in column order.
 
-    Columns are inserted into red in order with witness e_j; one that
-    reduces to zero yields its witness as a kernel vector (coefficient 1
-    on that column).  The stored rows do not depend on the witnesses, and
-    each kernel vector depends only on the columns up to its own.
+    columns maps each column key to its vector; the columns are inserted
+    into red in insertion order with witness {key: 1}, red pivoting on
+    least row keys, and one that reduces to zero yields its witness as a
+    kernel vector, keyed by column key, with coefficient 1 on its own
+    key.  The stored rows do not depend on the witnesses, and each kernel
+    vector depends only on the columns up to its own.
     """
     one = red.field.one
-    for j, col in enumerate(columns):
-        residual, wit = red.reduce(col, {j: one})
+    for key, col in columns.items():
+        residual, wit = red.reduce(col, {key: one})
         if residual:
             red._store(residual, wit)
         else:
             yield wit
 
 
-def eliminate(columns, field) -> tuple[Reducer, list[dict]]:
+def eliminate(columns: dict, field) -> tuple[Reducer, list[dict]]:
     """The span's Reducer, with witnesses, and the whole kernel."""
     red = Reducer(field)
     return red, list(kernel_vectors(columns, red))
 
 
-def kernel_basis(columns, field) -> list[dict]:
-    """Kernel of the map e_j -> columns[j], over column indices."""
+def kernel_basis(columns: dict, field) -> list[dict]:
+    """Kernel of the matrix columns, as vectors keyed by column key."""
     return eliminate(columns, field)[1]
 
 
-def solve(columns, target: dict, field) -> dict | None:
-    """Solve sum_j x_j columns[j] = target; least-pivot particular solution.
+def solve(columns: dict, target: dict, field) -> dict | None:
+    """Solve sum_j x_j columns[j] = target; least-key-pivot particular
+    solution.
 
-    Returns {j: x_j} or None when target is outside the column span.  Free
-    coordinates stay at zero, so the answer is deterministic.
+    columns maps column keys to vectors over the row keys, as target is.
+    Returns {column key: x_j} or None when target is outside the column
+    span.  Free coordinates stay at zero, so the answer is deterministic.
     """
     residual, wit = eliminate(columns, field)[0].reduce(target, {})
     if residual:
@@ -194,19 +201,21 @@ class HomologyBasis(NamedTuple):
 def complex_homology(boundaries, field, lowest: int) -> list[HomologyBasis]:
     """Homology at degrees lowest .. lowest + len(boundaries) - 2.
 
-    boundaries[i] holds the columns of the differential out of degree
-    lowest + i, each a vector over the basis one degree down; consecutive
-    differentials must compose to zero.  cleared_spans spans the matrices
-    top degree first without witnesses, d_d receiving only the dim C_d -
-    rank d_{d+1} columns that d_{d+1}'s span leaves uncleared, which gives
-    every rank h_d = dim C_d - rank d_d - rank d_{d+1}.  Only where h_d > 0
-    does a witness pass stream the kernel of the full d_d; each kernel
-    vector is reduced against the span of d_{d+1} and kept in echelon form
-    as added, until h_d cycles are found.
+    boundaries[i] is the differential out of degree lowest + i, a mapping
+    from each basis key of that degree to its vector over the basis keys
+    one degree down; consecutive differentials must compose to zero, and
+    keys must sort in basis order.  cleared_spans spans the matrices top
+    degree first without witnesses, d_d receiving only the dim C_d -
+    rank d_{d+1} columns whose keys are not pivots of d_{d+1}'s span,
+    which gives every rank h_d = dim C_d - rank d_d - rank d_{d+1}.  Only
+    where h_d > 0 does a witness pass stream the kernel of the full d_d;
+    each kernel vector is reduced against the span of d_{d+1} and kept in
+    echelon form as added, until h_d cycles, keyed by the degree's basis
+    keys, are found.
     """
     spans = cleared_spans(
-        lambda i, cleared: [col for j, col in enumerate(boundaries[i])
-                            if j not in cleared],
+        lambda i, cleared: [col for key, col in boundaries[i].items()
+                            if key not in cleared],
         len(boundaries), field)
     out = []
     for i, (cols, below, above) in enumerate(zip(boundaries, spans,
@@ -225,8 +234,8 @@ def complex_homology(boundaries, field, lowest: int) -> list[HomologyBasis]:
     return out
 
 
-def homology_of_complex(boundary_cols_k, boundary_cols_k_plus, field,
-                        dim) -> HomologyBasis:
+def homology_of_complex(boundary_cols_k: dict, boundary_cols_k_plus: dict,
+                        field, dim) -> HomologyBasis:
     """Homology in degree dim alone (see complex_homology)."""
     return complex_homology([boundary_cols_k, boundary_cols_k_plus], field,
                             dim)[0]

@@ -80,13 +80,22 @@ class Poset:
         return np.flatnonzero(~strict.any(axis=1)).tolist()
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with i covered by j."""
+        """Pairs (i, j) with i covered by j, in ascending order.
+
+        Read off the ranked up-sets: i's lowest-ranked strict upper bound
+        covers i, and dropping its up-set leaves the other covers."""
         if "covers" not in self._cache:
-            lt = self.leq & ~np.eye(self.n, dtype=bool)
-            cov = lt & ~(lt @ lt)
-            self._cache["covers"] = [
-                (int(i), int(j)) for i, j in np.argwhere(cov)
-            ]
+            order, up = _ranked_up(self)
+            out = []
+            for i, mask in enumerate(up):
+                mask &= mask - 1  # i is its own lowest-ranked upper bound
+                above = []
+                while mask:
+                    j = order[(mask & -mask).bit_length() - 1]
+                    above.append(j)
+                    mask &= ~up[j]
+                out.extend((i, j) for j in sorted(above))
+            self._cache["covers"] = out
         return self._cache["covers"]
 
     def linear_extension(self) -> tuple[int, ...]:
@@ -125,7 +134,9 @@ class Poset:
     # --- chains ---
 
     def chains(self, dim: int) -> list[tuple[int, ...]]:
-        """All strictly decreasing (d+1)-tuples; dim -1 gives the empty chain."""
+        """All strictly decreasing (d+1)-tuples, in lexicographic order (each
+        degree extends the sorted one below by ascending ids); dim -1
+        gives the empty chain."""
         key = ("chains", dim)
         if key not in self._cache:
             if dim < -1:

@@ -306,18 +306,15 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
         if m_id == L.bottom:
             continue
         m = L.monomials[m_id]
-        keep = [{int(j): t for t, j in enumerate(np.flatnonzero(d[m_id]))}
-                for d in divides]
+        keep = [set(np.flatnonzero(d[m_id]).tolist()) for d in divides]
         dims = [len(sel) for sel in keep]
         while dims and dims[-1] == 0:
             dims.pop()
             keep.pop()
 
         def columns_of(k, cleared):
-            rows = keep[k]
-            return [{rows[r]: v for r, v in by_col[k].get(c, ())
-                     if r in rows}
-                    for c, t in keep[k + 1].items() if t not in cleared]
+            return [{r: v for r, v in by_col[k].get(c, ()) if r in keep[k]}
+                    for c in keep[k + 1] if c not in cleared]
         if consistent and square_zero:
             ranks = [red.rank for red in
                      cleared_spans(columns_of, len(dims) - 1, field)]

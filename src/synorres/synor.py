@@ -39,8 +39,8 @@ import numpy as np
 
 from .algebra import DimensionError, DomainError, Monomial, ValidationError
 from .chains import (FormalChain, all_homology_ranks, basis_homology,
-                     boundary, boundary_columns, boundary_key, bounds,
-                     concat, graded_component)
+                     boundary, boundary_key, bounds, concat,
+                     graded_component)
 # Bound only so that perfbench's self-test can check that the tracer
 # wraps functions through module-level aliases.
 from .chains import homology as simplicial_homology  # noqa: F401
@@ -273,17 +273,13 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
          for face, coeff in boundary_key(key, S.field).items()), "synor")
     below = {EMPTY_GENERATOR.element,
              *(y for y in S.element_set if S.poset.le(y, key[0]))}
-    cols_basis = [g for g in S.generators(k) if g.element in below]
-    rows = [g for g in S.generators(k - 1) if g.element in below]
-    columns = boundary_columns(cols_basis, lambda g: S.delta[g].terms, rows)
-    tvec = boundary_columns([target], lambda t: t.terms, rows)[0]
-    sol = solve(columns, tvec, S.field)
+    sol = solve({g: S.delta[g].terms for g in S.generators(k)
+                 if g.element in below}, target.terms, S.field)
     if sol is None:
         raise DomainError(
             "no delta-preimage below the chain top; the restricted complex "
             "is unexpectedly not acyclic")
-    out = FormalChain(k, S.field,
-                      {cols_basis[j]: v for j, v in sol.items()}, "synor")
+    out = FormalChain(k, S.field, sol, "synor")
     S._rho[key] = out
     return out
 

@@ -27,8 +27,7 @@ diffable.
 from __future__ import annotations
 
 from .algebra import DomainError, Monomial, ValidationError
-from .chains import (FormalChain, boundary, boundary_columns, bounds,
-                     graded_component)
+from .chains import FormalChain, boundary, bounds, graded_component
 from .linalg import kernel_basis
 from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice,
                     enumerate_lattices, lattice_hash, poset_to_json)
@@ -397,19 +396,17 @@ def verify_interval_decomposition(L: LcmLattice, m: int, i1: int, i2: int,
 
 
 def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
-                        field, table: BettiTable | None = None) -> VerifyReport:
+                        field, table: BettiTable) -> VerifyReport:
     """Maximal-shift inequality with witness pairs at the extremal degree.
 
     Asserts t_{i1+i2-k} <= t_{i1} + t_{i2}.  When the left side is
     positive and i1, i2 >= 1, each multidegree realizing it is decomposed
     into a certified pair n1, n2 with lcm(n1, n2) = m and nonzero Betti
     numbers in columns i1 and i2; witness degrees are bounded by the
-    column maxima.
+    column maxima.  table is L's Betti table over field.
     """
     if k < 0 or k > min(i1, i2):
         raise DomainError("need 0 <= k <= min(i1, i2)")
-    if table is None:
-        table = betti_from_resolution(synor_resolution(L, field))
     s = i1 + i2 - k
     ts, t1, t2 = table.t(s), table.t(i1), table.t(i2)
     lines = [f"t_{s}={ts} <= t_{i1}+t_{i2}={t1}+{t2}"]
@@ -472,13 +469,9 @@ def check_bracket_vanishing(S: SynorComplex, field) -> VerifyReport:
     checked = 0
     top_dim = max(S.dims(), default=-1)
     for d in range(0, top_dim + 1):
-        basis = S.generators(d)
-        cols = boundary_columns(basis, lambda g: S.delta_of(g).terms,
-                                S.generators(d - 1))
-        for vec in kernel_basis(cols, field):
-            cycle = FormalChain(d, field,
-                                {basis[i]: v for i, v in vec.items()}, "synor")
-            t = S.phi_chain(cycle)
+        for vec in kernel_basis({g: S.delta_of(g).terms
+                                 for g in S.generators(d)}, field):
+            t = S.phi_chain(FormalChain(d, field, vec, "synor"))
             seen = set()
             for key in sorted(t.terms):
                 for j in range(d + 1):
@@ -587,11 +580,11 @@ def verify_lattice_instances(L: Lattice, field) -> tuple[bool, list[str]]:
 
 
 def sweep_lattices(max_n: int, field,
-                   counts: dict | None = None) -> tuple[bool, list[str]]:
+                   counts: dict) -> tuple[bool, list[str]]:
     """Both decomposition routes on every lattice with up to max_n
-    elements; lines are in canonical enumeration order.  A max_n that
-    would check nothing, or that passes the enumeration cap, is refused
-    before any lattice is built."""
+    elements, counted by size into counts; lines are in canonical
+    enumeration order.  A max_n that would check nothing, or that passes
+    the enumeration cap, is refused before any lattice is built."""
     if not 2 <= max_n <= LATTICE_ENUMERATION_CAP:
         raise DomainError(
             f"lattice sweeps cover 2 to {LATTICE_ENUMERATION_CAP} elements; "
@@ -603,6 +596,5 @@ def sweep_lattices(max_n: int, field,
             good, sub = verify_lattice_instances(L, field)
             ok = ok and good
             lines.extend(sub)
-            if counts is not None:
-                counts[n] = counts.get(n, 0) + 1
+            counts[n] = counts.get(n, 0) + 1
     return ok, lines

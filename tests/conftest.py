@@ -1,6 +1,9 @@
+import random
+
+import numpy as np
 import pytest
 
-from synorres import (Monomial, RationalField, build_lcm_lattice,
+from synorres import (Monomial, Poset, RationalField, build_lcm_lattice,
                       ideal_example62)
 
 
@@ -31,3 +34,26 @@ def cycle_lattice():
 def example62_lattice():
     spec = ideal_example62()
     return build_lcm_lattice(list(spec.generators), spec.variables)
+
+
+def ids_are_a_linear_extension(P) -> bool:
+    """Whether every element's id is smaller than the ids above it."""
+    return not np.tril(P.leq, -1).any()
+
+
+@pytest.fixture(scope="session")
+def relabel():
+    """relabel(P, seed): P with its ids permuted at random, reversed if
+    they still formed a linear extension, so that whenever P has a strict
+    relation the new ids are not a linear extension."""
+    def relabeled(P, seed):
+        perm = list(range(P.n))
+        random.Random(seed).shuffle(perm)
+        lt = P.leq & ~np.eye(P.n, dtype=bool)
+        if all(perm[i] < perm[j] for i, j in np.argwhere(lt)):
+            perm = [P.n - 1 - new for new in perm]
+        old = np.argsort(perm)  # old[new id] = old id
+        Q = Poset(P.leq[np.ix_(old, old)])
+        assert not lt.any() or not ids_are_a_linear_extension(Q)
+        return Q
+    return relabeled

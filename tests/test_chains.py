@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 from synorres.algebra import (DimensionError, DomainError, PrimeField,
                               RationalField, ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
-                             boundary_key, concat, graded_component, homology,
-                             normalize)
+                             boundary_key, bounds, concat, graded_component,
+                             homology, normalize)
 from synorres.corpus import MmixRandom, random_chain, random_poset
+from synorres.linalg import span
 from synorres.poset import open_interval, proper_parts
 
 QQ = RationalField()
@@ -146,3 +147,67 @@ def test_rank_only_homology_matches_cycle_bases(seed, n):
     ranks = all_homology_ranks(P, QQ)
     assert ranks == {d: homology(P, d, QQ).rank
                      for d in range(-1, P.max_chain_dim() + 1)}
+
+
+def bounds_by_index(P, ideal_ids, c):
+    """chains.bounds before keyed vectors, kept as the reference: rows are
+    positions among the supported c.dim-chains, and a term outside the
+    ideal answers False before any span is read."""
+    ideal = frozenset(int(i) for i in ideal_ids)
+    rows = [k for k in P.chains(c.dim) if set(k) <= ideal]
+    index = {k: i for i, k in enumerate(rows)}
+    if not all(k in index for k in c.terms):
+        return False
+    red = span(({index[f]: v for f, v in boundary_key(k, c.field).items()}
+                for k in P.chains(c.dim + 1) if set(k) <= ideal), c.field)
+    return red.contains({index[k]: v for k, v in c.terms.items()})
+
+
+def bounds_instance(seed, field, relabel):
+    """A random poset (ids relabeled for odd seeds), an order ideal, and a
+    chain of one degree: a boundary of ideal chains, a combination of
+    ideal chains, or a boundary of ideal chains plus a chain that leaves
+    the ideal.  Returns (P, ideal, c, whether c has a term outside)."""
+    rng = MmixRandom(seed)
+    P = random_poset(seed, 2 + rng.below(7))
+    if seed % 2:
+        P = relabel(P, seed)
+    ideal = set()
+    for x in range(P.n):
+        if rng.below(3):
+            ideal.update(P.below_or_equal(x))
+    m = rng.below(P.max_chain_dim() + 1)
+
+    def combination(d):
+        return FormalChain.combination(d, field, (
+            (field.of(1 + rng.below(4)), FormalChain.single(k, field))
+            for k in P.chains(d) if set(k) <= ideal and rng.below(2)))
+    c = boundary(combination(m + 1))
+    kind = rng.below(3)
+    if kind == 1:
+        c = combination(m)
+    outside = [k for k in P.chains(m) if not set(k) <= ideal]
+    if kind == 2 and outside:
+        c = c + FormalChain.single(outside[rng.below(len(outside))], field)
+    return P, ideal, c, not all(set(k) <= ideal for k in c.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10 ** 6),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+def test_bounds_matches_the_index_based_membership(relabel, seed, field):
+    P, ideal, c, _ = bounds_instance(seed, field, relabel)
+    assert bounds(P, ideal, c) == bounds_by_index(P, ideal, c)
+
+
+def test_bounds_cases_reach_every_outcome(relabel):
+    # boundaries, non-boundaries inside the ideal, and chains leaving it
+    for field in (QQ, PrimeField(2), PrimeField(3)):
+        seen = set()
+        for seed in range(1, 61):
+            P, ideal, c, leaves = bounds_instance(seed, field, relabel)
+            got = bounds(P, ideal, c)
+            assert got == bounds_by_index(P, ideal, c)
+            assert not (leaves and got)
+            seen.add((got, leaves))
+        assert {(True, False), (False, False), (False, True)} <= seen

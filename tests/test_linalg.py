@@ -8,7 +8,7 @@ import synorres.chains as chains
 import synorres.linalg as linalg
 
 from synorres.algebra import PrimeField, RationalField
-from synorres.chains import all_homology_ranks, boundary_columns, boundary_key
+from synorres.chains import all_homology_ranks, boundary_key
 from synorres.corpus import random_poset
 from synorres.linalg import (HomologyBasis, Reducer, cleared_spans,
                              complex_homology, eliminate, homology_of_complex,
@@ -74,7 +74,7 @@ def test_rank_mod_p_differs():
 def test_kernel_basis_annihilates():
     rows = [[1, 2, 0, 1], [0, 1, 1, 0], [1, 3, 1, 1]]
     cols = to_cols(rows, QQ)
-    basis = kernel_basis(cols, QQ)
+    basis = kernel_basis(dict(enumerate(cols)), QQ)
     assert len(basis) == 4 - rank_of(cols, QQ)
     for vec in basis:
         out = {}
@@ -86,7 +86,7 @@ def test_kernel_basis_annihilates():
 def test_solve_finds_combination():
     cols = to_cols([[1, 0], [1, 1], [0, 2]], QQ)
     target = {0: QQ.of(3), 1: QQ.of(4), 2: QQ.of(2)}
-    x = solve(cols, target, QQ)
+    x = solve(dict(enumerate(cols)), target, QQ)
     assert x is not None
     out = {}
     for j, c in x.items():
@@ -96,7 +96,44 @@ def test_solve_finds_combination():
 
 def test_solve_detects_inconsistency():
     cols = to_cols([[1], [2], [0]], QQ)
-    assert solve(cols, {2: QQ.one}, QQ) is None
+    assert solve(dict(enumerate(cols)), {2: QQ.one}, QQ) is None
+
+
+def row_keyed(vec: dict) -> dict:
+    """vec re-keyed by tuples that sort like its int keys."""
+    return {(i // 2, i % 2): v for i, v in vec.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                min_size=1, max_size=5),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]),
+       st.lists(st.integers(-2, 2), min_size=4, max_size=4))
+def test_keyed_solve_and_kernel_basis_follow_their_keys(rows, field, x):
+    # results come back keyed by column key, and keys that sort like the
+    # positions give the positions' results
+    p = field.modulus
+    cols = [{i: v for i, v in c.items() if v} for c in to_cols(rows, field)]
+    keyed = {("c", j): row_keyed(c) for j, c in enumerate(cols)}
+
+    def image(vec, columns):
+        out = {}
+        for key, c in vec.items():
+            out = vec_add(out, vec_scale(columns[key], c, p), p)
+        return out
+    kernel = kernel_basis(keyed, field)
+    assert kernel == [{("c", j): v for j, v in vec.items()}
+                      for vec in kernel_basis(dict(enumerate(cols)), field)]
+    assert len(kernel) == len(cols) - rank_of(cols, field)
+    for vec in kernel:
+        assert vec[max(vec)] == field.one and image(vec, keyed) == {}
+    target = image({j: field.of(c) for j, c in enumerate(x)},
+                   dict(enumerate(cols)))
+    sol = solve(keyed, row_keyed(target), field)
+    assert sol == {("c", j): v for j, v in
+                   solve(dict(enumerate(cols)), target, field).items()}
+    assert image(sol, keyed) == row_keyed(target)
+    assert solve(keyed, {(9, 0): field.one}, field) is None
 
 
 matrices = st.lists(
@@ -126,11 +163,11 @@ def test_reducer_witness_reconstructs(rows, field):
 def test_homology_of_circle():
     # triangle boundary: three vertices, three edges, no faces
     # d1 columns are edge boundaries in the vertex basis
-    d1 = to_cols([[-1, -1, 0], [1, 0, -1], [0, 1, 1]], QQ)
-    h1 = homology_of_complex(d1, [], QQ, 1)
+    d1 = dict(enumerate(to_cols([[-1, -1, 0], [1, 0, -1], [0, 1, 1]], QQ)))
+    h1 = homology_of_complex(d1, {}, QQ, 1)
     assert h1.rank == 1
     # full triangle kills it
-    d2 = to_cols([[1], [-1], [1]], QQ)
+    d2 = dict(enumerate(to_cols([[1], [-1], [1]], QQ)))
     assert homology_of_complex(d1, d2, QQ, 1).rank == 0
 
 
@@ -141,13 +178,13 @@ def test_one_elimination_gives_every_position(seed, field):
     # the kernel of the matrix below, reduced and kept in echelon form
     P = random_poset(seed, 3 + seed % 6)
     top = P.max_chain_dim()
-    mats = [boundary_columns(P.chains(d), lambda k: boundary_key(k, field),
-                             P.chains(d - 1)) for d in range(-1, top + 2)]
+    mats = [{k: boundary_key(k, field) for k in P.chains(d)}
+            for d in range(-1, top + 2)]
     got = complex_homology(mats, field, -1)
     assert [hb.dim for hb in got] == list(range(-1, top + 1))
     for hb, below, above in zip(got, mats, mats[1:]):
         span = Reducer(field)
-        for col in above:
+        for col in above.values():
             span.insert(col)
         assert eliminate(above, field)[0].rows == span.rows
         reps = Reducer(field)
@@ -162,7 +199,7 @@ def test_one_elimination_gives_every_position(seed, field):
 
 def random_complex(seed: int, field):
     """Boundary matrices out of degrees 0 .. top + 1 of a random complex,
-    and its homology ranks in degrees 0 .. top.
+    keyed by basis index, and its homology ranks in degrees 0 .. top.
 
     The complex is a direct sum of spheres (one basis vector, zero
     differential) and disks (an identity k[d] -> k[d - 1]) over degrees
@@ -209,7 +246,7 @@ def random_complex(seed: int, field):
         for j in range(size[d]):
             col = {i: field.of(row[j]) for i, row in enumerate(mats[d])}
             cols.append({i: v for i, v in col.items() if v})
-        boundaries.append(cols)
+        boundaries.append(dict(enumerate(cols)))
     return boundaries, [spheres[d] for d in range(0, top + 1)]
 
 
@@ -222,7 +259,7 @@ def reference_homology(boundaries, field, lowest):
     for cols in boundaries:
         red = Reducer(field)
         kernel = []
-        for j, col in enumerate(cols):
+        for j, col in cols.items():
             residual, wit = red.reduce(col, {j: field.one})
             if residual:
                 red.insert(residual, wit)
@@ -306,12 +343,12 @@ def check_cleared_spans(seed, field):
 
     def columns_of(i, cleared):
         given[i] = set(cleared)
-        return [c for j, c in enumerate(boundaries[i]) if j not in cleared]
+        return [c for j, c in boundaries[i].items() if j not in cleared]
     got = cleared_spans(columns_of, len(boundaries), field)
     assert len(got) == len(boundaries)
     assert list(given) == list(reversed(range(len(boundaries))))
     for i, (cols, red) in enumerate(zip(boundaries, got)):
-        plain = linalg.span(cols, field)
+        plain = linalg.span(cols.values(), field)
         assert red.rows == plain.rows and red.rank == plain.rank
         above = got[i + 1].rows if i + 1 < len(got) else {}
         assert given[i] == set(above)
@@ -335,10 +372,8 @@ def reference_homology_ranks(P, field):
     """all_homology_ranks before clearing: every boundary matrix built and
     ranked in full."""
     top = P.max_chain_dim()
-    ranks = [rank_of(boundary_columns(P.chains(d),
-                                      lambda key: boundary_key(key, field),
-                                      P.chains(d - 1)), field)
-             for d in range(-1, top + 1)] + [0]
+    ranks = [rank_of((boundary_key(key, field) for key in P.chains(d)),
+                     field) for d in range(-1, top + 1)] + [0]
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
             for d in range(-1, top + 1)}
 
@@ -362,9 +397,7 @@ def test_all_homology_ranks_matches_the_full_ranks(seed, n, field):
         got = all_homology_ranks(P, field)
     assert got == want
     top = P.max_chain_dim()
-    ranks = [rank_of(boundary_columns(P.chains(d),
-                                      lambda key: key_of(key, field),
-                                      P.chains(d - 1)), field)
+    ranks = [rank_of((key_of(key, field) for key in P.chains(d)), field)
              for d in range(-1, top + 2)]
     assert len(built) == sum(len(P.chains(d)) - ranks[d + 2]
                              for d in range(-1, top + 1))
