@@ -129,10 +129,11 @@ def cmd_lattice(args) -> int:
     # x is an (i-1)-synor of multiplicity beta_{i,x}: the rank of reduced
     # homology in degree i - 2 of the open interval below x
     table = betti_from_resolution(synor_resolution(L, field))
+    pd = table.projective_dimension()
     synor_rows = [
         [L.format_label(x), i - 1, b]
         for x in range(L.n) if x != L.bottom
-        for i in range(1, table.projective_dimension() + 1)
+        for i in range(1, pd + 1)
         if (b := table.beta(i, L.monomials[x]))
     ]
     payload = poset_to_json(L)
@@ -167,13 +168,12 @@ def _parse_chain(text: str, L: LcmLattice, field) -> FormalChain:
     """A decreasing chain given as monomials joined by `>`."""
     parts = [p.strip() for p in text.split(">")]
     ids = []
-    index = {m: i for i, m in enumerate(L.monomials)}
     for part in parts:
         mono = parse_monomial(part, L.variables)
-        if mono not in index:
+        if mono not in L.index:
             raise ValidationError(
                 f"{part!r} is not an element of the lcm lattice")
-        ids.append(index[mono])
+        ids.append(L.index[mono])
     for a, b in zip(ids, ids[1:]):
         if not L.lt(b, a):
             raise ValidationError(

@@ -264,12 +264,14 @@ def is_lattice(P: Poset) -> bool:
 
 
 class LcmLattice(Lattice):
-    """The lcm lattice of a monomial ideal; labels are monomials."""
+    """The lcm lattice of a monomial ideal; labels are monomials, and
+    index maps each monomial back to its id."""
 
     def __init__(self, leq, monomials, variables, atoms, validate=True):
         super().__init__(leq, labels=monomials, validate=validate)
         self.variables = tuple(variables)
         self.monomials = self.labels
+        self.index = {m: i for i, m in enumerate(self.monomials)}
         self.atoms = tuple(atoms)
 
     def format_label(self, i: int) -> str:

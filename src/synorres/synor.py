@@ -271,8 +271,7 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
         k - 1, S.field,
         ((coeff, rho(S, face))
          for face, coeff in boundary_key(key, S.field).items()), "synor")
-    below = {EMPTY_GENERATOR.element,
-             *(y for y in S.element_set if S.poset.le(y, key[0]))}
+    below = {EMPTY_GENERATOR.element, *S.poset.below_or_equal(key[0])}
     sol = solve({g: S.delta[g].terms for g in S.generators(k)
                  if g.element in below}, target.terms, S.field)
     if sol is None:

@@ -18,8 +18,15 @@ On lcm lattices the Betti table of the synor resolution yields the
 Betti-level consequences: subadditivity of maximal shifts with witness
 pairs n1, n2 whose lcm realizes the extremal multidegree, and the
 product bound on the number of shifts.  Interval witnesses are searched
-in the table and re-verified by order-complex homology, whose ranks all
-come from the lattice's one interval memo (resolution.interval_ranks).
+in the table.
+
+Each route has its own source of candidates (order-complex interval
+ranks, the supports of the shuffle terms, the Betti table), and every
+route searches them with the one pair search _first_pair, in lattice
+ids.  DecompositionWitness.verify is the one witness check: it re-reads
+both witnesses' ranks from the lattice's interval memo
+(resolution.interval_ranks) and the join from the lattice.
+
 Reports are plain objects with stable line formats so sweep output is
 diffable.
 """
@@ -47,16 +54,17 @@ class TheoremContradiction(Exception):
 
 
 class DecompositionWitness:
-    """A certified synor pair decomposing a target join.
+    """A synor pair decomposing a target join.
 
     n1 and n2 are lattice ids; target is the element their join must
     dominate (the top for the lattice statement, the interval top for
-    the Betti statement).  verify() recomputes every certified fact from
-    the lattice alone.
+    the Betti statement).  verify() is the only witness check: it
+    recomputes every claimed fact from the lattice alone, and every
+    route calls it before it returns a witness.
     """
 
     def __init__(self, lattice: Lattice, i1: int, i2: int, k: int,
-                 n1: int, n2: int, target: int, certification: dict):
+                 n1: int, n2: int, target: int):
         self.lattice = lattice
         self.i1 = i1
         self.i2 = i2
@@ -64,7 +72,6 @@ class DecompositionWitness:
         self.n1 = n1
         self.n2 = n2
         self.target = target
-        self.certification = certification
 
     def verify(self, field) -> bool:
         L = self.lattice
@@ -106,6 +113,12 @@ class VerifyReport:
         return f"VerifyReport({self.name}, ok={self.ok})"
 
 
+def _first_pair(L: Lattice, xs, ys, target: int) -> tuple[int, int] | None:
+    """The first (x, y) in xs x ys, x outermost, with x v y = target."""
+    return next(((x, y) for x in xs for y in ys
+                 if L.join_of(x, y) == target), None)
+
+
 def _map_chain(c: FormalChain, table) -> FormalChain:
     """Relabel every element of every basis chain through an id table."""
     return FormalChain(
@@ -119,8 +132,10 @@ class TopAnalysis:
     """Per-lattice workspace for decomposition checks.
 
     Holds the lattice, the poset P = L minus bottom (the synor complex
-    lives there) and the middle part (P minus top) as an id set.  Below a
-    P-id x lies the open interval (0, to_L[x]) of L, whose ranks the
+    lives there) and the middle part (P minus top) as a P-id set.  P
+    keeps L's ids in ascending order (to_L maps P-ids to lattice ids), so
+    both orders agree.  Witness searches and witnesses use lattice ids;
+    below a lattice id x lies the open interval (0, x), whose ranks the
     lattice's memo holds.  Whether a chain bounds in the middle part is
     read from chains.bounds, whose span per degree P's cache holds, so
     the nontriviality, relative-homology and step-lemma checks share it.
@@ -144,13 +159,11 @@ class TopAnalysis:
             self._S = build_synor_complex(self.P, self.field)
         return self._S
 
-    def _rank_below(self, x: int, d: int) -> int:
-        """Rank of H_d strictly below the P-id x, computed simplicially."""
-        return interval_ranks(self.L, self.to_L[x], self.field).get(d, 0)
-
     def synor_elements(self, i: int) -> list[int]:
-        """P-ids carrying nonzero H_{i-1} below, in ascending order."""
-        return [x for x in range(self.P.n) if self._rank_below(x, i - 1)]
+        """Lattice ids above the bottom carrying nonzero H_{i-1} below, in
+        ascending order; the ranks are computed simplicially."""
+        return [x for x in self.to_L
+                if interval_ranks(self.L, x, self.field).get(i - 1, 0)]
 
     def middle_ranks(self) -> dict:
         return interval_ranks(self.L, self.L.top, self.field)
@@ -186,25 +199,16 @@ class TopAnalysis:
         m = i1 + i2 - k - 1
         if not self.top_is_synor(m):
             return None
-        ys = self.synor_elements(i2 - 1)
-        for x in self.synor_elements(i1 - 1):
-            for y in ys:
-                if self.L.join_of(self.to_L[x], self.to_L[y]) == self.L.top:
-                    return self._witness(i1, i2, k, x, y, stage="bruteforce")
-        return None
+        pair = _first_pair(self.L, self.synor_elements(i1 - 1),
+                           self.synor_elements(i2 - 1), self.L.top)
+        if pair is None:
+            return None
+        return self._witness(i1, i2, k, *pair, stage="bruteforce")
 
-    def _witness(self, i1, i2, k, x, y, stage: str) -> DecompositionWitness:
-        n1, n2 = self.to_L[x], self.to_L[y]
-        cert = {
-            "rank1": self._rank_below(x, i1 - 2),
-            "rank2": self._rank_below(y, i2 - 2),
-            "join_is_top": self.L.join_of(n1, n2) == self.L.top,
-            "stage": stage,
-        }
-        w = DecompositionWitness(self.L, i1, i2, k, n1, n2,
-                                 self.L.top, cert)
-        if not (cert["rank1"] > 0 and cert["rank2"] > 0
-                and cert["join_is_top"]):
+    def _witness(self, i1, i2, k, n1, n2, stage: str) -> DecompositionWitness:
+        """The witness at lattice ids n1, n2, checked by its verify()."""
+        w = DecompositionWitness(self.L, i1, i2, k, n1, n2, self.L.top)
+        if not w.verify(self.field):
             raise TheoremContradiction(
                 "witness certification failed",
                 self._payload(i1, i2, k, stage, witness=(n1, n2)))
@@ -264,38 +268,31 @@ class TopAnalysis:
                 "shuffle sum never reaches the top",
                 self._payload(i1, i2, k, "top-component"))
 
-        def certified(w):
-            w.certification.update(relative_nontrivial=True,
-                                   homologous_rel_middle=True,
-                                   top_component_nonzero=True)
-            return w
-
+        top = self.L.top
         for chi in sorted(reps):
             zeta = reps[chi]
-            xs = sorted({h.element for h in rho(self.S, chi).terms})
+            xs = sorted({self.to_L[h.element] for h in rho(self.S, chi).terms})
             if zeta.dim == -1:
-                if self.top in xs:
-                    return certified(
-                        self._lifted_witness(i1, i2, k, chi, self.top))
+                if top in xs:
+                    return self._lifted_witness(i1, i2, k, chi, top)
                 continue
-            ys = sorted({h.element for h in zeta.terms})
-            for x in xs:
-                for y in ys:
-                    if self.L.join_of(self.to_L[x], self.to_L[y]) == self.L.top:
-                        if k == 0:
-                            return certified(self._witness(
-                                i1, i2, k, x, y, stage="constructive"))
-                        return certified(
-                            self._lifted_witness(i1, i2, k, chi, x))
+            ys = sorted({self.to_L[h.element] for h in zeta.terms})
+            pair = _first_pair(self.L, xs, ys, top)
+            if pair is None:
+                continue
+            if k == 0:
+                return self._witness(i1, i2, k, *pair, stage="constructive")
+            return self._lifted_witness(i1, i2, k, chi, pair[0])
         raise TheoremContradiction(
             "no join-reaching pair in any shuffle term",
             self._payload(i1, i2, k, "witness-scan"))
 
-    def _lifted_witness(self, i1, i2, k, chi, x) -> DecompositionWitness:
+    def _lifted_witness(self, i1, i2, k, chi, n1) -> DecompositionWitness:
         """For k >= 1 the second witness is the prefix element whose
-        position from the top makes it an (i2-1)-synor."""
-        z = chi[i1 - k]
-        return self._witness(i1, i2, k, x, z, stage="constructive-lifted")
+        position from the top makes it an (i2-1)-synor; n1 is a lattice
+        id, chi a chain of P-ids."""
+        n2 = self.to_L[chi[i1 - k]]
+        return self._witness(i1, i2, k, n1, n2, stage="constructive-lifted")
 
     # --- the step lemma ---
 
@@ -339,32 +336,26 @@ def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
     """Decompose the element m inside its closed interval [0, m].
 
     The (i-1)-synors of that interval are the x <= m with beta_{i,x} > 0,
-    so the search reads the Betti table: the first pair x, y <= m in
-    ascending ids, x outermost, with beta_{i1,x} > 0, beta_{i2,y} > 0 and
-    x v y = m.  The pair is then re-verified by order-complex homology.
-    Raises TheoremContradiction if beta_{i1+i2-k,m} = 0, if no pair
-    exists, or if the re-verification fails.
+    so the candidates come from the Betti table: _first_pair searches
+    the synors below m in ascending ids, x outermost, for x v y = m.
+    The pair is then re-verified by order-complex homology.  Raises
+    TheoremContradiction if beta_{i1+i2-k,m} = 0, if no pair exists, or
+    if the re-verification fails.
     """
-    def beta(i, x):
-        return table.beta(i, L.monomials[x])
-
     def payload(stage):
         return {"lattice": poset_to_json(L), "m": m,
                 "i1": i1, "i2": i2, "k": k, "stage": stage}
 
-    below = [x for x in range(L.n) if L.le(x, m)]
     pair = None
-    if beta(i1 + i2 - k, m):
-        pair = next(((x, y) for x in below if beta(i1, x)
-                     for y in below if beta(i2, y) and L.join_of(x, y) == m),
-                    None)
+    if table.beta(i1 + i2 - k, L.monomials[m]):
+        below = L.below_or_equal(m)
+        xs, ys = ([x for x in below if table.beta(i, L.monomials[x])]
+                  for i in (i1, i2))
+        pair = _first_pair(L, xs, ys, m)
     if pair is None:
         raise TheoremContradiction("no synor pair joins to the interval top",
                                    payload("interval-search"))
-    n1, n2 = pair
-    cert = {"rank1": beta(i1, n1), "rank2": beta(i2, n2),
-            "join_is_top": True, "stage": "interval-search"}
-    out = DecompositionWitness(L, i1, i2, k, n1, n2, m, cert)
+    out = DecompositionWitness(L, i1, i2, k, *pair, m)
     if not out.verify(field):
         raise TheoremContradiction("interval witness failed re-verification",
                                    payload("interval-reverify"))
@@ -382,9 +373,9 @@ def verify_interval_decomposition(L: LcmLattice, m: int, i1: int, i2: int,
     if not isinstance(L, LcmLattice):
         raise DomainError("Betti-level decomposition needs an lcm lattice")
     if isinstance(m, Monomial):
-        if m not in L.monomials:
+        if m not in L.index:
             raise DomainError("target monomial is not a lattice element")
-        m = L.monomials.index(m)
+        m = L.index[m]
     if i1 < 1 or i2 < 1:
         raise DomainError("need i1 >= 1 and i2 >= 1")
     table = betti_from_resolution(synor_resolution(L, field))
@@ -413,11 +404,10 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
     ok = ts <= t1 + t2
     witnesses = []
     if ok and ts > 0 and i1 >= 1 and i2 >= 1:
-        monomial_of = {m: i for i, m in enumerate(L.monomials)}
         for (j, mono), _v in sorted(table.entries.items()):
             if j != s or mono.degree() != ts:
                 continue
-            m_id = monomial_of[mono]
+            m_id = L.index[mono]
             w = _interval_witness(L, m_id, i1, i2, k, field, table)
             d1 = L.monomials[w.n1].degree()
             d2 = L.monomials[w.n2].degree()
@@ -532,13 +522,12 @@ def verify_intervals(L: LcmLattice, field) -> tuple[bool, list[str]]:
     each split i1 + i2 of a column with nonzero entry at m, a certified
     pair with lcm dominating m.  One line per instance."""
     table = betti_from_resolution(synor_resolution(L, field))
-    monomial_of = {m: i for i, m in enumerate(L.monomials)}
     ok = True
     lines = []
     for (i, mono), _v in sorted(table.entries.items()):
         if i < 2:
             continue
-        m_id = monomial_of[mono]
+        m_id = L.index[mono]
         for i1 in range(1, i):
             i2 = i - i1
             try:

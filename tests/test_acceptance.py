@@ -19,8 +19,7 @@ from synorres.shuffle import check_chain_map
 from synorres.synor import build_synor_complex, synors
 from synorres.verify import (check_bracket_vanishing, check_class_sums,
                              check_shift_count_bound, check_subadditivity,
-                             sweep_lattices, verify_intervals,
-                             verify_lattice_instances)
+                             sweep_lattices, verify_intervals)
 
 QQ = RationalField()
 RESULTS = []

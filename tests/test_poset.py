@@ -217,6 +217,9 @@ def test_lcm_lattice_order_and_join_are_divisibility_and_lcm(spec):
         for b in range(L.n):
             assert L.le(a, b) == mons[a].divides(mons[b])
             assert mons[L.join_of(a, b)] == mons[a].lcm(mons[b])
+    back = poset_from_json(poset_to_json(L))
+    for M in (L, back):
+        assert all(M.index[M.monomials[i]] == i for i in range(M.n))
 
 
 @settings(max_examples=40, deadline=None)

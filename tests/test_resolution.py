@@ -9,9 +9,9 @@ import synorres.resolution as resolution
 from synorres.algebra import Monomial, PrimeField, RationalField
 from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
 from synorres.poset import build_lcm_lattice, proper_parts
-from synorres.resolution import (BettiTable, betti_from_intervals,
-                                 betti_from_resolution, certify_resolution,
-                                 resolution_to_json, synor_resolution)
+from synorres.resolution import (betti_from_intervals, betti_from_resolution,
+                                 certify_resolution, resolution_to_json,
+                                 synor_resolution)
 from synorres.synor import build_synor_complex
 
 QQ = RationalField()

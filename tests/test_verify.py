@@ -7,9 +7,8 @@ import pytest
 from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
 from synorres import chains, verify
 from synorres.cli import main
-from synorres.corpus import (ideal_example62, ideal_kpq, ideal_powers,
-                             random_ideal)
-from synorres.poset import Lattice, build_lcm_lattice, enumerate_lattices
+from synorres.corpus import ideal_example62, ideal_kpq
+from synorres.poset import Lattice, build_lcm_lattice
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
                                  synor_resolution)
 from synorres.verify import (DecompositionWitness, TheoremContradiction,
@@ -55,8 +54,6 @@ def test_constructive_matches_hypotheses(example62_lattice):
         w = ana.constructive(*triple)
         assert w is not None
         assert w.verify(QQ)
-        assert w.certification["relative_nontrivial"]
-        assert w.certification["top_component_nonzero"]
 
 
 def test_decomposition_wrappers(cycle_lattice):
@@ -89,9 +86,22 @@ def test_witness_verify_rejects_tampering(cycle_lattice):
     w = ana.bruteforce(1, 1, 0)
     assert w.verify(QQ)
     bad = DecompositionWitness(cycle_lattice, w.i1, w.i2, w.k,
-                               cycle_lattice.bottom, w.n2, w.target,
-                               dict(w.certification))
+                               cycle_lattice.bottom, w.n2, w.target)
     assert not bad.verify(QQ)
+
+
+def test_routes_raise_when_their_witness_fails_verify(cycle_lattice,
+                                                      monkeypatch):
+    # every TopAnalysis route checks its witness through verify() alone
+    ana = TopAnalysis(cycle_lattice, QQ)
+    monkeypatch.setattr(DecompositionWitness, "verify",
+                        lambda self, field=None: False)
+    for route, stage in ((ana.bruteforce, "bruteforce"),
+                         (ana.constructive, "constructive")):
+        with pytest.raises(TheoremContradiction) as e:
+            route(1, 1, 0)
+        assert e.value.payload["stage"] == stage
+        assert str(e.value) == "witness certification failed"
 
 
 def test_step_lemma_small_and_example(cycle_lattice, example62_lattice):
