@@ -3,13 +3,15 @@
 Module map:
   algebra     exact fields (Q, F_p), monomials, parsing
   linalg      sparse exact elimination, kernels, homology ranks
-  poset       posets, lattices, lcm lattices, enumeration, isomorphism
+  poset       posets, lattices minus their bottom, lcm lattices,
+              enumeration, isomorphism
   chains      formal chains of several kinds, boundaries, order homology
-  shuffle     shuffle products of order chains with join-prefixes
+  shuffle     shuffle products of lattice chains, the chain-map check
   synor       synor complexes, the embedding phi, rho lifts, brackets
   resolution  Betti tables, the resolution functor, certification
   corpus      named ideal families and deterministic random instances
-  verify      theorem drivers: decomposition, subadditivity, sweeps
+  verify      theorem drivers: top and interval decomposition witnesses,
+              subadditivity, shift counts, brackets, lattice sweeps
   cli         the `synorres` command
 """
 
@@ -23,7 +25,7 @@ from .corpus import (IdealSpec, MmixRandom, corpus_ideals, ideal_example62,
 from .poset import (Lattice, LcmLattice, Poset, build_lcm_lattice,
                     enumerate_lattices, is_isomorphic, lattice_hash,
                     open_interval, poset_from_json, poset_to_json,
-                    proper_parts)
+                    without_bottom)
 from .resolution import (BettiTable, FreeResolution, betti_from_intervals,
                          betti_from_resolution, certify_resolution,
                          resolution_to_json, synor_resolution)
@@ -34,7 +36,7 @@ from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
 from .verify import (DecompositionWitness, TheoremContradiction, TopAnalysis,
                      check_bracket_vanishing, check_class_sums,
                      check_shift_count_bound, check_subadditivity,
-                     sweep_lattices, verify_interval_decomposition,
-                     verify_intervals, verify_lattice_instances)
+                     sweep_lattices, verify_intervals,
+                     verify_lattice_instances)
 
 __version__ = "0.1.0"

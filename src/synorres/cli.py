@@ -23,7 +23,7 @@ from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
                      parse_ideal_text, random_ideal, random_poset)
 from . import poset
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
-                    poset_to_json, proper_parts)
+                    poset_to_json, without_bottom)
 from .resolution import (betti_from_intervals, betti_from_resolution,
                          certify_resolution, resolution_to_json,
                          synor_resolution)
@@ -153,8 +153,7 @@ def cmd_lattice(args) -> int:
 def cmd_synor(args) -> int:
     L = lattice_of(load_ideal(args.input))
     field = field_from_flag(args.field)
-    upper, _ = proper_parts(L)
-    S = build_synor_complex(upper, field)
+    S = build_synor_complex(without_bottom(L), field)
     payload = synor_to_json(S, variables=L.variables)
     counts = {d: len(S.generators(d)) for d in S.dims()}
     lines = [f"generators by dimension: "
@@ -279,7 +278,7 @@ def _verify_properties(args) -> tuple[bool, list[str]]:
         ranks_ok = all(
             hb.rank == simplicial.get(hb.dim, 0)
             for hb in basis_homology(sub.generators,
-                                     lambda g: S.delta_of(g).terms, field,
+                                     lambda g: S.delta[g].terms, field,
                                      range(-1, top_dim + 2), "synor"))
         bracket_rep = check_bracket_vanishing(S, field)
         good = counts_ok and ranks_ok and bracket_rep.ok

@@ -3,7 +3,9 @@
 A Poset is a frozen boolean matrix leq with leq[i, j] true iff element i
 is below element j, plus optional labels.  Lattices add bottom and top,
 and read joins off ranked up-set bitmasks of the order, built on the
-first join.  The lcm lattice of a monomial ideal has
+first join.  A lattice's synor complex lives on L minus its bottom
+(without_bottom), an induced subposet that keeps L's ids in ascending
+order.  The lcm lattice of a monomial ideal has
 elements the lcms of subsets of the minimal generators, ordered by
 divisibility, with join = lcm; its element ids are assigned in
 lexicographic order of exponent vectors, which puts the bottom (the unit
@@ -215,12 +217,6 @@ class Lattice(Poset):
         u = up[a] & up[b]
         return order[(u & -u).bit_length() - 1]
 
-    def join_all(self, ids) -> int:
-        x = self.bottom
-        for i in ids:
-            x = self.join_of(x, i)
-        return x
-
 
 def _unique(mask, what: str) -> int:
     """The one id where mask is true: a lattice's bottom or top."""
@@ -350,15 +346,13 @@ def open_interval(L: Poset, a: int, b: int) -> Poset:
     return L.sub(np.flatnonzero(inside).tolist())
 
 
-def proper_parts(L: Lattice) -> tuple[Poset, Poset]:
-    """(L minus bottom, L minus bottom and top).
+def without_bottom(L: Lattice) -> Poset:
+    """L minus its bottom, the poset that carries L's synor complex.
 
-    The first still contains the top, so the top's synors are defined;
-    the second is the open interval (bottom, top).
+    It keeps the top, so the top's synors are defined; the open interval
+    (bottom, top) is open_interval(L, L.bottom, L.top).
     """
-    no_bottom = L.sub([i for i in range(L.n) if i != L.bottom])
-    middle = L.sub([i for i in range(L.n) if i not in (L.bottom, L.top)])
-    return no_bottom, middle
+    return L.sub([i for i in range(L.n) if i != L.bottom])
 
 
 # --- enumeration of small lattices up to isomorphism ---

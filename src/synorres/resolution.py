@@ -22,7 +22,7 @@ import numpy as np
 from .algebra import Monomial, ValidationError
 from .chains import all_homology_ranks
 from .linalg import cleared_spans, rank_of
-from .poset import Lattice, LcmLattice, open_interval, proper_parts
+from .poset import Lattice, LcmLattice, open_interval, without_bottom
 from .synor import EMPTY_GENERATOR, build_synor_complex
 
 
@@ -170,7 +170,7 @@ def synor_resolution(L: LcmLattice, field) -> FreeResolution:
     of the synor differential, with each entry scaled by the quotient of
     its column and row labels, is the resolution differential.
     """
-    upper, _middle = proper_parts(L)
+    upper = without_bottom(L)
     S = build_synor_complex(upper, field)
 
     def label_of(g):
@@ -186,7 +186,7 @@ def synor_resolution(L: LcmLattice, field) -> FreeResolution:
         rows = {g: r for r, g in enumerate(bases[k])}
         mat = {}
         for c, g in enumerate(bases[k + 1]):
-            for h, v in S.delta_of(g).terms.items():
+            for h, v in S.delta[g].terms.items():
                 mono = label_of(g).quotient(label_of(h))
                 mat[(rows[h], c)] = (mono, v)
         differentials.append(mat)

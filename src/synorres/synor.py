@@ -89,9 +89,6 @@ class SynorComplex:
 
     # --- differential and embedding ---
 
-    def delta_of(self, g: Generator) -> FormalChain:
-        return self.delta[g]
-
     def delta_chain(self, chain: FormalChain) -> FormalChain:
         if chain.kind != "synor":
             raise ValidationError("expected a synor chain")

@@ -18,14 +18,17 @@ On lcm lattices the Betti table of the synor resolution yields the
 Betti-level consequences: subadditivity of maximal shifts with witness
 pairs n1, n2 whose lcm realizes the extremal multidegree, and the
 product bound on the number of shifts.  Interval witnesses are searched
-in the table.
+in the table by _interval_witness, which verify_intervals runs at every
+multidegree and split of the table, and check_subadditivity at each
+multidegree of extremal degree.
 
 Each route has its own source of candidates (order-complex interval
 ranks, the supports of the shuffle terms, the Betti table), and every
 route searches them with the one pair search _first_pair, in lattice
 ids.  DecompositionWitness.verify is the one witness check: it re-reads
 both witnesses' ranks from the lattice's interval memo
-(resolution.interval_ranks) and the join from the lattice.
+(resolution.interval_ranks) and the join from the lattice.  No caller
+re-checks a witness that a route has returned.
 
 Reports are plain objects with stable line formats so sweep output is
 diffable.
@@ -33,11 +36,12 @@ diffable.
 
 from __future__ import annotations
 
-from .algebra import DomainError, Monomial, ValidationError
+from .algebra import DomainError, ValidationError
 from .chains import FormalChain, boundary, bounds, graded_component
 from .linalg import kernel_basis
 from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice,
-                    enumerate_lattices, lattice_hash, poset_to_json)
+                    enumerate_lattices, lattice_hash, poset_to_json,
+                    without_bottom)
 from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
                          synor_resolution)
 from .shuffle import shuffle_product
@@ -146,7 +150,7 @@ class TopAnalysis:
             raise DomainError("need a lattice with distinct bottom and top")
         self.L = L
         self.field = field
-        self.P = L.sub([i for i in range(L.n) if i != L.bottom])
+        self.P = without_bottom(L)
         self.to_L = self.P.origin
         self.from_L = {v: i for i, v in enumerate(self.to_L)}
         self.top = self.from_L[L.top]
@@ -167,9 +171,6 @@ class TopAnalysis:
 
     def middle_ranks(self) -> dict:
         return interval_ranks(self.L, self.L.top, self.field)
-
-    def top_is_synor(self, m: int) -> bool:
-        return self.middle_ranks().get(m - 1, 0) > 0
 
     def valid_triples(self) -> list[tuple[int, int, int]]:
         """All (i1, i2, k) whose hypothesis holds for this lattice."""
@@ -197,7 +198,7 @@ class TopAnalysis:
         """Exhaustive synor-pair search; the oracle side of the theorem."""
         self._check_params(i1, i2, k)
         m = i1 + i2 - k - 1
-        if not self.top_is_synor(m):
+        if not self.middle_ranks().get(m - 1, 0):
             return None
         pair = _first_pair(self.L, self.synor_elements(i1 - 1),
                            self.synor_elements(i2 - 1), self.L.top)
@@ -242,7 +243,7 @@ class TopAnalysis:
         # the boundary of the principal chain represents a nonzero class
         # of the middle part, which is what makes the relative class of
         # the chain itself nonzero
-        zeta_phi = self.S.phi_chain(self.S.delta_of(g))
+        zeta_phi = self.S.phi_chain(self.S.delta[g])
         if bounds(self.P, self.middle, zeta_phi):
             raise TheoremContradiction(
                 "principal chain has trivial relative class",
@@ -362,39 +363,16 @@ def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
     return out
 
 
-def verify_interval_decomposition(L: LcmLattice, m: int, i1: int, i2: int,
-                                  field) -> DecompositionWitness:
-    """Betti-level decomposition: a certified pair joining to m.
-
-    Requires beta_{i1+i2,m} > 0, read off the synor resolution; the
-    witness pair is found inside the closed interval [0, m] and
-    re-verified by order-complex homology.
-    """
-    if not isinstance(L, LcmLattice):
-        raise DomainError("Betti-level decomposition needs an lcm lattice")
-    if isinstance(m, Monomial):
-        if m not in L.index:
-            raise DomainError("target monomial is not a lattice element")
-        m = L.index[m]
-    if i1 < 1 or i2 < 1:
-        raise DomainError("need i1 >= 1 and i2 >= 1")
-    table = betti_from_resolution(synor_resolution(L, field))
-    if not table.beta(i1 + i2, L.monomials[m]):
-        raise DomainError(
-            "open interval below the target has no homology in the "
-            "required degree")
-    return _interval_witness(L, m, i1, i2, 0, field, table)
-
-
 def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
                         field, table: BettiTable) -> VerifyReport:
     """Maximal-shift inequality with witness pairs at the extremal degree.
 
-    Asserts t_{i1+i2-k} <= t_{i1} + t_{i2}.  When the left side is
-    positive and i1, i2 >= 1, each multidegree realizing it is decomposed
-    into a certified pair n1, n2 with lcm(n1, n2) = m and nonzero Betti
-    numbers in columns i1 and i2; witness degrees are bounded by the
-    column maxima.  table is L's Betti table over field.
+    Asserts t_{i1+i2-k} <= t_{i1} + t_{i2}.  When it holds, the left
+    side is positive and i1, i2 >= 1, _interval_witness decomposes each
+    multidegree m realizing it into a certified pair n1, n2 with
+    lcm(n1, n2) = m and nonzero Betti numbers in columns i1 and i2, so
+    each witness degree is at most its column's t and the report fails
+    only when the inequality does.  table is L's Betti table over field.
     """
     if k < 0 or k > min(i1, i2):
         raise DomainError("need 0 <= k <= min(i1, i2)")
@@ -407,24 +385,14 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
         for (j, mono), _v in sorted(table.entries.items()):
             if j != s or mono.degree() != ts:
                 continue
-            m_id = L.index[mono]
-            w = _interval_witness(L, m_id, i1, i2, k, field, table)
-            d1 = L.monomials[w.n1].degree()
-            d2 = L.monomials[w.n2].degree()
-            degree_ok = (d1 <= t1 and d2 <= t2 and
-                         L.join_of(w.n1, w.n2) == m_id)
-            betti_ok = (table.beta(i1, L.monomials[w.n1]) > 0 and
-                        table.beta(i2, L.monomials[w.n2]) > 0)
-            if not (degree_ok and betti_ok):
-                ok = False
-                lines.append(f"witness check failed at "
-                             f"{mono.format(L.variables)}")
+            w = _interval_witness(L, L.index[mono], i1, i2, k, field, table)
             witnesses.append(w)
+            n1, n2 = L.monomials[w.n1], L.monomials[w.n2]
             lines.append(
                 f"m={mono.format(L.variables)} -> "
-                f"n1={L.format_label(w.n1)} (deg {d1}), "
-                f"n2={L.format_label(w.n2)} (deg {d2})")
-    if not ok and ts > t1 + t2:
+                f"n1={n1.format(L.variables)} (deg {n1.degree()}), "
+                f"n2={n2.format(L.variables)} (deg {n2.degree()})")
+    if not ok:
         lines.append("inequality violated")
     return VerifyReport("subadditivity", ok, lines,
                         {"t": (ts, t1, t2), "witnesses": witnesses})
@@ -459,7 +427,7 @@ def check_bracket_vanishing(S: SynorComplex, field) -> VerifyReport:
     checked = 0
     top_dim = max(S.dims(), default=-1)
     for d in range(0, top_dim + 1):
-        for vec in kernel_basis({g: S.delta_of(g).terms
+        for vec in kernel_basis({g: S.delta[g].terms
                                  for g in S.generators(d)}, field):
             t = S.phi_chain(FormalChain(d, field, vec, "synor"))
             seen = set()

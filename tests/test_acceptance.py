@@ -12,7 +12,7 @@ from synorres.algebra import Monomial, PrimeField, RationalField
 from synorres.chains import all_homology_ranks
 from synorres.corpus import (MmixRandom, corpus_ideals, ideal_powers,
                              random_chain, random_ideal, random_poset)
-from synorres.poset import build_lcm_lattice, proper_parts
+from synorres.poset import build_lcm_lattice, without_bottom
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
                                  certify_resolution, synor_resolution)
 from synorres.shuffle import check_chain_map
@@ -190,7 +190,7 @@ def test_criterion_08_synor_soundness():
         S, counts_ok = _s1_counts_match(P)
         ok = ok and counts_ok and _s2_matches(P, S, rng)
     for spec, L in corpus_lattices():
-        upper, _ = proper_parts(L)
+        upper = without_bottom(L)
         S, counts_ok = _s1_counts_match(upper)
         ok = ok and counts_ok and _s2_matches(upper, S, rng)
     note(8, "synor-complex-soundness", ok)
@@ -205,7 +205,7 @@ def test_criterion_09_bracket_lemmas():
             ok = False
     controls = 0
     for spec, L in corpus_lattices():
-        upper, _ = proper_parts(L)
+        upper = without_bottom(L)
         S = build_synor_complex(upper, QQ)
         for d in S.dims():
             if d < 1:

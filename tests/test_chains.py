@@ -9,7 +9,7 @@ from synorres.chains import (FormalChain, all_homology_ranks, boundary,
                              homology, normalize)
 from synorres.corpus import MmixRandom, random_chain, random_poset
 from synorres.linalg import span
-from synorres.poset import open_interval, proper_parts
+from synorres.poset import open_interval
 
 QQ = RationalField()
 
@@ -116,7 +116,8 @@ def test_homology_of_antichain():
 
 def test_homology_of_cycle_middle(cycle_lattice):
     # middle part of the cycle lattice is a 3-antichain
-    _, middle = proper_parts(cycle_lattice)
+    L = cycle_lattice
+    middle = open_interval(L, L.bottom, L.top)
     ranks = all_homology_ranks(middle, QQ)
     assert ranks.get(0, 0) == 2
     assert all(r == 0 for d, r in ranks.items() if d != 0)
@@ -133,7 +134,8 @@ def test_homology_of_open_interval_example62(example62_lattice):
 
 
 def test_homology_representatives_are_cycles(cycle_lattice):
-    _, middle = proper_parts(cycle_lattice)
+    L = cycle_lattice
+    middle = open_interval(L, L.bottom, L.top)
     basis = homology(middle, 0, QQ)
     assert basis.rank == len(basis.cycles) == 2
     for z in basis.cycles:

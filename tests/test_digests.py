@@ -9,8 +9,9 @@ at every element, so the three-cycle ideal (xy, xz, yz), whose top
 carries two classes, pins how a basis of several cycles is chosen.
 
 A second set pins the outputs that read joins or the lattice
-enumeration: the decomposition witnesses, the enumerated lattices with
-their hashes, the lattice dump, and a shuffle product's suffix joins.
+enumeration: the decomposition witnesses, the subadditivity witness
+lines, the enumerated lattices with their hashes, the lattice dump, and
+a shuffle product's suffix joins.
 """
 
 import hashlib
@@ -85,6 +86,14 @@ ARGV_DIGESTS = {
         "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
     ("verify", "decomposition", "@kpq:3,2", "--field", "2"):
         "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
+    ("verify", "subadditivity", "@example62", "--field", "q"):
+        "9b89fb642545e11c9ce95ad622885687729fe7515367d698dd768d5de6c0b985",
+    ("verify", "subadditivity", "@example62", "--field", "2"):
+        "9b89fb642545e11c9ce95ad622885687729fe7515367d698dd768d5de6c0b985",
+    ("verify", "subadditivity", "@kpq:4,3", "--field", "q"):
+        "d51b5b52e9d4be1c0d920b531e67abdfde9bc0e8fe564b89245a63953877c86e",
+    ("verify", "subadditivity", "@kpq:4,3", "--field", "2"):
+        "d51b5b52e9d4be1c0d920b531e67abdfde9bc0e8fe564b89245a63953877c86e",
     ("lattice", "@kpq:4,3", "--format", "json"):
         "40a271c1264aed7eb406b795a461cb2a98baf7ca7e5dc98c84676f757d54aeda",
     ("shuffle-demo", "@powers:3,1", "x1*x2>x1", "x3", "--format", "json"):

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module imports is used in that module.
 
-An AST scan, so it needs no linter: a name counts as used when it is
-read anywhere in the module, in a string annotation included.  An import
-line marked `# noqa: F401` is exempt, and so is the package's
+The scan covers the package's modules, the test files and the demos.
+It is an AST scan, so it needs no linter: a name counts as used when it
+is read anywhere in the module, in a string annotation included.  An
+import line marked `# noqa: F401` is exempt, and so is the package's
 `__init__.py`, whose imports are its public interface.
 """
 
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "synorres"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "synorres"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def annotations(tree):
@@ -54,7 +57,7 @@ def unused_imports(source: str) -> list[str]:
         imported.items(), key=lambda item: item[1]) if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + SCRIPTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

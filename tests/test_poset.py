@@ -15,7 +15,7 @@ from synorres.poset import (Lattice, Poset, _bounded_closure,
                             build_lcm_lattice, canonical_form,
                             enumerate_lattices, is_isomorphic, is_lattice,
                             lattice_hash, open_interval, poset_from_json,
-                            poset_to_json, proper_parts)
+                            poset_to_json, without_bottom)
 
 
 def boolean_lattice(n):
@@ -110,8 +110,7 @@ def test_join_meet_tables():
     assert B3.bottom == 0
     assert B3.top == 7
     assert B3.join_of(1, 2) == 3
-    assert B3.join_all([]) == B3.bottom
-    assert B3.join_all([1, 2, 4]) == 7
+    assert B3.join_of(B3.join_of(1, 2), 4) == 7
 
 
 def test_is_lattice_rejects_diamondless():
@@ -370,14 +369,13 @@ def test_ids_in_lex_order(example62_lattice):
     assert L.top == L.n - 1
 
 
-def test_open_interval_and_proper_parts(cycle_lattice):
+def test_open_interval_and_without_bottom(cycle_lattice):
     L = cycle_lattice
     inside = open_interval(L, L.bottom, L.top)
-    assert inside.n == 3  # the three atoms
-    upper, middle = proper_parts(L)
+    assert inside.n == L.n - 2 == 3  # the three atoms
+    upper = without_bottom(L)
     assert upper.n == L.n - 1
-    assert middle.n == L.n - 2
-    assert 0 not in upper.origin
+    assert upper.origin == tuple(range(1, L.n))  # L's ids, bottom 0 left out
 
 
 def test_enumeration_counts():

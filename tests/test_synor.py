@@ -10,7 +10,7 @@ from synorres.chains import (FormalChain, all_homology_ranks, boundary,
 from synorres.corpus import MmixRandom, random_ideal, random_poset
 from synorres.linalg import Reducer, kernel_basis
 from synorres.poset import (Poset, build_lcm_lattice, enumerate_lattices,
-                            proper_parts)
+                            without_bottom)
 from synorres.synor import (EMPTY_GENERATOR, SynorComplex, bracket,
                             build_synor_complex, ell_representation,
                             homologous_in_pair, rho, rho_chain, synor_to_json,
@@ -31,7 +31,7 @@ def test_synors_of_antichain_and_chain():
 
 
 def test_cycle_lattice_synors(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     found = synors(upper, QQ)
     # three atoms as 0-synors, top a 1-synor of multiplicity 2
     top = upper.n - 1
@@ -40,7 +40,7 @@ def test_cycle_lattice_synors(cycle_lattice):
 
 
 def test_build_dims_on_cycle_lattice(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     dims = {d: len(S.generators(d)) for d in S.dims()}
     assert dims == {-1: 1, 0: 3, 1: 2}
@@ -101,9 +101,9 @@ def test_build_on_relabeled_posets(relabel, seed, field):
     S = check_s1(P, field)
     for d in S.dims():
         for g in S.generators(d):
-            assert S.delta_chain(S.delta_of(g)).is_zero()
+            assert S.delta_chain(S.delta[g]).is_zero()
             assert all(h.element < 0 or P.lt(h.element, g.element)
-                       for h in S.delta_of(g).terms)
+                       for h in S.delta[g].terms)
     for key in P.chains(1) + P.chains(2):
         assert S.delta_chain(rho(S, key)) == rho_chain(
             S, boundary(FormalChain.single(key, field)))
@@ -125,18 +125,18 @@ def test_principal_weak_ideals_are_acyclic():
 
 
 def test_strict_grading_and_phi_chain_map(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     for d in S.dims():
         if d < 0:
             continue
         for g in S.generators(d):
-            for h, coeff in S.delta_of(g).items():
+            for h, coeff in S.delta[g].items():
                 assert coeff != QQ.zero
                 if h.element >= 0:
                     assert upper.lt(h.element, g.element)
             # embedding intertwines the differentials
-            assert boundary(S.phi(g)) == S.phi_chain(S.delta_of(g))
+            assert boundary(S.phi(g)) == S.phi_chain(S.delta[g])
             # graded at the generator's element: every top is g.element
             for key in S.phi(g).support():
                 assert key[0] == g.element
@@ -168,7 +168,7 @@ def test_build_spans_top_down_with_clearing_and_finds_cycles_where_homology_is_n
         return kernel_vectors(columns, red)
     monkeypatch.setattr(linalg, "span", spanned)
     monkeypatch.setattr(linalg, "kernel_vectors", streamed)
-    upper, _ = proper_parts(example62_lattice)
+    upper = without_bottom(example62_lattice)
     S = build_synor_complex(upper, QQ)
     monkeypatch.undo()
     top_dim = max(S.dims())
@@ -183,7 +183,7 @@ def test_build_spans_top_down_with_clearing_and_finds_cycles_where_homology_is_n
                           key=lambda g: (order.get(g.element, -1), g.index))
                 for d in range(-2, top_dim + 2)}
         top = max(d for d, lst in gens.items() if lst)
-        full = {d: {g: S.delta_of(g).terms for g in gens[d]}
+        full = {d: {g: S.delta[g].terms for g in gens[d]}
                 for d in range(top + 1, -2, -1)}
         spans = calls[pos:pos + len(full)]
         pos += len(spans)
@@ -220,14 +220,14 @@ def test_build_spans_top_down_with_clearing_and_finds_cycles_where_homology_is_n
 
 
 def test_restrict_rejects_non_ideal(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     with pytest.raises(ValidationError):
         S.restrict([upper.n - 1])  # top without the atoms below it
 
 
 def test_ell_representation_reassembles(example62_lattice):
-    upper, _ = proper_parts(example62_lattice)
+    upper = without_bottom(example62_lattice)
     S = build_synor_complex(upper, QQ)
     top_gens = [g for g in S.generators(4) if g.element == upper.n - 1]
     g = top_gens[0]
@@ -245,7 +245,7 @@ def test_ell_representation_reassembles(example62_lattice):
 
 
 def test_rho_base_chain_map_support(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     # base case: the empty order chain lifts to the empty generator
     base = rho(S, ())
@@ -276,7 +276,7 @@ def test_bracket_vanishing_on_cycles(cycle_lattice, example62_lattice):
     # chain at every slot; cycles drawn from top-free restrictions
     for L, dim, expected_rank in ((cycle_lattice, 0, 2),
                                   (example62_lattice, 3, 1)):
-        upper, _ = proper_parts(L)
+        upper = without_bottom(L)
         S = build_synor_complex(upper, QQ)
         middle = [x for x in range(upper.n) if x != upper.n - 1]
         sub = S.restrict(middle)
@@ -289,7 +289,7 @@ def test_bracket_vanishing_on_cycles(cycle_lattice, example62_lattice):
 
 
 def test_bracket_input_validation(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     g = S.generators(0)[0]
     t = S.phi(g)
@@ -299,7 +299,7 @@ def test_bracket_input_validation(cycle_lattice):
 
 def test_homologous_in_pair_detects_boundary(cycle_lattice):
     L = cycle_lattice
-    upper, _ = proper_parts(L)
+    upper = without_bottom(L)
     S = build_synor_complex(upper, QQ)
     top = upper.n - 1
     ideal = upper.strictly_below(top)
@@ -311,7 +311,7 @@ def test_homologous_in_pair_detects_boundary(cycle_lattice):
 
 
 def test_synor_json_shape(cycle_lattice):
-    upper, _ = proper_parts(cycle_lattice)
+    upper = without_bottom(cycle_lattice)
     S = build_synor_complex(upper, QQ)
     data = synor_to_json(S, variables=cycle_lattice.variables)
     assert data["n"] == upper.n

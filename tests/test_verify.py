@@ -14,8 +14,8 @@ from synorres.resolution import (betti_from_intervals, betti_from_resolution,
 from synorres.verify import (DecompositionWitness, TheoremContradiction,
                              TopAnalysis, _interval_witness, check_class_sums,
                              check_shift_count_bound, check_subadditivity,
-                             sweep_lattices, verify_interval_decomposition,
-                             verify_intervals, verify_lattice_instances)
+                             sweep_lattices, verify_intervals,
+                             verify_lattice_instances)
 
 QQ = RationalField()
 
@@ -142,26 +142,26 @@ def test_class_sums_negative_control(example62_lattice):
 
 
 def test_interval_decomposition(example62_lattice):
+    # verify_intervals runs one certified instance per (m, i1, i2) of the
+    # synor table; the instances are those of the order-complex oracle
     L = example62_lattice
     T = betti_from_intervals(L, QQ)
-    hits = 0
-    for (i, m), r in T.entries.items():
-        if i < 2:
-            continue
-        for i1 in range(1, i):
-            i2 = i - i1
-            w = verify_interval_decomposition(L, m, i1, i2, QQ)
-            assert w is not None
-            assert w.verify(QQ)
-            hits += 1
-    assert hits > 0
+    expected = [f"INTERVAL {m.format(L.variables)} i1={i1} i2={i - i1} "
+                f"RESULT=pass"
+                for (i, m), _r in sorted(T.entries.items()) if i >= 2
+                for i1 in range(1, i)]
+    ok, lines = verify_intervals(L, QQ)
+    assert ok and expected
+    assert [line.split(" witness=")[0] for line in lines] == expected
 
 
 def test_interval_decomposition_hypothesis_check(cycle_lattice):
-    with pytest.raises(DomainError):
-        # xy is an atom: no (1,1) split of beta_2 there
-        m = cycle_lattice.atoms[0]
-        verify_interval_decomposition(cycle_lattice, m, 1, 1, QQ)
+    # xy is an atom: no (1,1) split of beta_2 there
+    L = cycle_lattice
+    T = betti_from_resolution(synor_resolution(L, QQ))
+    with pytest.raises(TheoremContradiction) as e:
+        _interval_witness(L, L.atoms[0], 1, 1, 0, QQ, T)
+    assert e.value.payload["stage"] == "interval-search"
 
 
 def closed_interval_search(L, m):
