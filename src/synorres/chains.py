@@ -95,8 +95,7 @@ class FormalChain:
     @classmethod
     def single(cls, key: tuple, field, coeff=None, kind: str = "order") -> "FormalChain":
         coeff = field.one if coeff is None else coeff
-        return cls(len(key) - 1 if kind != "synor" else key[1], field,
-                   {key: coeff}, kind)
+        return cls(len(key) - 1, field, {key: coeff}, kind)
 
     # --- vector-space structure ---
 

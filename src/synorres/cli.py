@@ -309,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="synorres", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="ideal file, `-`, or @corpus form")
+    def common(p):
+        p.add_argument("input", help="ideal file, `-`, or @corpus form")
         p.add_argument("--field", default="q",
                        help="q for rationals or a prime p")
         p.add_argument("--format", choices=["text", "json"], default="text")

@@ -197,14 +197,13 @@ def random_poset(seed: int, n: int) -> Poset:
     return Poset(leq)
 
 
-def random_chain(P: Poset, dim: int, rng: MmixRandom, field,
-                 max_terms: int = 3):
-    """A random formal chain: up to max_terms random strictly decreasing
+def random_chain(P: Poset, dim: int, rng: MmixRandom, field):
+    """A random formal chain: up to three random strictly decreasing
     basis chains with small nonzero coefficients; may come out zero."""
     from .chains import FormalChain
 
     summands = []
-    for _ in range(1 + rng.below(max_terms)):
+    for _ in range(1 + rng.below(3)):
         key = []
         candidates = list(range(P.n))
         for _pos in range(dim + 1):
@@ -249,17 +248,17 @@ def parse_ideal_text(text: str) -> tuple:
     return variables, tuple(gens)
 
 
-def corpus_ideals(random_count: int = 50) -> list[IdealSpec]:
+def corpus_ideals() -> list[IdealSpec]:
     """The acceptance corpus: the golden example, power ideals with
     n <= 4 and a <= 3, the three glued-simplices instances, and a fixed
-    batch of seeded random ideals (n <= 5, g <= 7, emax <= 3)."""
+    batch of 50 seeded random ideals (n <= 5, g <= 7, emax <= 3)."""
     out = [ideal_example62()]
     for n in range(1, 5):
         for a in range(1, 4):
             out.append(ideal_powers(n, a))
     for p, q in [(3, 2), (4, 2), (4, 3)]:
         out.append(ideal_kpq(p, q))
-    for seed in range(1, random_count + 1):
+    for seed in range(1, 51):
         picker = MmixRandom(seed * 7919)
         n = 1 + picker.below(5)
         g = 1 + picker.below(7)

@@ -12,15 +12,16 @@ reduced-row-echelon accumulator.  Two column reductions drive
 everything: span, without witnesses, gives the row space and rank of an
 iterable of columns; kernel_vectors, with witnesses, streams a matrix's
 kernel in column order.  Kernels and solves are views of the witness
-pass.  The homology of a whole complex is rank-first: cleared_spans
-spans its boundary matrices from the top degree down, and a witness pass
-runs only in degrees whose homology is nonzero, stopping at the last new
-cycle.  The spans use clearing (Chen-Kerber's twist): given d_d .
-d_{d+1} = 0, a column of d_d whose key is a pivot of d_{d+1}'s span lies
-in the span of the columns with larger keys, so it is never inserted;
-the rank and the RREF rows stay those of the full matrix.  Stored rows
-and kernel vectors are canonical for a fixed column order, so
-representative cycles and witness choices are reproducible run to run.
+pass, whose Reducer (eliminate) answers any number of solves.  The
+homology of a whole complex is rank-first: cleared_spans spans its
+boundary matrices from the top degree down, and a witness pass runs only
+in degrees whose homology is nonzero, stopping at the last new cycle.
+The spans use clearing (Chen-Kerber's twist): given d_d . d_{d+1} = 0,
+a column of d_d whose key is a pivot of d_{d+1}'s span lies in the span
+of the columns with larger keys, so it is never inserted; the rank and
+the RREF rows stay those of the full matrix.  Stored rows and kernel
+vectors are canonical for a fixed column order, so representative
+cycles and witness choices are reproducible run to run.
 """
 
 from __future__ import annotations
@@ -109,6 +110,17 @@ class Reducer:
         residual, _ = self.reduce(vec)
         return not residual
 
+    def solve(self, target: dict) -> dict | None:
+        """Least-key-pivot solution x of sum_j x_j col_j = target over the
+        columns inserted with witnesses {key: 1} (as eliminate does), or
+        None when target is outside their span; free coordinates stay 0."""
+        residual, wit = self.reduce(target, {})
+        if residual:
+            return None
+        # each row's witness records the columns it combines, so reduction
+        # keeps residual = target + sum wit[j]*col_j; at zero, x = -wit.
+        return {j: self.field.of(-v) for j, v in wit.items() if v}
+
 
 def span(columns, field) -> Reducer:
     """The Reducer of the columns' span, built without witnesses."""
@@ -174,20 +186,9 @@ def kernel_basis(columns: dict, field) -> list[dict]:
 
 
 def solve(columns: dict, target: dict, field) -> dict | None:
-    """Solve sum_j x_j columns[j] = target; least-key-pivot particular
-    solution.
-
-    columns maps column keys to vectors over the row keys, as target is.
-    Returns {column key: x_j} or None when target is outside the column
-    span.  Free coordinates stay at zero, so the answer is deterministic.
-    """
-    residual, wit = eliminate(columns, field)[0].reduce(target, {})
-    if residual:
-        return None
-    # Reduction maintains residual = target - sum wit[j]*row_j with each
-    # row_j = a combination of original columns recorded in its witness;
-    # the accumulated wit therefore satisfies 0 = target + sum wit[j]*col_j.
-    return {j: field.of(-v) for j, v in wit.items() if v}
+    """Solve sum_j x_j columns[j] = target (see Reducer.solve); columns
+    maps column keys to vectors over the row keys, as target does."""
+    return eliminate(columns, field)[0].solve(target)
 
 
 class HomologyBasis(NamedTuple):

@@ -1,11 +1,11 @@
 """Finite posets, lattices, and lcm lattices of monomial ideals.
 
 A Poset is a frozen boolean matrix leq with leq[i, j] true iff element i
-is below element j, plus optional labels.  Lattices add bottom and top,
-and read joins off ranked up-set bitmasks of the order, built on the
-first join.  A lattice's synor complex lives on L minus its bottom
-(without_bottom), an induced subposet that keeps L's ids in ascending
-order.  The lcm lattice of a monomial ideal has
+is below element j, plus optional labels.  Joins, where they exist, are
+read off ranked up-set bitmasks of the order, built on the first join;
+lattices add bottom and top.  A lattice's synor complex lives on L minus
+its bottom (without_bottom), an induced subposet that keeps L's ids in
+ascending order, and L's joins.  The lcm lattice of a monomial ideal has
 elements the lcms of subsets of the minimal generators, ordered by
 divisibility, with join = lcm; its element ids are assigned in
 lexicographic order of exponent vectors, which puts the bottom (the unit
@@ -116,6 +116,13 @@ class Poset:
             self._cache["linext"] = tuple(out)
         return self._cache["linext"]
 
+    def join_of(self, a: int, b: int) -> int:
+        """The join of a and b, which must exist: P is a lattice, or a
+        lattice minus its bottom, whose joins are the lattice's."""
+        order, up = _ranked_up(self)
+        u = up[a] & up[b]
+        return order[(u & -u).bit_length() - 1]
+
     # --- subposets ---
 
     def sub(self, ids) -> "Poset":
@@ -195,8 +202,8 @@ class Lattice(Poset):
     """A bounded lattice: its order plus bottom and top; joins on demand.
 
     A finite poset with a bottom and all pairwise joins is a lattice (the
-    meet of a and b is the join of their common lower bounds), so joins,
-    read off `_ranked_up` from the first `join_of` on, are all we add.
+    meet of a and b is the join of their common lower bounds), so bottom
+    and top are all we add to Poset, whose `join_of` answers every pair.
     With validate=True the order is checked and `_lattice_tables` tests
     that it is a lattice.  validate=False trusts the caller (lcm lattices,
     enumerated lattices, JSON lattices that passed `is_lattice`) and
@@ -211,11 +218,6 @@ class Lattice(Poset):
             raise DomainError("poset is not a lattice")
         self.bottom = _unique(self.leq.all(axis=1), "bottom")
         self.top = _unique(self.leq.all(axis=0), "top")
-
-    def join_of(self, a: int, b: int) -> int:
-        order, up = _ranked_up(self)
-        u = up[a] & up[b]
-        return order[(u & -u).bit_length() - 1]
 
 
 def _unique(mask, what: str) -> int:

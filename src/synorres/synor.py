@@ -44,7 +44,7 @@ from .chains import (FormalChain, all_homology_ranks, basis_homology,
 # Bound only so that perfbench's self-test can check that the tracer
 # wraps functions through module-level aliases.
 from .chains import homology as simplicial_homology  # noqa: F401
-from .linalg import HomologyBasis, solve
+from .linalg import HomologyBasis, eliminate
 from .poset import Poset
 
 
@@ -62,19 +62,18 @@ EMPTY_GENERATOR = Generator(-1, -1, 0)
 class SynorComplex:
     """A synor complex over a poset, possibly restricted to an order ideal.
 
-    Restrictions share the generator data of the complex they came from;
-    only the set of admitted elements differs.
+    Restrictions share the generator data and the memos of the complex
+    they came from; only the set of admitted elements differs.
     """
 
     def __init__(self, poset: Poset, field, element_ids, gens_by_dim,
-                 delta, phi_memo, rho_memo):
+                 delta, memos=None):
         self.poset = poset
         self.field = field
         self.element_set = frozenset(element_ids)
         self.gens_by_dim = gens_by_dim
         self.delta = delta
-        self._phi = phi_memo
-        self._rho = rho_memo
+        self._phi, self._rho, self._spans = memos or ({}, {}, {})
 
     # --- basis access ---
 
@@ -131,8 +130,8 @@ class SynorComplex:
         keep = ideal | {EMPTY_GENERATOR.element}
         gens = {d: [g for g in lst if g.element in keep]
                 for d, lst in self.gens_by_dim.items()}
-        return SynorComplex(self.poset, self.field, ideal, gens,
-                            self.delta, self._phi, self._rho)
+        return SynorComplex(self.poset, self.field, ideal, gens, self.delta,
+                            (self._phi, self._rho, self._spans))
 
     def homology(self, k: int) -> HomologyBasis:
         """Homology of the restricted complex; cycles are synor chains."""
@@ -167,7 +166,7 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
                 gens_by_dim.setdefault(hb.dim + 1, []).append(g)
     for d in gens_by_dim:
         gens_by_dim[d].sort()
-    return SynorComplex(P, field, range(P.n), gens_by_dim, delta, {}, {})
+    return SynorComplex(P, field, range(P.n), gens_by_dim, delta)
 
 
 def synors(P: Poset, field) -> list[tuple[int, int, int]]:
@@ -247,7 +246,9 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
     because the complex restricted to a principal ideal is acyclic.  Those
     elements form an order ideal, as the complex's elements do, so delta
     and the target stay on them.  Solutions are memoized per complex and
-    shared by its restrictions.
+    shared by its restrictions, as is the span they are solved against,
+    eliminated once per (chain top, degree); a fixed column set in a
+    fixed order has one RREF, so a kept span solves as a fresh one would.
     """
     key = tuple(int(x) for x in key)
     cached = S._rho.get(key)
@@ -268,9 +269,13 @@ def rho(S: SynorComplex, key: tuple) -> FormalChain:
         k - 1, S.field,
         ((coeff, rho(S, face))
          for face, coeff in boundary_key(key, S.field).items()), "synor")
-    below = {EMPTY_GENERATOR.element, *S.poset.below_or_equal(key[0])}
-    sol = solve({g: S.delta[g].terms for g in S.generators(k)
-                 if g.element in below}, target.terms, S.field)
+    span = S._spans.get((key[0], k))
+    if span is None:
+        below = {EMPTY_GENERATOR.element, *S.poset.below_or_equal(key[0])}
+        span = eliminate({g: S.delta[g].terms for g in S.generators(k)
+                          if g.element in below}, S.field)[0]
+        S._spans[key[0], k] = span
+    sol = span.solve(target.terms)
     if sol is None:
         raise DomainError(
             "no delta-preimage below the chain top; the restricted complex "

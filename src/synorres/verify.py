@@ -10,9 +10,10 @@ proof step by step: pick a principal synor chain at the top, take its
 rho, shuffle against the corresponding suffix, and read the witness off
 a term whose chains reach the top; for k >= 1 the second witness is
 lifted to the prefix element whose position makes it an (i2-1)-synor.
-Every intermediate homological claim of the proof is asserted as it is
-used, and a failure raises TheoremContradiction with a JSON-ready
-reproducer payload.
+Only the witness depends on more of the triple than (i1, i1+i2-k-1), so
+the proof runs once per such pair.  Every intermediate homological claim
+of the proof is asserted as it is used, and a failure raises
+TheoremContradiction with a JSON-ready reproducer payload.
 
 On lcm lattices the Betti table of the synor resolution yields the
 Betti-level consequences: subadditivity of maximal shifts with witness
@@ -24,9 +25,9 @@ multidegree of extremal degree.
 
 Each route has its own source of candidates (order-complex interval
 ranks, the supports of the shuffle terms, the Betti table), and every
-route searches them with the one pair search _first_pair, in lattice
-ids.  DecompositionWitness.verify is the one witness check: it re-reads
-both witnesses' ranks from the lattice's interval memo
+route searches them with the one pair search _first_pair.
+DecompositionWitness.verify is the one witness check: it re-reads both
+witnesses' ranks from the lattice's interval memo
 (resolution.interval_ranks) and the join from the lattice.  No caller
 re-checks a witness that a route has returned.
 
@@ -39,7 +40,7 @@ from __future__ import annotations
 from .algebra import DomainError, ValidationError
 from .chains import FormalChain, boundary, bounds, graded_component
 from .linalg import kernel_basis
-from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice,
+from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice, Poset,
                     enumerate_lattices, lattice_hash, poset_to_json,
                     without_bottom)
 from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
@@ -117,19 +118,10 @@ class VerifyReport:
         return f"VerifyReport({self.name}, ok={self.ok})"
 
 
-def _first_pair(L: Lattice, xs, ys, target: int) -> tuple[int, int] | None:
+def _first_pair(P: Poset, xs, ys, target: int) -> tuple[int, int] | None:
     """The first (x, y) in xs x ys, x outermost, with x v y = target."""
     return next(((x, y) for x in xs for y in ys
-                 if L.join_of(x, y) == target), None)
-
-
-def _map_chain(c: FormalChain, table) -> FormalChain:
-    """Relabel every element of every basis chain through an id table."""
-    return FormalChain(
-        c.dim, c.field,
-        {tuple(table[v] for v in key): coeff for key, coeff in c.terms.items()},
-        c.kind,
-    )
+                 if P.join_of(x, y) == target), None)
 
 
 class TopAnalysis:
@@ -137,11 +129,12 @@ class TopAnalysis:
 
     Holds the lattice, the poset P = L minus bottom (the synor complex
     lives there) and the middle part (P minus top) as a P-id set.  P
-    keeps L's ids in ascending order (to_L maps P-ids to lattice ids), so
-    both orders agree.  Witness searches and witnesses use lattice ids;
-    below a lattice id x lies the open interval (0, x), whose ranks the
-    lattice's memo holds.  Whether a chain bounds in the middle part is
-    read from chains.bounds, whose span per degree P's cache holds, so
+    keeps L's ids in ascending order and has L's joins, so the
+    constructive route runs in P-ids, and to_L maps its witnesses to
+    lattice ids.  The brute-force search and every witness use lattice
+    ids; below a lattice id x lies the open interval (0, x), whose ranks
+    the lattice's memo holds.  Whether a chain bounds in the middle part
+    is read from chains.bounds, whose span per degree P's cache holds, so
     the nontriviality, relative-homology and step-lemma checks share it.
     """
 
@@ -152,10 +145,10 @@ class TopAnalysis:
         self.field = field
         self.P = without_bottom(L)
         self.to_L = self.P.origin
-        self.from_L = {v: i for i, v in enumerate(self.to_L)}
-        self.top = self.from_L[L.top]
+        self.top = self.to_L.index(L.top)
         self.middle = frozenset(i for i in range(self.P.n) if i != self.top)
         self._S: SynorComplex | None = None
+        self._proofs: dict = {}  # (i1, m) -> what _proof found
 
     @property
     def S(self) -> SynorComplex:
@@ -227,18 +220,33 @@ class TopAnalysis:
 
     # --- constructive route ---
 
-    def principal_generators(self, m: int) -> list[Generator]:
-        return [g for g in self.S.generators(m) if g.element == self.top]
-
     def constructive(self, i1: int, i2: int, k: int) -> DecompositionWitness | None:
-        """Witness extraction along the existence proof, asserting each step."""
+        """Witness extraction along the existence proof, asserting each
+        step; the proof runs once per (i1, m) (_proof), and for k >= 1 the
+        second witness is the prefix element chi[i1 - k], whose position
+        from the top makes it an (i2-1)-synor."""
         self._check_params(i1, i2, k)
         m = i1 + i2 - k - 1
-        gens = self.principal_generators(m)
+        if (i1, m) not in self._proofs:
+            self._proofs[i1, m] = self._proof(i1, i2, k)
+        if self._proofs[i1, m] is None:
+            return None
+        chi, n1, n2 = self._proofs[i1, m]
+        stage = "constructive"
+        if k >= 1:
+            n2, stage = chi[i1 - k], "constructive-lifted"
+        return self._witness(i1, i2, k, self.to_L[n1], self.to_L[n2], stage)
+
+    def _proof(self, i1: int, i2: int, k: int) -> tuple | None:
+        """The proof up to the witness, fixed by (i1, m): None if the top
+        has no m-generator, else (chi, n1, n2) in P-ids, the first prefix
+        whose rho holds an n1 joining to the top with an n2 of its suffix
+        (n2 None for an empty suffix); payloads name the asking triple."""
+        m = i1 + i2 - k - 1
+        gens = [g for g in self.S.generators(m) if g.element == self.top]
         if not gens:
             return None
         g = gens[0]
-        ell = i1 - 1
 
         # the boundary of the principal chain represents a nonzero class
         # of the middle part, which is what makes the relative class of
@@ -249,7 +257,7 @@ class TopAnalysis:
                 "principal chain has trivial relative class",
                 self._payload(i1, i2, k, "nontriviality"))
 
-        reps = ell_representation(self.S, g, ell)
+        reps = ell_representation(self.S, g, i1 - 1)
         total = self._shuffle_sum(reps, m, skip=0)
 
         try:
@@ -269,31 +277,19 @@ class TopAnalysis:
                 "shuffle sum never reaches the top",
                 self._payload(i1, i2, k, "top-component"))
 
-        top = self.L.top
-        for chi in sorted(reps):
-            zeta = reps[chi]
-            xs = sorted({self.to_L[h.element] for h in rho(self.S, chi).terms})
+        for chi, zeta in sorted(reps.items()):
+            xs = sorted({h.element for h in rho(self.S, chi).terms})
             if zeta.dim == -1:
-                if top in xs:
-                    return self._lifted_witness(i1, i2, k, chi, top)
+                if self.top in xs:
+                    return chi, self.top, None
                 continue
-            ys = sorted({self.to_L[h.element] for h in zeta.terms})
-            pair = _first_pair(self.L, xs, ys, top)
-            if pair is None:
-                continue
-            if k == 0:
-                return self._witness(i1, i2, k, *pair, stage="constructive")
-            return self._lifted_witness(i1, i2, k, chi, pair[0])
+            ys = sorted({h.element for h in zeta.terms})
+            pair = _first_pair(self.P, xs, ys, self.top)
+            if pair is not None:
+                return (chi, *pair)
         raise TheoremContradiction(
             "no join-reaching pair in any shuffle term",
             self._payload(i1, i2, k, "witness-scan"))
-
-    def _lifted_witness(self, i1, i2, k, chi, n1) -> DecompositionWitness:
-        """For k >= 1 the second witness is the prefix element whose
-        position from the top makes it an (i2-1)-synor; n1 is a lattice
-        id, chi a chain of P-ids."""
-        n2 = self.to_L[chi[i1 - k]]
-        return self._witness(i1, i2, k, n1, n2, stage="constructive-lifted")
 
     # --- the step lemma ---
 
@@ -305,17 +301,15 @@ class TopAnalysis:
 
     def _shuffle_sum(self, reps, dim: int, skip: int) -> FormalChain:
         """sum over chi of phi(rho(chi[skip:])) shuffled with phi(reps[chi]),
-        taken in L and mapped back to P; a chain of dimension dim."""
+        taken in P, whose joins are L's; a chain of dimension dim."""
         def product(chi):
             left = self.S.phi_chain(rho(self.S, chi[skip:]))
             right = self.S.phi_chain(reps[chi])
-            return shuffle_product(_map_chain(left, self.to_L),
-                                   _map_chain(right, self.to_L), self.L)
+            return shuffle_product(left, right, self.P)
 
-        total = FormalChain.combination(
+        return FormalChain.combination(
             dim, self.field,
             ((self.field.one, product(chi)) for chi in sorted(reps)))
-        return _map_chain(total, self.from_L)
 
     def verify_step_lemma(self, g: Generator, ell: int) -> bool:
         """Consecutive step sums are cycles in the middle part and

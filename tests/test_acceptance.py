@@ -31,7 +31,7 @@ def note(num, slug, ok):
 
 
 def corpus_lattices():
-    for spec in corpus_ideals(random_count=50):
+    for spec in corpus_ideals():
         yield spec, build_lcm_lattice(list(spec.generators), spec.variables)
 
 

@@ -139,7 +139,7 @@ def test_parse_ideal_text_errors():
 
 
 def test_corpus_composition():
-    specs = corpus_ideals(random_count=50)
+    specs = corpus_ideals()
     names = [s.name for s in specs]
     assert names[0] == "example62"
     assert sum(1 for n in names if n.startswith("powers")) == 12

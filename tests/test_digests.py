@@ -86,6 +86,12 @@ ARGV_DIGESTS = {
         "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
     ("verify", "decomposition", "@kpq:3,2", "--field", "2"):
         "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
+    ("verify", "decomposition", "@example62", "--field", "q"):
+        "8f200da13ed1e0617f7989ac4ad4459f31bc4ab1b73134ec376c92713a639380",
+    ("verify", "decomposition", "@example62", "--field", "2"):
+        "8f200da13ed1e0617f7989ac4ad4459f31bc4ab1b73134ec376c92713a639380",
+    ("verify", "decomposition", "@powers:4,1", "--field", "q"):
+        "56b4e261833d19b5998cbd5353327c8ad80ad1d1409ce505eb1e0f53667ca30f",
     ("verify", "subadditivity", "@example62", "--field", "q"):
         "9b89fb642545e11c9ce95ad622885687729fe7515367d698dd768d5de6c0b985",
     ("verify", "subadditivity", "@example62", "--field", "2"):

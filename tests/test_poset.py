@@ -378,6 +378,20 @@ def test_open_interval_and_without_bottom(cycle_lattice):
     assert upper.origin == tuple(range(1, L.n))  # L's ids, bottom 0 left out
 
 
+def test_without_bottom_has_the_lattice_joins():
+    # no two elements above the bottom join to it, so the poset that
+    # carries the synor complex answers every join as L does, relabelled
+    lattices = [build_lcm_lattice(list(spec.generators), spec.variables)
+                for spec in (ideal_example62(), ideal_kpq(3, 2))]
+    lattices += list(enumerate_lattices(6))
+    for L in lattices:
+        P = without_bottom(L)
+        to_L = P.origin
+        for a in range(P.n):
+            for b in range(P.n):
+                assert to_L[P.join_of(a, b)] == L.join_of(to_L[a], to_L[b])
+
+
 def test_enumeration_counts():
     counts = [len(list(enumerate_lattices(n))) for n in range(2, 8)]
     assert counts == [1, 1, 2, 5, 15, 53]

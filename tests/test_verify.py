@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
-from synorres import chains, verify
+from synorres import chains, synor, verify
 from synorres.cli import main
 from synorres.corpus import ideal_example62, ideal_kpq
 from synorres.poset import Lattice, build_lcm_lattice
@@ -131,6 +131,48 @@ def test_constructive_checks_share_one_span_per_degree():
     spans = [key for key in ana.P._cache if key[0] == "bounds"]
     assert sorted(spans, key=lambda key: key[2]) == [
         ("bounds", ana.middle, d, QQ) for d in (0, 3)]
+
+
+@pytest.mark.parametrize("spec,passes,spans", [
+    (ideal_example62(), 7, 81), (ideal_kpq(3, 2), 7, 40)],
+    ids=["example62", "kpq(3,2)"])
+def test_each_proof_pass_and_rho_span_is_computed_once(monkeypatch, spec,
+                                                       passes, spans):
+    # a sweep over every valid triple runs one proof pass (one shuffle
+    # sum) per (i1, m) and eliminates rho's columns once per (chain top,
+    # degree); 23 and 21 triples share these 7 pairs
+    counts = Counter()
+    real_sum, real_eliminate = TopAnalysis._shuffle_sum, synor.eliminate
+
+    def shuffle_sum(self, *args, **kwargs):
+        counts["shuffle sums"] += 1
+        return real_sum(self, *args, **kwargs)
+
+    def eliminate(*args, **kwargs):
+        counts["eliminations"] += 1
+        return real_eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(TopAnalysis, "_shuffle_sum", shuffle_sum)
+    monkeypatch.setattr(synor, "eliminate", eliminate)
+    ok, _ = verify_lattice_instances(lattice_of(spec), QQ)
+    assert ok
+    assert counts == {"shuffle sums": passes, "eliminations": spans}
+
+
+def test_a_failed_proof_pass_raises_for_each_triple(example62_lattice,
+                                                    monkeypatch):
+    # a pass that raises is not kept, so each triple that shares its
+    # (i1, m) = (2, 4) raises again, with its own parameters
+    monkeypatch.setattr(verify, "homologous_in_pair", lambda *args: False)
+    ana = TopAnalysis(example62_lattice, QQ)
+    triples = [(2, 3, 0), (2, 4, 1), (2, 5, 2)]
+    assert set(triples) <= set(ana.valid_triples())
+    for i1, i2, k in triples:
+        with pytest.raises(TheoremContradiction) as e:
+            ana.constructive(i1, i2, k)
+        payload = e.value.payload
+        assert (payload["i1"], payload["i2"], payload["k"]) == (i1, i2, k)
+        assert payload["stage"] == "relative-homology"
 
 
 def test_class_sums_negative_control(example62_lattice):
