@@ -38,11 +38,12 @@ for params in [(1, 1, 0), (2, 3, 0), (4, 2, 1), (5, 5, 5)]:
 print()
 
 # the same decomposition applies inside any interval, which is how the
-# subadditivity witnesses in verify.check_subadditivity are found
-from synorres import betti_from_resolution, synor_resolution
+# subadditivity witnesses in verify.check_subadditivity are found; the
+# Betti table is read off the synor complex that ana has built
+from synorres import betti_from_resolution, resolution_from_complex
 from synorres.verify import check_subadditivity
 
-table = betti_from_resolution(synor_resolution(L, field))
+table = betti_from_resolution(resolution_from_complex(L, ana.S))
 report = check_subadditivity(L, 2, 2, 0, field, table)
 for line in report.lines():
     print(line)

@@ -28,7 +28,8 @@ from .poset import (Lattice, LcmLattice, Poset, build_lcm_lattice,
                     without_bottom)
 from .resolution import (BettiTable, FreeResolution, betti_from_intervals,
                          betti_from_resolution, certify_resolution,
-                         resolution_to_json, synor_resolution)
+                         resolution_from_complex, resolution_to_json,
+                         synor_resolution)
 from .shuffle import enumerate_shuffles, shuffle_product, tau
 from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
                     ell_representation, homologous_in_pair, rho, rho_chain,

@@ -30,7 +30,8 @@ from .resolution import (betti_from_intervals, betti_from_resolution,
 from .shuffle import shuffle_product
 from .chains import FormalChain, all_homology_ranks, basis_homology
 from .synor import build_synor_complex, synor_to_json, synors
-from .verify import (TheoremContradiction, check_bracket_vanishing,
+from .verify import (TheoremContradiction, TopAnalysis,
+                     check_bracket_vanishing,
                      check_shift_count_bound, check_subadditivity,
                      sweep_lattices, verify_intervals,
                      verify_lattice_instances)
@@ -232,8 +233,9 @@ def _verify_subadditivity(args) -> tuple[bool, list[str]]:
 def _verify_decomposition(args) -> tuple[bool, list[str]]:
     L = lattice_of(load_ideal(args.input))
     field = field_from_flag(args.field)
-    ok1, lines1 = verify_lattice_instances(L, field)
-    ok2, lines2 = verify_intervals(L, field)
+    analysis = TopAnalysis(L, field)  # one synor complex for both
+    ok1, lines1 = verify_lattice_instances(L, field, analysis)
+    ok2, lines2 = verify_intervals(L, field, analysis.S)
     return ok1 and ok2, lines1 + lines2
 
 

@@ -14,8 +14,11 @@ iterable of columns; kernel_vectors, with witnesses, streams a matrix's
 kernel in column order.  Kernels and solves are views of the witness
 pass, whose Reducer (eliminate) answers any number of solves.  The
 homology of a whole complex is rank-first: cleared_spans spans its
-boundary matrices from the top degree down, and a witness pass runs only
-in degrees whose homology is nonzero, stopping at the last new cycle.
+boundary matrices from the top degree down (homology_ranks), and a
+witness pass (representative_cycles) runs only in degrees whose homology
+is nonzero, stopping at the last new cycle.  A caller that knows the
+ranks from a smaller complex with the same homology can run the witness
+pass alone.
 The spans use clearing (Chen-Kerber's twist): given d_d . d_{d+1} = 0,
 a column of d_d whose key is a pivot of d_{d+1}'s span lies in the span
 of the columns with larger keys, so it is never inserted; the rank and
@@ -199,40 +202,58 @@ class HomologyBasis(NamedTuple):
     cycles: list
 
 
+def homology_ranks(boundaries, field) -> tuple[list[int], list[Reducer]]:
+    """Ranks h_d of the complex at degrees lowest .. lowest + len - 2
+    (as complex_homology takes them), and the spans of its matrices.
+
+    cleared_spans spans the matrices top degree first without witnesses,
+    d_d receiving only the dim C_d - rank d_{d+1} columns whose keys are
+    not pivots of d_{d+1}'s span, which gives every rank h_d = dim C_d -
+    rank d_d - rank d_{d+1}; each span has its full matrix's RREF rows.
+    """
+    spans = cleared_spans(
+        lambda i, cleared: [col for key, col in boundaries[i].items()
+                            if key not in cleared],
+        len(boundaries), field)
+    ranks = [len(cols) - below.rank - above.rank
+             for cols, below, above in zip(boundaries, spans, spans[1:])]
+    return ranks, spans
+
+
+def representative_cycles(cols: dict, above: Reducer, rank: int,
+                          field) -> list[dict]:
+    """rank cycles of the matrix cols, independent modulo the span above.
+
+    A witness pass streams the kernel of the full matrix in column order;
+    each kernel vector is reduced against above, the RREF of the next
+    matrix's span, and kept in echelon form as added, until rank cycles,
+    keyed by column key, are found.  The RREF of a span is unique, so the
+    cycles depend only on the columns and on the span's column set."""
+    cycles: list[dict] = []
+    reps = Reducer(field)
+    for z in kernel_vectors(cols, Reducer(field)):
+        piv = reps.insert(above.reduce(z)[0])
+        if piv is not None:
+            cycles.append(dict(reps.rows[piv]))
+            if len(cycles) == rank:
+                break
+    return cycles
+
+
 def complex_homology(boundaries, field, lowest: int) -> list[HomologyBasis]:
     """Homology at degrees lowest .. lowest + len(boundaries) - 2.
 
     boundaries[i] is the differential out of degree lowest + i, a mapping
     from each basis key of that degree to its vector over the basis keys
     one degree down; consecutive differentials must compose to zero, and
-    keys must sort in basis order.  cleared_spans spans the matrices top
-    degree first without witnesses, d_d receiving only the dim C_d -
-    rank d_{d+1} columns whose keys are not pivots of d_{d+1}'s span,
-    which gives every rank h_d = dim C_d - rank d_d - rank d_{d+1}.  Only
-    where h_d > 0 does a witness pass stream the kernel of the full d_d;
-    each kernel vector is reduced against the span of d_{d+1} and kept in
-    echelon form as added, until h_d cycles, keyed by the degree's basis
-    keys, are found.
+    keys must sort in basis order.  homology_ranks gives every rank; only
+    where h_d > 0 does representative_cycles run, against the span of
+    d_{d+1}, keyed by the degree's basis keys.
     """
-    spans = cleared_spans(
-        lambda i, cleared: [col for key, col in boundaries[i].items()
-                            if key not in cleared],
-        len(boundaries), field)
-    out = []
-    for i, (cols, below, above) in enumerate(zip(boundaries, spans,
-                                                  spans[1:])):
-        rank = len(cols) - below.rank - above.rank
-        cycles = []
-        if rank:
-            reps = Reducer(field)
-            for z in kernel_vectors(cols, Reducer(field)):
-                piv = reps.insert(above.reduce(z)[0])
-                if piv is not None:
-                    cycles.append(dict(reps.rows[piv]))
-                    if len(cycles) == rank:
-                        break
-        out.append(HomologyBasis(lowest + i, rank, cycles))
-    return out
+    ranks, spans = homology_ranks(boundaries, field)
+    return [HomologyBasis(lowest + i, rank, representative_cycles(
+                boundaries[i], spans[i + 1], rank, field) if rank else [])
+            for i, rank in enumerate(ranks)]
 
 
 def homology_of_complex(boundary_cols_k: dict, boundary_cols_k_plus: dict,

@@ -123,6 +123,21 @@ class Poset:
         u = up[a] & up[b]
         return order[(u & -u).bit_length() - 1]
 
+    def joins_with(self, a: int) -> np.ndarray:
+        """The join of a with each element, by id, or -1 where the two
+        have no least common upper bound in P (none, or several minimal
+        ones): the lowest-ranked common upper bound c is the join iff
+        c's up-set is all of them."""
+        order, up = _ranked_up(self)
+        out = np.full(self.n, -1)
+        for y, uy in enumerate(up):
+            u = uy & up[a]
+            if u:
+                c = order[(u & -u).bit_length() - 1]
+                if up[c] == u:
+                    out[y] = c
+        return out
+
     # --- subposets ---
 
     def sub(self, ids) -> "Poset":

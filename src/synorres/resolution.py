@@ -5,8 +5,11 @@ dimension-(i-1) generators become the basis of the i-th free module,
 labeled by the lattice monomial they sit at, and the synor differential
 supplies monomial-weighted matrix entries.  Betti numbers are its
 generator counts.  A certification pass re-proves resolution-hood from
-scratch: squared differential, per-multidegree strand exactness,
-minimality, and cokernel equal to the ideal.
+scratch: squared differential, lattice labels, per-multidegree strand
+exactness (through quotient strands, one atom complement per lattice
+element), minimality, and cokernel equal to the ideal.  The resolution
+can also be read off a synor complex the caller already holds
+(resolution_from_complex), so a verifier builds the complex once.
 
 The independent oracle reads Betti numbers off the lattice directly:
 beta_{i,m} is the rank of reduced homology in degree i - 2 of the open
@@ -23,7 +26,7 @@ from .algebra import Monomial, ValidationError
 from .chains import all_homology_ranks
 from .linalg import cleared_spans, rank_of
 from .poset import Lattice, LcmLattice, open_interval, without_bottom
-from .synor import EMPTY_GENERATOR, build_synor_complex
+from .synor import EMPTY_GENERATOR, SynorComplex, build_synor_complex
 
 
 class BettiTable:
@@ -163,20 +166,23 @@ class FreeResolution:
 
 
 def synor_resolution(L: LcmLattice, field) -> FreeResolution:
-    """The minimal resolution carried by the synor complex of L minus 0.
+    """The minimal resolution carried by the synor complex of L minus 0."""
+    return resolution_from_complex(
+        L, build_synor_complex(without_bottom(L), field))
+
+
+def resolution_from_complex(L: LcmLattice, S: SynorComplex) -> FreeResolution:
+    """The resolution read off S, a synor complex of without_bottom(L).
 
     Module i has one generator per dimension-(i-1) synor generator, labeled
     by its lattice monomial (the empty generator is labeled 1); the matrix
     of the synor differential, with each entry scaled by the quotient of
     its column and row labels, is the resolution differential.
     """
-    upper = without_bottom(L)
-    S = build_synor_complex(upper, field)
-
     def label_of(g):
         if g == EMPTY_GENERATOR:
             return Monomial.one(len(L.variables))
-        return L.monomials[upper.origin[g.element]]
+        return L.monomials[S.poset.origin[g.element]]
 
     top_dim = max(S.dims(), default=-1)
     bases = [S.generators(d) for d in range(-1, top_dim + 1)]
@@ -222,17 +228,35 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     """Re-prove that R minimally resolves the quotient by L's ideal.
 
     Checks, each from first principles on the matrices alone: the
-    differential squares to zero; every multidegree strand is exact with
-    a single generator at the bottom (strands at monomials outside the
-    lattice coincide with the strand at their largest lattice divisor, so
-    lattice monomials suffice); no entry is a unit; the first differential
-    presents exactly the ideal's minimal generators.
+    differential squares to zero; every label is a monomial of L, and
+    every multidegree strand is exact with a single generator at the
+    bottom (a strand at a monomial outside the lattice coincides with the
+    strand at its largest lattice divisor once every label is a lattice
+    monomial, so lattice monomials suffice); no entry is a unit; the
+    first differential presents exactly the ideal's minimal generators.
 
-    Once the grading is consistent and d . d = 0 are proven, each strand
-    is a complex, and its ranks come from linalg.cleared_spans from the
-    top module down: a strand column whose index is a pivot of the span
-    one module up is never built.  Otherwise clearing would not be exact,
-    and every strand matrix is spanned in full.
+    Once the grading, d . d = 0, the labels and the presentation are
+    proven, the strands are checked through quotients.  Module 0 is then
+    one generator labeled 1, so a strand is exact as required iff it is
+    acyclic.  For m above the bottom let a(m) be the first atom of
+    L.atoms below m; the quotient strand at m holds the generators whose
+    label l has lcm(l, a(m)) = m, with the differential projected onto
+    them.  Every c with a | c | m and c != m, for a = a(m), has a(c) = a
+    and comes before m along L's linear extension; the generators of m's
+    strand with lcm(l, a) != m form a subcomplex, filtered by lcm(l, a)
+    along the extension, whose subquotients are the quotient strands at
+    those c.  So if the quotient strands before m are acyclic, the strand
+    at m is acyclic iff its quotient strand is.  The quotient strands are
+    checked along the extension until one is not acyclic, and every
+    strand not proven exact that way is checked whole, so a failing
+    report names the strands it always named.  The atom complements come
+    from exponent vectors here, not from the synor build's joins.
+
+    Each strand is a complex, and its ranks come from
+    linalg.cleared_spans from the top module down: a strand column whose
+    index is a pivot of the span one module up is never built.  Without
+    d . d = 0 clearing would not be exact, and every strand matrix is
+    spanned in full.
     """
     problems: list[str] = []
     checks: list[tuple[str, bool]] = []
@@ -292,34 +316,58 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
         problems.append("first module does not present the ideal's generators")
     record("cokernel is the ideal", presents)
 
-    # strand exactness at every lattice multidegree above the bottom;
-    # divides[i][m, j]: label j of module i divides lattice monomial m
+    # every label must be a lattice monomial; a strand at a multidegree
+    # outside the lattice is then the strand at its largest lattice divisor
+    outside = list(dict.fromkeys(
+        (k, lab) for k, labs in enumerate(R.labels) for lab in labs
+        if lab not in L.index))
+    problems.extend(f"label {lab.format(L.variables)} of module {k} is not "
+                    f"in the lcm lattice" for k, lab in outside)
+
+    def columns(keep):
+        def columns_of(k, cleared):
+            return [{r: v for r, v in by_col[k].get(c, ()) if r in keep[k]}
+                    for c in keep[k + 1] if c not in cleared]
+        return columns_of
+
     nvars = len(L.variables)
-    lattice_exps = np.array([m.exps for m in L.monomials]).reshape(L.n, nvars)
-    divides = [
-        (np.array([lab.exps for lab in labs]).reshape(len(labs), nvars)
-         <= lattice_exps[:, None]).all(axis=2)
-        for labs in R.labels
-    ]
-    exact = True
-    for m_id in range(L.n):
-        if m_id == L.bottom:
-            continue
+    exps = [np.array([lab.exps for lab in labs], dtype=int).reshape(
+        len(labs), nvars) for labs in R.labels]
+
+    # quotient strands along the linear extension, while they are exact;
+    # each one proves its multidegree's whole strand exact (see docstring)
+    proven = set()
+    if consistent and square_zero and presents and not outside:
+        for m_id, keep in _atom_quotients(exps, L):
+            spans = cleared_spans(columns(keep), len(keep) - 1, field)
+            ranks = [0, *(red.rank for red in spans), 0]
+            if any(len(sel) != ranks[k] + ranks[k + 1]
+                   for k, sel in enumerate(keep)):
+                break
+            proven.add(m_id)
+
+    # the other strands whole, at the lattice multidegrees above the
+    # bottom; divides[i][m, j]: label j of module i divides monomial m
+    exact = not outside
+    rest = [m_id for m_id in range(L.n)
+            if m_id != L.bottom and m_id not in proven]
+    if rest:
+        lattice_exps = np.array([m.exps for m in L.monomials]).reshape(
+            L.n, nvars)
+        divides = [(rows <= lattice_exps[:, None]).all(axis=2)
+                   for rows in exps]
+    for m_id in rest:
         m = L.monomials[m_id]
         keep = [set(np.flatnonzero(d[m_id]).tolist()) for d in divides]
         dims = [len(sel) for sel in keep]
         while dims and dims[-1] == 0:
             dims.pop()
             keep.pop()
-
-        def columns_of(k, cleared):
-            return [{r: v for r, v in by_col[k].get(c, ()) if r in keep[k]}
-                    for c in keep[k + 1] if c not in cleared]
         if consistent and square_zero:
             ranks = [red.rank for red in
-                     cleared_spans(columns_of, len(dims) - 1, field)]
+                     cleared_spans(columns(keep), len(dims) - 1, field)]
         else:
-            ranks = [rank_of(columns_of(k, ()), field)
+            ranks = [rank_of(columns(keep)(k, ()), field)
                      for k in range(len(dims) - 1)]
         ranks.append(0)
         # m lies in the ideal, so the strand must be exact everywhere:
@@ -338,6 +386,37 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
 
     ok = all(good for _n, good in checks)
     return CertificationReport(ok, checks, problems)
+
+
+def _atom_quotients(exps: list, L: LcmLattice):
+    """Yield (m, its quotient strand) for each lattice element m above
+    the bottom, along L's linear extension; the strand is one set of
+    label positions per module: those whose label l has lcm(l, a) = m,
+    for a the first of L.atoms below m.  exps[k] holds module k's label
+    exponents, one row a label, and every label must be a monomial of L.
+    """
+    atoms = list(L.atoms)
+    first = np.argmax(L.leq[atoms], axis=0)  # position in atoms of a(m)
+    ids = {m.exps: i for i, m in enumerate(L.monomials)}
+    labels = np.concatenate(exps)  # module by module
+    module = [k for k, rows in enumerate(exps) for _ in rows]
+    position = [j for rows in exps for j in range(len(rows))]
+    lcms: dict[int, tuple] = {}  # a -> labels sorted by lcm id, those ids
+    for m_id in L.linear_extension():
+        if m_id == L.bottom:
+            continue
+        a = atoms[first[m_id]]
+        if a not in lcms:
+            lcm = np.array([ids[tuple(row)] for row in np.maximum(
+                labels, L.monomials[a].exps).tolist()], dtype=int)
+            order = np.argsort(lcm, kind="stable")
+            lcms[a] = (order, lcm[order])
+        order, sorted_lcm = lcms[a]
+        lo, hi = np.searchsorted(sorted_lcm, [m_id, m_id + 1])
+        keep = [set() for _ in exps]
+        for i in order[lo:hi].tolist():
+            keep[module[i]].add(position[i])
+        yield m_id, keep
 
 
 def resolution_to_json(R: FreeResolution) -> dict:

@@ -13,12 +13,23 @@ preserves homology, which is checked against the simplicial side in the
 test suite.
 
 The construction processes elements along a fixed linear extension.  At
-each element it cuts the generator lists down to the strict down-set and
-takes the homology in every degree from one pass: witness-free spans of
-the boundary matrices, top degree first with clearing, give every rank,
-and a cycle pass runs only in the degrees with homology, which are the
-degrees in which the element receives generators.  The cycle bases are
-echelon-deterministic, so a complex is reproducible run to run.
+each element x it needs the homology of the part of the complex on the
+strict down-set D below x, and it takes the ranks from a much smaller
+complex.  Let a be an element of D minimal in it.  When every y in D has
+a join with a, the ideal {y in D : y v a < x} is contractible by
+Quillen's conical contraction y <= y v a >= a (Quillen 1978; Bjorner,
+Topological methods), so the complex on D has the homology of its
+quotient by that ideal: the generators at the atom complement
+{y in D : y v a = x}, with the differential's terms on the ideal
+dropped.  On the Boolean lattice B_n minus its bottom that quotient is
+one generator, where D carries 2^|x| - 1.  Witness-free spans of the
+quotient's boundary matrices, top degree first with clearing, give every
+rank; a cycle pass then runs only in the degrees with homology, which
+are the degrees in which x receives generators, on the full matrix over
+D and against the RREF of the full matrix above it.  The cycle bases
+are echelon-deterministic, so a complex is reproducible run to run, and
+they do not depend on where the ranks came from.  Where a join with a is
+missing (posets that are not lattices), D is ranked whole.
 
 The module also houses the verification toolkit built on top of the
 complex: prefix representations of a generator's image, coefficient-sum
@@ -44,7 +55,8 @@ from .chains import (FormalChain, all_homology_ranks, basis_homology,
 # Bound only so that perfbench's self-test can check that the tracer
 # wraps functions through module-level aliases.
 from .chains import homology as simplicial_homology  # noqa: F401
-from .linalg import HomologyBasis, eliminate
+from .linalg import (HomologyBasis, eliminate, homology_ranks,
+                     representative_cycles, span)
 from .poset import Poset
 
 
@@ -142,31 +154,94 @@ class SynorComplex:
 def build_synor_complex(P: Poset, field) -> SynorComplex:
     """Construct a synor complex of P with phi, deterministically.
 
-    Elements are processed along P's linear extension; at each element the
-    homology of the already-built complex on the strict down-set below
-    (an order ideal, as P is transitive, so restrict's guard is not
-    needed) contributes one new generator per echelon basis cycle, with
-    the cycle as its differential.
+    Elements are processed along P's linear extension; at each element x
+    the homology of the already-built complex on the strict down-set
+    D below x (an order ideal, as P is transitive, so restrict's guard is
+    not needed) contributes one new generator per echelon basis cycle,
+    with the cycle as its differential.
+
+    The ranks come from a quotient.  Let a be the first element of D
+    along the extension, so a is minimal in D.  If every y in D has a
+    join with a in P, the ideal I = {y in D : y v a < x} contains a and
+    is contractible (Quillen's conical contraction y <= y v a >= a), so
+    the complex on I is acyclic and the complex on D has the homology of
+    its quotient by I: the generators at the atom complement
+    {y in D : y v a = x}, with delta's terms on I dropped.  Its ranks are
+    taken with cleared spans; only in the degrees d with h_d > 0 does the
+    witness pass run, on the full d_d over D and against the RREF of the
+    full d_{d+1}'s span, so the cycles are those the whole down-set would
+    give.  Where a join is missing, or D is empty, D is ranked whole.
     """
+    order = np.array(P.linear_extension(), dtype=int)
     gens_by_dim: dict[int, list[Generator]] = {-1: [EMPTY_GENERATOR]}
     delta: dict[Generator, FormalChain] = {
         EMPTY_GENERATOR: FormalChain.zero(-2, field, "synor")
     }
-    for x in P.linear_extension():
-        below = {EMPTY_GENERATOR.element, *P.strictly_below(x)}
-        gens = {d: [g for g in lst if g.element in below]
-                for d, lst in gens_by_dim.items()}
-        top_dim = max(d for d, lst in gens.items() if lst)
-        for hb in basis_homology(lambda d: gens.get(d, []),
-                                 lambda g: delta[g].terms, field,
-                                 range(-1, top_dim + 1), "synor"):
-            for idx, cycle in enumerate(hb.cycles):
-                g = Generator(x, hb.dim + 1, idx)
-                delta[g] = cycle
-                gens_by_dim.setdefault(hb.dim + 1, []).append(g)
+    at = {EMPTY_GENERATOR.element: {-1: [EMPTY_GENERATOR]}}  # y -> d -> gens
+    carries: dict[int, np.ndarray] = {}  # d -> elements with d-generators
+    joins: dict[int, np.ndarray] = {}
+    for x in order.tolist():
+        down = order[P.leq[order, x]][:-1]  # D along the extension
+        below = [EMPTY_GENERATOR.element, *down.tolist()]
+        quotient = _atom_complement(P, x, down, joins)
+        elements = below if quotient is None else quotient
+        inside = set(elements)
+        basis: dict[int, list[Generator]] = {}
+        for y in elements:
+            for d, lst in at.get(y, {}).items():
+                basis.setdefault(d, []).extend(lst)
+        if not basis:
+            continue
+        lowest = min(basis)
+        mats = [{g: {h: v for h, v in delta[g].terms.items()
+                     if h.element in inside} for g in basis.get(d, ())}
+                for d in range(lowest, max(basis) + 2)]
+        ranks, spans = homology_ranks(mats, field)
+
+        def full(d):
+            """d_d over D whole, in the build's column order."""
+            if d not in carries:
+                return {}
+            return {g: delta[g].terms
+                    for y in down[carries[d][down]].tolist()
+                    for g in at[y][d]}
+        for i, rank in enumerate(ranks):
+            if not rank:
+                continue
+            d = lowest + i
+            if quotient is None:
+                cols, above = mats[i], spans[i + 1]
+            else:
+                cols, above = full(d), span(full(d + 1).values(), field)
+            for idx, cycle in enumerate(
+                    representative_cycles(cols, above, rank, field)):
+                g = Generator(x, d + 1, idx)
+                delta[g] = FormalChain(d, field, cycle, "synor")
+                gens_by_dim.setdefault(d + 1, []).append(g)
+                at.setdefault(x, {}).setdefault(d + 1, []).append(g)
+            carries.setdefault(d + 1, np.zeros(P.n, dtype=bool))[x] = True
     for d in gens_by_dim:
         gens_by_dim[d].sort()
     return SynorComplex(P, field, range(P.n), gens_by_dim, delta)
+
+
+def _atom_complement(P: Poset, x: int, down: np.ndarray,
+                     joins: dict) -> list[int] | None:
+    """The y in down with y v a = x, a = down[0], in down's order.
+
+    down is the strict down-set of x along P's linear extension, so its
+    first element a is minimal in it.  None when down is empty or some y
+    in down has no join with a in P; joins memoizes P.joins_with by a.
+    """
+    if not len(down):
+        return None
+    a = int(down[0])
+    if a not in joins:
+        joins[a] = P.joins_with(a)
+    j = joins[a][down]
+    if (j < 0).any():
+        return None
+    return down[j == x].tolist()
 
 
 def synors(P: Poset, field) -> list[tuple[int, int, int]]:

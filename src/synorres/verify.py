@@ -44,7 +44,7 @@ from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice, Poset,
                     enumerate_lattices, lattice_hash, poset_to_json,
                     without_bottom)
 from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
-                         synor_resolution)
+                         resolution_from_complex)
 from .shuffle import shuffle_product
 from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
                     ell_representation, homologous_in_pair, rho)
@@ -479,11 +479,16 @@ def check_class_sums(S: SynorComplex, g: Generator, ell: int,
 # --- sweeps ---
 
 
-def verify_intervals(L: LcmLattice, field) -> tuple[bool, list[str]]:
+def verify_intervals(L: LcmLattice, field,
+                     S: SynorComplex | None = None) -> tuple[bool, list[str]]:
     """Betti-level decomposition at every multidegree: for each m and
     each split i1 + i2 of a column with nonzero entry at m, a certified
-    pair with lcm dominating m.  One line per instance."""
-    table = betti_from_resolution(synor_resolution(L, field))
+    pair with lcm dominating m.  One line per instance.  The Betti table
+    is read off S, the synor complex of L minus its bottom, built here
+    when not given."""
+    if S is None:
+        S = build_synor_complex(without_bottom(L), field)
+    table = betti_from_resolution(resolution_from_complex(L, S))
     ok = True
     lines = []
     for (i, mono), _v in sorted(table.entries.items()):
@@ -505,9 +510,13 @@ def verify_intervals(L: LcmLattice, field) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def verify_lattice_instances(L: Lattice, field) -> tuple[bool, list[str]]:
-    """All valid (i1, i2, k) for one lattice, both routes, one line each."""
-    analysis = TopAnalysis(L, field)
+def verify_lattice_instances(L: Lattice, field,
+                             analysis: TopAnalysis | None = None
+                             ) -> tuple[bool, list[str]]:
+    """All valid (i1, i2, k) for one lattice, both routes, one line each;
+    analysis, L's TopAnalysis over field, is made here when not given."""
+    if analysis is None:
+        analysis = TopAnalysis(L, field)
     h = lattice_hash(L)
     ok = True
     lines = []

@@ -3,9 +3,13 @@ import time
 
 import pytest
 
+import synorres.cli
+import synorres.resolution
+import synorres.verify
 from synorres.algebra import DomainError, field_from_flag
 from synorres.cli import REPRODUCER_PATH, lattice_of, load_ideal, main
 from synorres.resolution import interval_ranks
+from synorres.synor import build_synor_complex
 from synorres.verify import TheoremContradiction
 
 EXAMPLE_TEXT = """\
@@ -144,6 +148,24 @@ def test_verify_decomposition(capsys):
     assert "LATTICE" in out and "INTERVAL" in out
     assert "all pass" in out
     assert "RESULT=fail" not in out
+
+
+@pytest.mark.parametrize("source", ["@kpq:4,3", "@powers:5,1"])
+def test_verify_decomposition_builds_one_synor_complex(capsys, monkeypatch,
+                                                       source):
+    # both verifiers read the complex of L minus its bottom: the LATTICE
+    # lines through TopAnalysis, the INTERVAL lines through its Betti table
+    built = []
+
+    def counted(P, field):
+        built.append(P.n)
+        return build_synor_complex(P, field)
+    for module in (synorres.cli, synorres.resolution, synorres.verify):
+        monkeypatch.setattr(module, "build_synor_complex", counted)
+    code, out, _ = run(capsys, "verify", "decomposition", source)
+    assert code == 0
+    assert "LATTICE" in out and "INTERVAL" in out
+    assert len(built) == 1
 
 
 def test_verify_subadditivity(capsys):

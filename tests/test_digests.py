@@ -7,6 +7,10 @@ a change of elimination order, pivot rule or witness tracking that moves
 a representative changes a digest.  The corpus forms have multiplicity 1
 at every element, so the three-cycle ideal (xy, xz, yz), whose top
 carries two classes, pins how a basis of several cycles is chosen.
+kpq(5,3) and B6 (powers:6,1) are lattices whose atom-complement
+quotients are far smaller than their down-sets, so they pin that the
+ranks taken on a quotient leave the full-complex witness pass, and the
+cycles it picks, as they were.
 
 A second set pins the outputs that read joins or the lattice
 enumeration: the decomposition witnesses, the subadditivity witness
@@ -54,6 +58,14 @@ DIGESTS = {
         "342c3a614cf34942e02946bd8410834ea10cfbd7360e50f7ad6054f0ed599bbf",
     ("resolve", "@random:3,4,6,3", "2"):
         "2f4a206246aa3dc0c0a2db13f28736766165f87db0365508a0da263efc12ec16",
+    ("synor", "@kpq:5,3", "q"):
+        "06b8e8585d897c5df7121972dd357f42ca70f7e2f27e67e39345ac6da143dcf4",
+    ("synor", "@kpq:5,3", "2"):
+        "69bb7145b23d6058ae9231fe01226934b23fe273a37a2b43724e764dbfe2ec6b",
+    ("resolve", "@powers:6,1", "q"):
+        "72f890b884b81d9bb8e3dd5f4be059a2c746607da981f58e5929176ef6ca2531",
+    ("resolve", "@powers:6,1", "2"):
+        "7ff61a59162a722175902b32b6f9626be8a9cf7ab25daa768e141f6ffb2c45bf",
     ("synor", "cycle", "q"):
         "30b68478a212fd27313b4124c0b0bd614f8e5cf0e322c014f1fbf56e9de3c38c",
     ("synor", "cycle", "2"):

@@ -242,3 +242,135 @@ def test_certify_clears_and_agrees_with_full_spans(make, monkeypatch):
     assert rep.ok
     monkeypatch.setattr(resolution, "cleared_spans", full_spans)
     assert certify_resolution(R, L, QQ).lines() == rep.lines()
+
+
+def test_labels_outside_the_lattice_are_not_certified():
+    # appending F_2 = <x^3> with d_2 = 0 and F_3 = <x^4> with d_3 = x.e to
+    # the resolution of (x^2) keeps the grading, d . d = 0, the units and
+    # the cokernel, and every strand at a lattice monomial, but the
+    # strand at x^3 has homology; no lattice strand sees those labels
+    L = build_lcm_lattice([Monomial((2,))], ("x",))
+    R = synor_resolution(L, QQ)
+    bad = type(R)(R.variables,
+                  R.labels + [[Monomial((3,))], [Monomial((4,))]],
+                  R.differentials + [{}, {(0, 0): (Monomial((1,)), QQ.one)}])
+    rep = certify_resolution(bad, L, QQ)
+    assert not rep.ok
+    assert rep.lines() == [
+        "ok  grading consistent", "ok  differential squares to zero",
+        "ok  no unit entries", "ok  cokernel is the ideal",
+        "FAIL  all multidegree strands exact",
+        "     label x^3 of module 2 is not in the lcm lattice",
+        "     label x^4 of module 3 is not in the lcm lattice",
+        "NOT CERTIFIED"]
+
+
+def spy_quotients(monkeypatch):
+    """Record each _atom_quotients result of certify_resolution."""
+    seen = []
+    engine = resolution._atom_quotients
+
+    def spy(exps, L):
+        seen.append(dict(engine(exps, L)))
+        return seen[-1].items()
+    monkeypatch.setattr(resolution, "_atom_quotients", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_boolean_quotient_strands_have_two_generators(n, monkeypatch):
+    # in B_n, with a the first atom below m, the labels l with
+    # lcm(l, a) = m are m and m / a, one generator each
+    spec = ideal_powers(n, 1)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, QQ)
+    seen = spy_quotients(monkeypatch)
+    assert certify_resolution(R, L, QQ).ok
+    (quotients,) = seen
+    assert sorted(quotients) == [m for m in range(L.n) if m != L.bottom]
+    for m_id, keep in quotients.items():
+        labels = sorted(R.labels[k][j] for k, sel in enumerate(keep)
+                        for j in sel)
+        m = L.monomials[m_id]
+        a = L.monomials[min(a for a in L.atoms if L.le(a, m_id))]
+        assert labels == sorted([m.quotient(a), m])
+
+
+def whole_strands(R, L, field):
+    """The report with every strand checked whole: no quotient strand."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resolution, "_atom_quotients", lambda exps, L: ())
+        return certify_resolution(R, L, field).lines()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 4), st.integers(1, 6),
+       st.integers(1, 3), st.sampled_from([QQ, PrimeField(2),
+                                           PrimeField(3)]))
+def test_quotient_strands_report_what_whole_strands_report(seed, n, g, emax,
+                                                           field):
+    spec = random_ideal(seed, n, g, emax)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, field)
+    rep = certify_resolution(R, L, field)
+    assert rep.ok
+    assert whole_strands(R, L, field) == rep.lines()
+    # a negative control with d . d = 0: the last generator dropped
+    labels = [list(labs) for labs in R.labels]
+    if len(labels) > 2:
+        last = len(labels[-1]) - 1
+        labels[-1].pop()
+        diffs = R.differentials[:-1] + [
+            {key: e for key, e in R.differentials[-1].items()
+             if key[1] != last}]
+        bad = type(R)(R.variables, labels, diffs)
+        rep = certify_resolution(bad, L, field)
+        assert not rep.ok
+        assert whole_strands(bad, L, field) == rep.lines()
+
+
+def test_truncated_koszul_fails_on_its_first_quotient(monkeypatch):
+    # the truncated Koszul complex of (x1, x2, x3) has d . d = 0, so the
+    # quotient strands run; every one is exact but the top's, which is
+    # then checked whole and reported as with whole strands
+    spec = ideal_powers(3, 1)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, QQ)
+    bad = type(R)(R.variables, R.labels[:-1], R.differentials[:-1])
+    seen = spy_quotients(monkeypatch)
+    ranked = []
+    engine = resolution.cleared_spans
+
+    def spans(columns_of, count, field):
+        ranked.append(count)
+        return engine(columns_of, count, field)
+    monkeypatch.setattr(resolution, "cleared_spans", spans)
+    rep = certify_resolution(bad, L, QQ)
+    assert len(seen) == 1 and list(seen[0])[-1] == L.top
+    # seven quotient strands, then the top's strand whole
+    assert len(ranked) == 8
+    assert rep.problems == [
+        "strand at x1*x2*x3 not exact (dims [1, 3, 3], ranks [1, 2])"]
+    assert whole_strands(bad, L, QQ) == rep.lines()
+
+
+def test_a_unit_summand_keeps_the_whole_strand_report(cycle_lattice):
+    # adding the acyclic summand 1 -> 1 (a unit entry) keeps every strand
+    # acyclic but puts two generators at the bottom of each; the
+    # presentation check fails, so no quotient strand may stand in for
+    # the strands, whose problem lines name the doubled bottom
+    L = cycle_lattice
+    R = synor_resolution(L, QQ)
+    one = Monomial.one(len(L.variables))
+    labels = [list(labs) for labs in R.labels]
+    labels[0].append(one)
+    labels[1].append(one)
+    first = dict(R.differentials[0])
+    first[(1, len(labels[1]) - 1)] = (one, QQ.one)
+    bad = type(R)(R.variables, labels, [first] + R.differentials[1:])
+    rep = certify_resolution(bad, L, QQ)
+    assert [name for name, good in rep.checks if not good] == [
+        "no unit entries", "cokernel is the ideal",
+        "all multidegree strands exact"]
+    assert sum("not exact (dims [2," in p for p in rep.problems) == L.n - 1
+    assert whole_strands(bad, L, QQ) == rep.lines()

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import synorres.linalg as linalg
+import synorres.synor as synor
 from synorres.algebra import (DimensionError, DomainError, PrimeField,
                               RationalField, ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
@@ -11,8 +12,8 @@ from synorres.corpus import MmixRandom, random_ideal, random_poset
 from synorres.linalg import Reducer, kernel_basis
 from synorres.poset import (Poset, build_lcm_lattice, enumerate_lattices,
                             without_bottom)
-from synorres.synor import (EMPTY_GENERATOR, SynorComplex, bracket,
-                            build_synor_complex, ell_representation,
+from synorres.synor import (EMPTY_GENERATOR, Generator, SynorComplex,
+                            bracket, build_synor_complex, ell_representation,
                             homologous_in_pair, rho, rho_chain, synor_to_json,
                             synors)
 
@@ -144,79 +145,156 @@ def test_strict_grading_and_phi_chain_map(cycle_lattice):
 
 def test_build_spans_top_down_with_clearing_and_finds_cycles_where_homology_is_nonzero(
         example62_lattice, monkeypatch):
-    # per element x the build needs no restrict guard; it spans the
-    # boundary matrices out of degrees top + 1 .. -1 of the part strictly
-    # below x once each, top degree first, top being the highest generator
-    # there; d_d's span receives exactly the dim C_d - rank d_{d+1}
-    # columns of d_d whose generator is not a least-key pivot of the full
-    # d_{d+1}'s span, and has the full d_d's RREF rows; and a witness pass
-    # runs on the full matrix out of degree d exactly when x receives
-    # dimension-(d + 1) generators
+    # per element x the build needs no restrict guard.  D is the strict
+    # down-set of x and a its first element along the linear extension;
+    # one rank pass of cleared spans runs on the quotient of the complex
+    # on D by the contractible ideal {y in D : y v a < x}: the generators
+    # at the y in D with y v a = x, with delta's terms on the ideal
+    # dropped, and its ranks are those of D.  An element with nothing
+    # below is ranked whole (the empty generator alone).  A witness pass
+    # then runs exactly in the degrees d where x receives dimension-(d+1)
+    # generators, on the full d_d over D, against the full d_{d+1}'s RREF
     def refuse(*args, **kwargs):
         raise AssertionError("build_synor_complex called restrict")
     monkeypatch.setattr(SynorComplex, "restrict", refuse)
     calls = []
-    span, kernel_vectors = linalg.span, linalg.kernel_vectors
+    ranked, cycles_of = synor.homology_ranks, synor.representative_cycles
 
-    def spanned(columns, field):
-        red = span(columns, field)
-        calls.append(("span", columns, red))
-        return red
+    def rank_pass(boundaries, field):
+        out = ranked(boundaries, field)
+        calls.append(("ranks", boundaries, out[0]))
+        return out
 
-    def streamed(columns, red):
-        calls.append(("witness", columns, None))
-        return kernel_vectors(columns, red)
-    monkeypatch.setattr(linalg, "span", spanned)
-    monkeypatch.setattr(linalg, "kernel_vectors", streamed)
+    def witness_pass(cols, above, rank, field):
+        calls.append(("witness", cols, above))
+        return cycles_of(cols, above, rank, field)
+    monkeypatch.setattr(synor, "homology_ranks", rank_pass)
+    monkeypatch.setattr(synor, "representative_cycles", witness_pass)
     upper = without_bottom(example62_lattice)
     S = build_synor_complex(upper, QQ)
     monkeypatch.undo()
     top_dim = max(S.dims())
     order = {x: i for i, x in enumerate(upper.linear_extension())}
-    pos = 0
-    cleared_generators = 0
+    pos = ranked_generators = whole_generators = 0
     for x in upper.linear_extension():
-        below = set(upper.strictly_below(x))
+        down = sorted(upper.strictly_below(x), key=order.get)
         # the generators below x in the order the build appended them
         gens = {d: sorted((g for g in S.generators(d)
-                           if g.element in below or g == EMPTY_GENERATOR),
+                           if g.element in down or g == EMPTY_GENERATOR),
                           key=lambda g: (order.get(g.element, -1), g.index))
-                for d in range(-2, top_dim + 2)}
-        top = max(d for d, lst in gens.items() if lst)
-        full = {d: {g: S.delta[g].terms for g in gens[d]}
-                for d in range(top + 1, -2, -1)}
-        spans = calls[pos:pos + len(full)]
-        pos += len(spans)
-        assert [kind for kind, _, _ in spans] == ["span"] * len(full)
-        cleared = set()
-        for d, (_, cols, red) in zip(full, spans):
-            # the cleared generators: the pivots of the full matrix above,
-            # spanned here without clearing
-            assert cleared <= set(full[d])
-            want = [c for g, c in full[d].items() if g not in cleared]
-            assert cols == want
-            assert len(cols) == len(gens[d]) - len(cleared)
-            plain = linalg.span(full[d].values(), QQ)
-            assert red.rows == plain.rows
-            assert red.rank == linalg.rank_of(full[d].values(), QQ)
-            cleared_generators += len(cleared)
-            cleared = set(plain.rows)
-        # each witness pass reads the full matrix out of its degree
-        passes = []
-        while pos < len(calls) and calls[pos][0] == "witness":
-            cols = calls[pos][1]
-            matches = [d for d in full if full[d] == cols]
-            assert len(matches) == 1
-            passes.append(matches[0])
-            pos += 1
+                for d in range(-1, top_dim + 2)}
+        full = {d: {g: S.delta[g].terms for g in lst}
+                for d, lst in gens.items()}
+        quotient = ({y for y in down if upper.join_of(y, down[0]) == x}
+                    if down else {EMPTY_GENERATOR.element})
+        qgens = {d: [g for g in lst if g.element in quotient]
+                 for d, lst in gens.items() if any(
+                     g.element in quotient for g in lst)}
         receives = sorted({g.dim - 1 for d in range(0, top_dim + 1)
                            for g in S.generators(d) if g.element == x})
+        ranked_generators += sum(map(len, qgens.values()))
+        whole_generators += sum(map(len, gens.values()))
+        if not qgens:
+            assert receives == []
+            continue
+        kind, mats, ranks = calls[pos]
+        pos += 1
+        assert kind == "ranks"
+        lowest = min(qgens)
+        assert mats == [{g: {h: v for h, v in S.delta[g].terms.items()
+                             if h.element in quotient}
+                         for g in qgens.get(d, ())}
+                        for d in range(lowest, max(qgens) + 2)]
+        whole = all_homology_ranks(upper.sub(down), QQ)
+        assert {lowest + i: r for i, r in enumerate(ranks) if r} == \
+            {d: r for d, r in whole.items() if r}
+        passes = []
+        while pos < len(calls) and calls[pos][0] == "witness":
+            _, cols, above = calls[pos]
+            (d,) = [d for d in full if list(full[d].items()) ==
+                    list(cols.items())]
+            assert above.rows == linalg.span(full[d + 1].values(),
+                                             QQ).rows
+            passes.append(d)
+            pos += 1
         assert passes == receives
     assert pos == len(calls)
     assert top_dim >= 2
-    assert cleared_generators > 0
-    n_spans = sum(kind == "span" for kind, _, _ in calls)
-    assert 0 < len(calls) - n_spans < n_spans
+    # the quotients rank a fraction of the generators of the down-sets
+    assert 4 * ranked_generators < whole_generators
+
+
+def reference_build(P, field):
+    """(gens_by_dim, delta) of the build that ranks every strict down-set
+    whole: the homology of the complex on it, from its full matrices."""
+    gens_by_dim = {-1: [EMPTY_GENERATOR]}
+    delta = {EMPTY_GENERATOR: FormalChain.zero(-2, field, "synor")}
+    for x in P.linear_extension():
+        below = {EMPTY_GENERATOR.element, *P.strictly_below(x)}
+        gens = {d: [g for g in lst if g.element in below]
+                for d, lst in gens_by_dim.items()}
+        top = max(d for d, lst in gens.items() if lst)
+        mats = [{g: delta[g].terms for g in gens.get(d, ())}
+                for d in range(-1, top + 2)]
+        for hb in linalg.complex_homology(mats, field, -1):
+            for idx, cycle in enumerate(hb.cycles):
+                g = Generator(x, hb.dim + 1, idx)
+                delta[g] = FormalChain(hb.dim, field, cycle, "synor")
+                gens_by_dim.setdefault(hb.dim + 1, []).append(g)
+    return {d: sorted(lst) for d, lst in gens_by_dim.items()}, delta
+
+
+def missing_join(P) -> bool:
+    """Whether some x has an element of its strict down-set without a
+    join with the first one along P's linear extension."""
+    order = P.linear_extension()
+    for x in order:
+        down = [y for y in order if P.lt(y, x)]
+        if down and (P.joins_with(down[0])[down] < 0).any():
+            return True
+    return False
+
+
+def build_case(kind, seed):
+    if kind == "lcm":
+        r = MmixRandom(seed)
+        spec = random_ideal(seed, 2 + r.below(4), 2 + r.below(5),
+                            1 + r.below(3))
+        return without_bottom(build_lcm_lattice(list(spec.generators),
+                                                spec.variables))
+    if kind == "lattice":
+        lattices = list(enumerate_lattices(2 + seed % 5))
+        L = lattices[seed % len(lattices)]
+        return L if seed % 3 == 0 else without_bottom(L)
+    return random_poset(seed, 3 + seed % 8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["lcm", "lattice", "poset"]), st.integers(1, 10**6),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+def test_build_equals_the_whole_down_set_reference(kind, seed, field):
+    # ranking atom-complement quotients changes no generator, no delta
+    # and no term order of a delta
+    P = build_case(kind, seed)
+    S = build_synor_complex(P, field)
+    gens_by_dim, delta = reference_build(P, field)
+    assert S.gens_by_dim == gens_by_dim
+    assert S.delta.keys() == delta.keys()
+    for g, chain in delta.items():
+        assert list(S.delta[g].terms.items()) == list(chain.terms.items())
+
+
+def test_missing_joins_fall_back_to_the_whole_down_set():
+    # random posets reach the fallback, where a join with the first
+    # element below is missing, and still build the reference complex
+    seeds = [s for s in range(1, 60) if missing_join(random_poset(s, 8))]
+    assert len(seeds) >= 5
+    for seed in seeds[:5]:
+        P = random_poset(seed, 8)
+        gens_by_dim, delta = reference_build(P, QQ)
+        S = build_synor_complex(P, QQ)
+        assert S.gens_by_dim == gens_by_dim
+        assert S.delta == delta
 
 
 def test_restrict_rejects_non_ideal(cycle_lattice):
