@@ -198,10 +198,6 @@ class Monomial:
             raise DomainError("quotient of non-divisible monomials")
         return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        self._match(other)
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 

@@ -3,7 +3,8 @@
 The resolution is the synor complex of the lcm lattice minus its bottom:
 dimension-(i-1) generators become the basis of the i-th free module,
 labeled by the lattice monomial they sit at, and the synor differential
-supplies monomial-weighted matrix entries.  Betti numbers are its
+supplies the scalar matrix entries; an entry's monomial weight is its
+column label over its row label, never stored.  Betti numbers are its
 generator counts.  A certification pass re-proves resolution-hood from
 scratch: squared differential, lattice labels, per-multidegree strand
 exactness (through quotient strands, one atom complement per lattice
@@ -144,10 +145,13 @@ def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
 
 
 class FreeResolution:
-    """A complex of labeled free modules with monomial-weighted matrices.
+    """A complex of labeled free modules with scalar matrices.
 
     differentials[k] maps module k+1 to module k; an entry keyed (row, col)
-    holds (label(col)/label(row), scalar).
+    holds a scalar, and its monomial weight is label(col)/label(row), so
+    the labels are the resolution's only grading.  Raises ValidationError
+    for a label over the wrong number of variables or an entry outside
+    its matrix.
     """
 
     def __init__(self, variables, labels, differentials):
@@ -156,6 +160,20 @@ class FreeResolution:
         self.differentials = [dict(d) for d in differentials]
         if len(self.differentials) != max(0, len(self.labels) - 1):
             raise ValidationError("differential count does not match modules")
+        nvars = len(self.variables)
+        for k, labs in enumerate(self.labels):
+            for lab in labs:
+                if lab.nvars != nvars:
+                    raise ValidationError(
+                        f"label {lab!r} of module {k} has {lab.nvars} "
+                        f"variables, not {nvars}")
+        for k, mat in enumerate(self.differentials):
+            rows, cols = len(self.labels[k]), len(self.labels[k + 1])
+            for r, c in mat:
+                if not (0 <= r < rows and 0 <= c < cols):
+                    raise ValidationError(
+                        f"entry ({r},{c}) of differential {k + 1} is outside "
+                        f"its {rows} x {cols} matrix")
 
     @property
     def ranks(self) -> tuple:
@@ -175,9 +193,9 @@ def resolution_from_complex(L: LcmLattice, S: SynorComplex) -> FreeResolution:
     """The resolution read off S, a synor complex of without_bottom(L).
 
     Module i has one generator per dimension-(i-1) synor generator, labeled
-    by its lattice monomial (the empty generator is labeled 1); the matrix
-    of the synor differential, with each entry scaled by the quotient of
-    its column and row labels, is the resolution differential.
+    by its lattice monomial (the empty generator is labeled 1); the scalar
+    matrix of the synor differential is the resolution differential, each
+    entry weighted by the quotient of its column and row labels.
     """
     def label_of(g):
         if g == EMPTY_GENERATOR:
@@ -190,12 +208,9 @@ def resolution_from_complex(L: LcmLattice, S: SynorComplex) -> FreeResolution:
     differentials = []
     for k in range(len(bases) - 1):
         rows = {g: r for r, g in enumerate(bases[k])}
-        mat = {}
-        for c, g in enumerate(bases[k + 1]):
-            for h, v in S.delta[g].terms.items():
-                mono = label_of(g).quotient(label_of(h))
-                mat[(rows[h], c)] = (mono, v)
-        differentials.append(mat)
+        differentials.append({
+            (rows[h], c): v for c, g in enumerate(bases[k + 1])
+            for h, v in S.delta[g].terms.items()})
     return FreeResolution(L.variables, labels, differentials)
 
 
@@ -227,13 +242,15 @@ class CertificationReport:
 def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> CertificationReport:
     """Re-prove that R minimally resolves the quotient by L's ideal.
 
-    Checks, each from first principles on the matrices alone: the
+    Checks, each from first principles on the matrices and labels alone:
+    every row label divides its column label and no scalar is zero; the
     differential squares to zero; every label is a monomial of L, and
     every multidegree strand is exact with a single generator at the
     bottom (a strand at a monomial outside the lattice coincides with the
     strand at its largest lattice divisor once every label is a lattice
-    monomial, so lattice monomials suffice); no entry is a unit; the
-    first differential presents exactly the ideal's minimal generators.
+    monomial, so lattice monomials suffice); no entry is a unit, that is,
+    no nonzero entry has equal row and column labels; the first
+    differential presents exactly the ideal's minimal generators.
 
     Once the grading, d . d = 0, the labels and the presentation are
     proven, the strands are checked through quotients.  Module 0 is then
@@ -264,22 +281,36 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     def record(name: str, good: bool):
         checks.append((name, good))
 
-    # labels must be consistent with the stored monomial weights; the same
-    # pass builds each differential's column view: column -> [(row, scalar)]
+    # exps[k]: module k's label exponents, one row a label
+    nvars = len(L.variables)
+    exps = [np.array([lab.exps for lab in labs], dtype=int).reshape(
+        len(labs), nvars) for labs in R.labels]
+
+    # every row label must divide its column label; the same pass builds
+    # each differential's column view (column -> [(row, scalar)]) and
+    # finds the unit entries, reported after d . d = 0
     consistent = True
     by_col: list[dict[int, list]] = []
+    units: list[str] = []
     for k, mat in enumerate(R.differentials):
         view: dict[int, list] = {}
         by_col.append(view)
-        for (r, c), (mono, v) in mat.items():
+        at = np.array(list(mat), dtype=int).reshape(len(mat), 2)
+        row_exps, col_exps = exps[k][at[:, 0]], exps[k + 1][at[:, 1]]
+        breaks = (row_exps > col_exps).any(axis=1).tolist()
+        equal = (row_exps == col_exps).all(axis=1).tolist()
+        for ((r, c), v), broken, unit in zip(mat.items(), breaks, equal):
             view.setdefault(c, []).append((r, v))
             if not v:
                 consistent = False
                 problems.append(f"zero scalar stored in differential {k + 1}")
-            if R.labels[k][r] * mono != R.labels[k + 1][c]:
+            if broken:
                 consistent = False
                 problems.append(
                     f"entry ({r},{c}) of differential {k + 1} breaks grading")
+            if unit and v:
+                units.append(
+                    f"unit entry at ({r},{c}) in differential {k + 1}")
     record("grading consistent", consistent)
 
     # d . d = 0; all monomial weights along a path agree, so scalar sums decide
@@ -298,14 +329,8 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     record("differential squares to zero", square_zero)
 
     # minimality: a unit entry would cancel a generator
-    minimal = True
-    for k, mat in enumerate(R.differentials):
-        for (r, c), (mono, v) in mat.items():
-            if mono.is_one() and v:
-                minimal = False
-                problems.append(
-                    f"unit entry at ({r},{c}) in differential {k + 1}")
-    record("no unit entries", minimal)
+    problems.extend(units)
+    record("no unit entries", not units)
 
     # the presentation matrix exhibits the ideal's minimal generators
     atoms = sorted(L.monomials[a] for a in L.atoms)
@@ -329,10 +354,6 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
             return [{r: v for r, v in by_col[k].get(c, ()) if r in keep[k]}
                     for c in keep[k + 1] if c not in cleared]
         return columns_of
-
-    nvars = len(L.variables)
-    exps = [np.array([lab.exps for lab in labs], dtype=int).reshape(
-        len(labs), nvars) for labs in R.labels]
 
     # quotient strands along the linear extension, while they are exact;
     # each one proves its multidegree's whole strand exact (see docstring)
@@ -420,11 +441,13 @@ def _atom_quotients(exps: list, L: LcmLattice):
 
 
 def resolution_to_json(R: FreeResolution) -> dict:
+    """JSON-ready dump; an entry is [row, col, its label quotient, scalar]."""
     diffs = []
     for k, mat in enumerate(R.differentials):
+        rows, cols = R.labels[k], R.labels[k + 1]
         entries = [
-            [r, c, mono.format(R.variables), str(v)]
-            for (r, c), (mono, v) in sorted(mat.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+            [r, c, cols[c].quotient(rows[r]).format(R.variables), str(v)]
+            for (r, c), v in sorted(mat.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         ]
         diffs.append({
             "rows": len(R.labels[k]),

@@ -38,7 +38,7 @@ diffable.
 from __future__ import annotations
 
 from .algebra import DomainError, ValidationError
-from .chains import FormalChain, boundary, bounds, graded_component
+from .chains import FormalChain, bounds, graded_component
 from .linalg import kernel_basis
 from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice, Poset,
                     enumerate_lattices, lattice_hash, poset_to_json,
@@ -135,7 +135,7 @@ class TopAnalysis:
     ids; below a lattice id x lies the open interval (0, x), whose ranks
     the lattice's memo holds.  Whether a chain bounds in the middle part
     is read from chains.bounds, whose span per degree P's cache holds, so
-    the nontriviality, relative-homology and step-lemma checks share it.
+    the nontriviality and relative-homology checks share it.
     """
 
     def __init__(self, L: Lattice, field):
@@ -258,7 +258,7 @@ class TopAnalysis:
                 self._payload(i1, i2, k, "nontriviality"))
 
         reps = ell_representation(self.S, g, i1 - 1)
-        total = self._shuffle_sum(reps, m, skip=0)
+        total = self._shuffle_sum(reps, m)
 
         try:
             same_class = homologous_in_pair(self.S.phi(g), total, self.P,
@@ -291,39 +291,17 @@ class TopAnalysis:
             "no join-reaching pair in any shuffle term",
             self._payload(i1, i2, k, "witness-scan"))
 
-    # --- the step lemma ---
-
-    def step_lemma_sum(self, g: Generator, ell: int) -> FormalChain:
-        """Sum over the ell-representation of rho of the chain minus its
-        top, shuffled with the suffix; a cycle supported in the middle."""
-        return self._shuffle_sum(ell_representation(self.S, g, ell),
-                                 g.dim - 1, skip=1)
-
-    def _shuffle_sum(self, reps, dim: int, skip: int) -> FormalChain:
-        """sum over chi of phi(rho(chi[skip:])) shuffled with phi(reps[chi]),
+    def _shuffle_sum(self, reps, dim: int) -> FormalChain:
+        """sum over chi of phi(rho(chi)) shuffled with phi(reps[chi]),
         taken in P, whose joins are L's; a chain of dimension dim."""
         def product(chi):
-            left = self.S.phi_chain(rho(self.S, chi[skip:]))
+            left = self.S.phi_chain(rho(self.S, chi))
             right = self.S.phi_chain(reps[chi])
             return shuffle_product(left, right, self.P)
 
         return FormalChain.combination(
             dim, self.field,
             ((self.field.one, product(chi)) for chi in sorted(reps)))
-
-    def verify_step_lemma(self, g: Generator, ell: int) -> bool:
-        """Consecutive step sums are cycles in the middle part and
-        homologous there; decided by a boundary-membership rank check."""
-        if not 1 <= ell <= g.dim:
-            raise DomainError("need 1 <= ell <= dim of the principal chain")
-        a = self.step_lemma_sum(g, ell)
-        b = self.step_lemma_sum(g, ell - 1)
-        for c in (a, b):
-            if not all(set(key) <= self.middle for key in c.terms):
-                return False
-            if not boundary(c).is_zero():
-                return False
-        return bounds(self.P, self.middle, a - b)
 
 
 def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,

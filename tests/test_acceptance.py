@@ -77,8 +77,7 @@ def test_criterion_03_certification_with_mutation_control():
     R = synor_resolution(L, QQ)
     entries = dict(R.differentials[1])
     key = next(iter(entries))
-    mono, scalar = entries[key]
-    entries[key] = (mono, scalar + QQ.one)
+    entries[key] = entries[key] + QQ.one
     bad = type(R)(R.variables, R.labels,
                   [R.differentials[0], entries] + list(R.differentials[2:]))
     control_failed = not certify_resolution(bad, L, QQ).ok

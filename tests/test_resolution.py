@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import synorres.linalg as linalg
 import synorres.resolution as resolution
-from synorres.algebra import Monomial, PrimeField, RationalField
+from synorres.algebra import (Monomial, PrimeField, RationalField,
+                              ValidationError)
 from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
 from synorres.poset import build_lcm_lattice, without_bottom
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
@@ -83,7 +84,7 @@ def test_stored_scalars_are_plain_numbers(seed, n, g, emax, field):
     L = build_lcm_lattice(list(spec.generators), spec.variables)
     R = synor_resolution(L, field)
     S = build_synor_complex(without_bottom(L), field)
-    scalars = [v for mat in R.differentials for _mono, v in mat.values()]
+    scalars = [v for mat in R.differentials for v in mat.values()]
     scalars += [v for chain in S.delta.values() for v in chain.terms.values()]
     for v in scalars:
         if field.modulus:
@@ -118,8 +119,8 @@ def test_mutation_negative_control(cycle_lattice):
     L = cycle_lattice
     R = synor_resolution(L, QQ)
     entries = dict(R.differentials[1])
-    (r, c), (mono, scalar) = next(iter(entries.items()))
-    entries[(r, c)] = (mono, scalar + QQ.one + QQ.one)
+    (r, c), scalar = next(iter(entries.items()))
+    entries[(r, c)] = scalar + QQ.one + QQ.one
     bad = type(R)(R.variables, R.labels,
                   [R.differentials[0], entries] + list(R.differentials[2:]))
     rep = certify_resolution(bad, L, QQ)
@@ -144,7 +145,7 @@ def test_resolution_json_shape(cycle_lattice):
     assert data["ranks"] == [1, 3, 2]
     assert data["labels"][0] == ["1"]
     assert sorted(data["labels"][1]) == ["x*y", "x*z", "y*z"]
-    # differential entries carry the monomial quotient and the scalar
+    # differential entries carry the label quotient and the scalar
     for level in data["differentials"]:
         assert level["rows"] >= 1 and level["cols"] >= 1
         for row, col, mono, scalar in level["entries"]:
@@ -167,8 +168,7 @@ def mutated_cycle_resolution(cycle_lattice, shift):
     R = synor_resolution(cycle_lattice, QQ)
     entries = dict(R.differentials[1])
     key = next(iter(entries))
-    mono, scalar = entries[key]
-    entries[key] = (mono, scalar + shift)
+    entries[key] = entries[key] + shift
     return type(R)(R.variables, R.labels,
                    [R.differentials[0], entries] + list(R.differentials[2:]))
 
@@ -253,7 +253,7 @@ def test_labels_outside_the_lattice_are_not_certified():
     R = synor_resolution(L, QQ)
     bad = type(R)(R.variables,
                   R.labels + [[Monomial((3,))], [Monomial((4,))]],
-                  R.differentials + [{}, {(0, 0): (Monomial((1,)), QQ.one)}])
+                  R.differentials + [{}, {(0, 0): QQ.one}])
     rep = certify_resolution(bad, L, QQ)
     assert not rep.ok
     assert rep.lines() == [
@@ -263,6 +263,46 @@ def test_labels_outside_the_lattice_are_not_certified():
         "     label x^3 of module 2 is not in the lcm lattice",
         "     label x^4 of module 3 is not in the lcm lattice",
         "NOT CERTIFIED"]
+
+
+def test_a_row_label_not_dividing_its_column_label_breaks_grading():
+    # swapping the first two labels of module 2 of the Koszul resolution
+    # of (x1, x2, x3) keeps the scalars, so d . d = 0, the units, the
+    # cokernel and every strand pass; only the grading check sees that
+    # the row labels x2 and x1 no longer divide their column labels
+    spec = ideal_powers(3, 1)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    R = synor_resolution(L, QQ)
+    labels = [list(labs) for labs in R.labels]
+    labels[2][:2] = labels[2][1::-1]
+    bad = type(R)(R.variables, labels, R.differentials)
+    rep = certify_resolution(bad, L, QQ)
+    assert not rep.ok
+    assert rep.lines() == [
+        "FAIL  grading consistent", "ok  differential squares to zero",
+        "ok  no unit entries", "ok  cokernel is the ideal",
+        "ok  all multidegree strands exact",
+        "     entry (1,0) of differential 2 breaks grading",
+        "     entry (2,1) of differential 2 breaks grading",
+        "NOT CERTIFIED"]
+
+
+def test_a_label_over_other_variables_is_rejected():
+    L = build_lcm_lattice([Monomial((2,))], ("x",))
+    R = synor_resolution(L, QQ)
+    with pytest.raises(ValidationError, match="label Monomial\\(2, 0\\) "
+                       "of module 1 has 2 variables, not 1"):
+        type(R)(R.variables, [R.labels[0], [Monomial((2, 0))]],
+                R.differentials)
+
+
+@pytest.mark.parametrize("key", [(1, 0), (0, 1), (-1, 0)])
+def test_an_entry_outside_its_matrix_is_rejected(key):
+    L = build_lcm_lattice([Monomial((2,))], ("x",))
+    R = synor_resolution(L, QQ)
+    with pytest.raises(ValidationError, match=f"entry \\({key[0]},{key[1]}\\) "
+                       "of differential 1 is outside its 1 x 1 matrix"):
+        type(R)(R.variables, R.labels, [{key: QQ.one}])
 
 
 def spy_quotients(monkeypatch):
@@ -366,7 +406,7 @@ def test_a_unit_summand_keeps_the_whole_strand_report(cycle_lattice):
     labels[0].append(one)
     labels[1].append(one)
     first = dict(R.differentials[0])
-    first[(1, len(labels[1]) - 1)] = (one, QQ.one)
+    first[(1, len(labels[1]) - 1)] = QQ.one
     bad = type(R)(R.variables, labels, [first] + R.differentials[1:])
     rep = certify_resolution(bad, L, QQ)
     assert [name for name, good in rep.checks if not good] == [

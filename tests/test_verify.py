@@ -104,30 +104,16 @@ def test_routes_raise_when_their_witness_fails_verify(cycle_lattice,
         assert str(e.value) == "witness certification failed"
 
 
-def test_step_lemma_small_and_example(cycle_lattice, example62_lattice):
-    ana = TopAnalysis(cycle_lattice, QQ)
-    g = [g for g in ana.S.generators(1) if g.element == ana.top][0]
-    assert ana.verify_step_lemma(g, 1)
-    ana2 = TopAnalysis(example62_lattice, QQ)
-    g4 = [g for g in ana2.S.generators(4) if g.element == ana2.top][0]
-    for ell in (1, 2, 3, 4):
-        assert ana2.verify_step_lemma(g4, ell)
-    with pytest.raises(DomainError):
-        ana2.verify_step_lemma(g4, 5)
-
-
 def test_constructive_checks_share_one_span_per_degree():
-    # the nontriviality, relative-homology and step-lemma checks of every
-    # valid triple ask whether a chain bounds in the middle part in degree
-    # m - 1, where m is 1 or 4; each degree is spanned once, in P's cache
+    # the nontriviality and relative-homology checks of every valid triple
+    # ask whether a chain bounds in the middle part in degree m - 1, where
+    # m is 1 or 4; each degree is spanned once, in P's cache
     L = lattice_of(ideal_example62())
     ana = TopAnalysis(L, QQ)
     triples = ana.valid_triples()
     assert len(triples) == 23
     for triple in triples:
         assert ana.constructive(*triple) is not None
-    g4 = [g for g in ana.S.generators(4) if g.element == ana.top][0]
-    assert ana.verify_step_lemma(g4, 2)
     spans = [key for key in ana.P._cache if key[0] == "bounds"]
     assert sorted(spans, key=lambda key: key[2]) == [
         ("bounds", ana.middle, d, QQ) for d in (0, 3)]
