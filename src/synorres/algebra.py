@@ -155,7 +155,8 @@ class Monomial:
     __slots__ = ("exps",)
 
     def __init__(self, exps):
-        exps = tuple(int(e) for e in exps)
+        if type(exps) is not tuple or any(type(e) is not int for e in exps):
+            exps = tuple(int(e) for e in exps)  # a tuple of ints is kept
         if any(e < 0 for e in exps):
             raise DomainError(f"negative exponent in {exps}")
         object.__setattr__(self, "exps", exps)

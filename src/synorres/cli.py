@@ -98,7 +98,8 @@ def cmd_betti(args) -> int:
     field = field_from_flag(args.field)
     table = betti_from_resolution(synor_resolution(L, field))
     t_line = "t: " + " ".join(str(x) for x in table.t_sequence())
-    _emit(args, table.to_json(), [table.text(), t_line])
+    lines = [] if args.format == "json" else [table.text(), t_line]
+    _emit(args, table.to_json(), lines)
     return 0
 
 

@@ -21,13 +21,19 @@ reader of the oracle goes through it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
-from .algebra import Monomial, ValidationError
+from .algebra import DomainError, Monomial, ValidationError
 from .chains import all_homology_ranks
 from .linalg import cleared_spans, rank_of
-from .poset import Lattice, LcmLattice, open_interval, without_bottom
+from .poset import (Lattice, LcmLattice, _lex_keys, open_interval,
+                    without_bottom)
 from .synor import EMPTY_GENERATOR, SynorComplex, build_synor_complex
+
+# BettiTable.text draws every row j - i up to the largest: no more than this
+BETTI_TEXT_ROW_CAP = 10_000
 
 
 class BettiTable:
@@ -74,35 +80,25 @@ class BettiTable:
         return f"BettiTable(totals={self.totals()})"
 
     def text(self) -> str:
-        """Macaulay-style grid: columns i, rows j - i, dots for zeros."""
-        pd = self.projective_dimension()
-        cols = range(pd + 1)
-        maxrow = 0
-        grid: dict[tuple[int, int], int] = {}
+        """Macaulay-style grid: columns i, rows j - i, dots for zeros.
+        Raises DomainError beyond BETTI_TEXT_ROW_CAP rows."""
+        cols = range(self.projective_dimension() + 1)
+        grid: Counter = Counter()  # (row j - i, column i) -> sum
         for (i, m), v in self.entries.items():
-            d = m.degree() - i
-            grid[(d, i)] = grid.get((d, i), 0) + v
-            maxrow = max(maxrow, d)
-        cells = {}
-        for i in cols:
-            cells[("head", i)] = str(i)
-            cells[("total", i)] = str(self.total(i))
-            for d in range(maxrow + 1):
-                v = grid.get((d, i), 0)
-                cells[(d, i)] = str(v) if v else "."
-        widths = {
-            i: max(len(cells[(r, i)])
-                   for r in ["head", "total", *range(maxrow + 1)])
-            for i in cols
-        }
-
-        def line(label, row):
-            return label.rjust(6) + "".join(
-                " " + cells[(row, i)].rjust(widths[i]) for i in cols)
-
-        out = [line("", "head"), line("total:", "total")]
-        out.extend(line(f"{d}:", d) for d in range(maxrow + 1))
-        return "\n".join(out)
+            grid[(m.degree() - i, i)] += v
+        rows = max([0, *(d for d, _i in grid)]) + 1
+        if rows > BETTI_TEXT_ROW_CAP:
+            raise DomainError(
+                f"refusing to draw a Betti table of {rows} rows, more than "
+                f"{BETTI_TEXT_ROW_CAP}; --format json lists its entries")
+        table = [["", *map(str, cols)],
+                 ["total:", *(str(self.total(i)) for i in cols)]]
+        table.extend([f"{d}:", *(str(grid[(d, i)] or ".") for i in cols)]
+                     for d in range(rows))
+        widths = [max(len(line[1 + i]) for line in table) for i in cols]
+        return "\n".join(line[0].rjust(6) + "".join(
+            " " + cell.rjust(w) for cell, w in zip(line[1:], widths))
+            for line in table)
 
     def to_json(self) -> dict:
         return {
@@ -216,11 +212,8 @@ def resolution_from_complex(L: LcmLattice, S: SynorComplex) -> FreeResolution:
 
 def betti_from_resolution(R: FreeResolution) -> BettiTable:
     """Betti numbers as generator counts of a (certified-minimal) resolution."""
-    entries: dict = {}
-    for i, labs in enumerate(R.labels):
-        for m in labs:
-            entries[(i, m)] = entries.get((i, m), 0) + 1
-    return BettiTable(R.variables, entries)
+    return BettiTable(R.variables, Counter(
+        (i, m) for i, labs in enumerate(R.labels) for m in labs))
 
 
 class CertificationReport:
@@ -273,18 +266,17 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     linalg.cleared_spans from the top module down: a strand column whose
     index is a pivot of the span one module up is never built.  Without
     d . d = 0 clearing would not be exact, and every strand matrix is
-    spanned in full.
+    spanned in full.  R and L must share their variable list.
     """
+    if R.variables != L.variables:
+        raise ValidationError(f"resolution variables {list(R.variables)} "
+                              f"differ from lattice's {list(L.variables)}")
     problems: list[str] = []
     checks: list[tuple[str, bool]] = []
 
-    def record(name: str, good: bool):
-        checks.append((name, good))
-
     # exps[k]: module k's label exponents, one row a label
-    nvars = len(L.variables)
-    exps = [np.array([lab.exps for lab in labs], dtype=int).reshape(
-        len(labs), nvars) for labs in R.labels]
+    exps = [np.array([lab.exps for lab in labs], dtype=np.int64).reshape(
+        -1, len(L.variables)) for labs in R.labels]
 
     # every row label must divide its column label; the same pass builds
     # each differential's column view (column -> [(row, scalar)]) and
@@ -311,7 +303,7 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
             if unit and v:
                 units.append(
                     f"unit entry at ({r},{c}) in differential {k + 1}")
-    record("grading consistent", consistent)
+    checks.append(("grading consistent", consistent))
 
     # d . d = 0; all monomial weights along a path agree, so scalar sums decide
     square_zero = True
@@ -326,11 +318,11 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
                 problems.append(
                     f"composite of differentials {k + 2} and {k + 1} "
                     f"nonzero on generator {c}")
-    record("differential squares to zero", square_zero)
+    checks.append(("differential squares to zero", square_zero))
 
     # minimality: a unit entry would cancel a generator
     problems.extend(units)
-    record("no unit entries", not units)
+    checks.append(("no unit entries", not units))
 
     # the presentation matrix exhibits the ideal's minimal generators
     atoms = sorted(L.monomials[a] for a in L.atoms)
@@ -339,7 +331,7 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
         R.labels[0][0].is_one()
     if not presents:
         problems.append("first module does not present the ideal's generators")
-    record("cokernel is the ideal", presents)
+    checks.append(("cokernel is the ideal", presents))
 
     # every label must be a lattice monomial; a strand at a multidegree
     # outside the lattice is then the strand at its largest lattice divisor
@@ -368,18 +360,11 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
             proven.add(m_id)
 
     # the other strands whole, at the lattice multidegrees above the
-    # bottom; divides[i][m, j]: label j of module i divides monomial m
+    # bottom: at m, the labels of each module that divide m
     exact = not outside
-    rest = [m_id for m_id in range(L.n)
-            if m_id != L.bottom and m_id not in proven]
-    if rest:
-        lattice_exps = np.array([m.exps for m in L.monomials]).reshape(
-            L.n, nvars)
-        divides = [(rows <= lattice_exps[:, None]).all(axis=2)
-                   for rows in exps]
-    for m_id in rest:
-        m = L.monomials[m_id]
-        keep = [set(np.flatnonzero(d[m_id]).tolist()) for d in divides]
+    for m_id in sorted(set(range(L.n)) - proven - {L.bottom}):
+        keep = [set(np.flatnonzero(
+            (rows <= L.exps[m_id]).all(axis=1)).tolist()) for rows in exps]
         dims = [len(sel) for sel in keep]
         while dims and dims[-1] == 0:
             dims.pop()
@@ -394,16 +379,14 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
         # m lies in the ideal, so the strand must be exact everywhere:
         # one generator at the bottom, killed by rank-1 d_1, and
         # dim F_k = rank d_k + rank d_{k+1} above.
-        good = len(dims) >= 2 and dims[0] == 1 and ranks[0] == 1
-        for k in range(1, len(dims)):
-            if dims[k] != ranks[k - 1] + ranks[k]:
-                good = False
+        good = len(dims) >= 2 and dims[0] == 1 and ranks[0] == 1 and all(
+            dims[k] == ranks[k - 1] + ranks[k] for k in range(1, len(dims)))
         if not good:
             exact = False
             problems.append(
-                f"strand at {m.format(L.variables)} not exact "
+                f"strand at {L.format_label(m_id)} not exact "
                 f"(dims {dims}, ranks {ranks[:-1]})")
-    record("all multidegree strands exact", exact)
+    checks.append(("all multidegree strands exact", exact))
 
     ok = all(good for _n, good in checks)
     return CertificationReport(ok, checks, problems)
@@ -414,11 +397,9 @@ def _atom_quotients(exps: list, L: LcmLattice):
     the bottom, along L's linear extension; the strand is one set of
     label positions per module: those whose label l has lcm(l, a) = m,
     for a the first of L.atoms below m.  exps[k] holds module k's label
-    exponents, one row a label, and every label must be a monomial of L.
-    """
+    rows; every label is in L, so lcm(l, a) is found among L.exps."""
     atoms = list(L.atoms)
     first = np.argmax(L.leq[atoms], axis=0)  # position in atoms of a(m)
-    ids = {m.exps: i for i, m in enumerate(L.monomials)}
     labels = np.concatenate(exps)  # module by module
     module = [k for k, rows in enumerate(exps) for _ in rows]
     position = [j for rows in exps for j in range(len(rows))]
@@ -428,8 +409,8 @@ def _atom_quotients(exps: list, L: LcmLattice):
             continue
         a = atoms[first[m_id]]
         if a not in lcms:
-            lcm = np.array([ids[tuple(row)] for row in np.maximum(
-                labels, L.monomials[a].exps).tolist()], dtype=int)
+            lcm = np.searchsorted(_lex_keys(L.exps), _lex_keys(
+                np.maximum(labels, L.exps[a])))
             order = np.argsort(lcm, kind="stable")
             lcms[a] = (order, lcm[order])
         order, sorted_lcm = lcms[a]

@@ -111,6 +111,17 @@ def test_quotient_mul(e1, e2):
             b.quotient(a)
 
 
+def test_monomial_keeps_a_tuple_of_ints_and_converts_the_rest():
+    exps = (2, 0, 1)
+    assert Monomial(exps).exps is exps
+    for given_exps in ([2, 0, 1], (True, 0, 1), (2.0, 0, 1), range(3)):
+        m = Monomial(given_exps)
+        assert m.exps == tuple(int(e) for e in given_exps)
+        assert all(type(e) is int for e in m.exps)
+    with pytest.raises(DomainError, match="negative exponent"):
+        Monomial((1, -1))
+
+
 def test_monomial_format_parse_roundtrip():
     variables = ("x", "y", "z")
     m = Monomial((2, 0, 1))

@@ -314,6 +314,47 @@ def test_random_ideal_at_the_lattice_cap_fails_fast(capsys):
     assert time.perf_counter() - start < 10.0
 
 
+def test_betti_text_of_a_huge_degree_fails_fast(capsys, tmp_path):
+    # the shifts of (x^100000000, y) reach degree 10^8 + 1, so the text
+    # grid would have 10^8 rows; the JSON holds only the four entries
+    path = tmp_path / "ideal.txt"
+    path.write_text("vars: x y\nx^100000000\ny\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "betti", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: refusing to draw a Betti table of 100000000 "
+                   "rows, more than 10000; --format json lists its entries\n")
+    code, out, _ = run(capsys, "betti", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["entries"] == [
+        [0, "1", 1], [1, "y", 1], [1, "x^100000000", 1],
+        [2, "x^100000000*y", 1]]
+    assert time.perf_counter() - start < 3.0
+
+
+def test_betti_text_row_cap_is_exact(capsys, monkeypatch):
+    # the example's grid has rows 0 to 4
+    monkeypatch.setattr(synorres.resolution, "BETTI_TEXT_ROW_CAP", 5)
+    assert run(capsys, "betti", "@example62")[:2] == (0, EXAMPLE_TEXT)
+    monkeypatch.setattr(synorres.resolution, "BETTI_TEXT_ROW_CAP", 4)
+    code, out, err = run(capsys, "betti", "@example62")
+    assert (code, out) == (1, "")
+    assert "Betti table of 5 rows, more than 4" in err
+
+
+@pytest.mark.parametrize("command", ["betti", "resolve", "lattice", "synor"])
+def test_an_exponent_past_int64_exits_one(capsys, tmp_path, command):
+    path = tmp_path / "ideal.txt"
+    path.write_text(f"vars: x y\nx^{2**63}\ny\n")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error: generator x^{2**63} has an exponent of 2^63 "
+                   f"or more\n")
+    path.write_text(f"vars: x y\nx^{2**63 - 1}\ny\n")
+    code, _, _ = run(capsys, command, str(path), "--format", "json")
+    assert code == 0
+
+
 def test_random_draw_cap_is_exact(monkeypatch):
     import synorres.corpus as corpus_module
 

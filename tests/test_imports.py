@@ -1,10 +1,16 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every private
+helper of the package is used by the package.
 
-The scan covers the package's modules, the test files and the demos.
-It is an AST scan, so it needs no linter: a name counts as used when it
-is read anywhere in the module, in a string annotation included.  An
-import line marked `# noqa: F401` is exempt, and so is the package's
+The import scan covers the package's modules, the test files and the
+demos.  It is an AST scan, so it needs no linter: a name counts as used
+when it is read anywhere in the module, in a string annotation included.
+An import line marked `# noqa: F401` is exempt, and so is the package's
 `__init__.py`, whose imports are its public interface.
+
+The helper scan covers the module-level functions of the package whose
+names start with an underscore: each must be referenced, as a name or an
+attribute, somewhere in the package outside its own definition.  A
+helper that only the tests call is dead code.
 """
 
 import ast
@@ -71,3 +77,44 @@ def test_the_scan_finds_an_unused_import_and_honours_noqa():
               "def f(x: \"os\") -> \"Path\":\n"
               "    return loads, \"dumps\"\n")
     assert unused_imports(source) == ["line 3: dumps"]
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions, as `module.name`, that no
+    code in sources refers to outside their own definitions."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    helpers = {(name, node.name): node for name, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_")}
+    inside = {id(n): key for key, node in helpers.items()
+              for n in ast.walk(node)}
+    used = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            ref = node.id if isinstance(node, ast.Name) else \
+                node.attr if isinstance(node, ast.Attribute) else None
+            if ref is not None and inside.get(id(node)) != (name, ref):
+                used.add(ref)
+    return [f"{name}.{helper}" for name, helper in sorted(helpers)
+            if helper not in used]
+
+
+def test_every_private_helper_is_used_by_the_package():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unreferenced_helpers(sources) == []
+
+
+def test_the_helper_scan_finds_a_dead_helper():
+    # _dead calls _by_name, b reads _by_attribute off a, and only its
+    # own body names _recursive; methods and public functions are exempt
+    sources = {
+        "a": ("def _by_name():\n    return 1\n"
+              "def _by_attribute():\n    return 2\n"
+              "def _recursive(n):\n    return _recursive(n - 1)\n"
+              "def _dead():\n    return _by_name()\n"
+              "class C:\n    def _method(self):\n        return 0\n"
+              "def public():\n    return 3\n"),
+        "b": "import a\nx = a._by_attribute\n",
+    }
+    assert unreferenced_helpers(sources) == ["a._dead", "a._recursive"]

@@ -10,7 +10,7 @@ from synorres.algebra import (DimensionError, DomainError, Monomial,
                               ValidationError)
 from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
                              ideal_powers, random_ideal, random_poset)
-from synorres.poset import (Lattice, Poset, _bounded_closure,
+from synorres.poset import (Lattice, LcmLattice, Poset, _bounded_closure,
                             _decode_canonical, _natural_posets,
                             build_lcm_lattice, canonical_form,
                             enumerate_lattices, is_isomorphic, is_lattice,
@@ -422,6 +422,67 @@ def test_json_roundtrip(cycle_lattice):
     for a in range(back.n):
         for b in range(back.n):
             assert back.le(a, b) == cycle_lattice.le(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(1, 10**6), nvars=st.integers(1, 6),
+       gens=st.integers(1, 8), emax=st.integers(1, 3))
+def test_lcm_json_round_trip_rebuilds_the_same_lattice(seed, nvars, gens,
+                                                       emax):
+    spec = random_ideal(seed, nvars, gens, emax)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    back = poset_from_json(poset_to_json(L))
+    assert type(back) is LcmLattice
+    assert back.monomials == L.monomials
+    assert (back.leq == L.leq).all()
+    assert back.atoms == L.atoms
+    assert back.exps.tolist() == L.exps.tolist()
+    assert lattice_hash(back) == lattice_hash(L)
+
+
+def test_plain_and_enumerated_posets_round_trip_without_lcm_data():
+    plain = [random_poset(seed, 5 + seed) for seed in range(1, 6)]
+    for P in [*plain, *enumerate_lattices(5)]:
+        back = poset_from_json(poset_to_json(P))
+        assert type(back) is (Lattice if is_lattice(P) else Poset)
+        assert (back.leq == P.leq).all()
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 4, "covers": [[0, 1], [1, 2], [2, 3]],
+     "labels": ["1", "x", "y", "x*y"], "variables": ["x", "y"]},
+    {"n": 3, "covers": [[0, 1], [1, 2]],
+     "labels": ["1", "x", "x^2"], "variables": ["x"]},
+    {"n": 1, "covers": [], "labels": ["1"], "variables": ["x"]},
+    {"n": 4, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],
+     "labels": ["1", "x", "y", "x*y"], "variables": ["x", "y"]},
+    {"n": 5, "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],
+     "labels": ["1", "y", "x", "x*y"], "variables": ["x", "y"]},
+    {"n": -1, "covers": []},
+], ids=["chain-covers", "not-lcm-closed", "bottom-alone", "not-lex-order",
+        "label-count", "negative-n"])
+def test_json_refuses_what_build_lcm_lattice_would_not_make(data):
+    with pytest.raises(ValidationError):
+        poset_from_json(data)
+
+
+def test_json_refuses_a_dump_with_a_cover_dropped(example62_lattice):
+    data = poset_to_json(example62_lattice)
+    for k in (0, len(data["covers"]) // 2, -1):
+        covers = list(data["covers"])
+        del covers[k]
+        with pytest.raises(ValidationError):
+            poset_from_json(dict(data, covers=covers))
+
+
+def test_lcm_lattice_keeps_a_read_only_int64_exponent_matrix():
+    L = build_lcm_lattice([Monomial((2**63 - 1, 0)), Monomial((0, 1))],
+                          ("x", "y"))
+    assert L.exps.dtype == np.int64 and not L.exps.flags.writeable
+    assert L.exps.tolist() == [list(m.exps) for m in L.monomials]
+    with pytest.raises(DomainError, match=r"exponent of 2\^63 or more"):
+        build_lcm_lattice([Monomial((2**63, 0)), Monomial((0, 1))],
+                          ("x", "y"))
 
 
 def test_lattice_hash_is_isomorphism_invariant():

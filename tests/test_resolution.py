@@ -296,6 +296,16 @@ def test_a_label_over_other_variables_is_rejected():
                 R.differentials)
 
 
+def test_certify_refuses_a_lattice_over_other_variables():
+    # the resolution of (x^2, y) against the lattice of (x^2)
+    R = synor_resolution(
+        build_lcm_lattice([Monomial((2, 0)), Monomial((0, 1))], "xy"), QQ)
+    L = build_lcm_lattice([Monomial((2,))], ("x",))
+    with pytest.raises(ValidationError, match=r"resolution variables "
+                       r"\['x', 'y'\] differ from lattice's \['x'\]"):
+        certify_resolution(R, L, QQ)
+
+
 @pytest.mark.parametrize("key", [(1, 0), (0, 1), (-1, 0)])
 def test_an_entry_outside_its_matrix_is_rejected(key):
     L = build_lcm_lattice([Monomial((2,))], ("x",))
