@@ -2,8 +2,16 @@
 
 Subcommands: betti (Macaulay-layout table), resolve (resolution JSON plus
 certification), lattice (lcm lattice dump with synor annotations), synor
-(generator/embedding dump), verify (theorem drivers), shuffle-demo
-(expanded shuffle product of two chains).
+(generator/embedding dump), shuffle-demo (expanded shuffle product of two
+chains) and verify, whose four theorem drivers take only what they read:
+
+    verify subadditivity INPUT
+    verify decomposition INPUT
+    verify lattices [--max N]             (default 7)
+    verify properties [--seed S] [--max N] (defaults 1 and 25)
+
+Every command also takes --field (q or a prime p) and --format
+(text|json); a verify driver's options follow the driver name.
 
 Ideal input is a file path, `-` for stdin, or an `@` corpus form:
 @example62, @powers:n,a, @kpq:p,q, @random:seed,n,g,emax.  Exit codes:
@@ -13,6 +21,7 @@ Ideal input is a file path, `-` for stdin, or an `@` corpus form:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +30,6 @@ from .algebra import (DimensionError, DomainError, ValidationError,
                       field_from_flag, parse_monomial)
 from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
                      parse_ideal_text, random_ideal, random_poset)
-from . import poset
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
                     poset_to_json, without_bottom)
 from .resolution import (betti_from_intervals, betti_from_resolution,
@@ -48,11 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# @name:args -> (number of integer args, maker)
+_CORPUS_FORMS = {"example62": (0, ideal_example62),
+                 "powers": (2, ideal_powers), "kpq": (2, ideal_kpq),
+                 "random": (4, random_ideal)}
+
+
 def load_ideal(source: str) -> IdealSpec:
     """Resolve a path, `-`, or an @corpus form into an IdealSpec."""
-    if source == "-":
-        variables, gens = parse_ideal_text(sys.stdin.read())
-        return IdealSpec("stdin", variables, gens, {})
     if source.startswith("@"):
         name, _sep, argtext = source[1:].partition(":")
         args = [a for a in argtext.split(",") if a] if argtext else []
@@ -60,25 +71,21 @@ def load_ideal(source: str) -> IdealSpec:
             ints = [int(a) for a in args]
         except ValueError:
             raise ValidationError(f"non-integer argument in {source!r}")
-        if name == "example62" and not ints:
-            return ideal_example62()
-        if name == "powers" and len(ints) == 2:
-            # its lcm lattice is the Boolean lattice B_n, of 2^n elements
-            if ints[0] >= poset.LCM_LATTICE_CAP.bit_length():
-                raise DomainError(
-                    f"{source}: refusing to build an lcm lattice with more "
-                    f"than {poset.LCM_LATTICE_CAP} elements (2^{ints[0]})")
-            return ideal_powers(*ints)
-        if name == "kpq" and len(ints) == 2:
-            return ideal_kpq(*ints)
-        if name == "random" and len(ints) == 4:
-            return random_ideal(*ints)
+        arity, make = _CORPUS_FORMS.get(name, (None, None))
+        if len(ints) == arity:
+            return make(*ints)
         raise ValidationError(
             f"unknown corpus form {source!r}; expected @example62, "
             f"@powers:n,a, @kpq:p,q or @random:seed,n,g,emax")
-    text = Path(source).read_text()
+    try:
+        text = (sys.stdin.read() if source == "-"
+                else Path(source).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ValidationError(
+            f"{source}: not UTF-8 text ({e.reason} at offset {e.start})")
     variables, gens = parse_ideal_text(text)
-    return IdealSpec(source, variables, gens, {})
+    return IdealSpec("stdin" if source == "-" else source, variables, gens,
+                     {})
 
 
 def lattice_of(spec: IdealSpec) -> LcmLattice:
@@ -93,9 +100,7 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
-def cmd_betti(args) -> int:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def cmd_betti(args, L, field) -> int:
     table = betti_from_resolution(synor_resolution(L, field))
     t_line = "t: " + " ".join(str(x) for x in table.t_sequence())
     lines = [] if args.format == "json" else [table.text(), t_line]
@@ -103,9 +108,7 @@ def cmd_betti(args) -> int:
     return 0
 
 
-def cmd_resolve(args) -> int:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def cmd_resolve(args, L, field) -> int:
     resolution = synor_resolution(L, field)
     report = certify_resolution(resolution, L, field)
     match = betti_from_resolution(resolution) == betti_from_intervals(L, field)
@@ -125,9 +128,7 @@ def cmd_resolve(args) -> int:
     return 0 if report.ok and match else 2
 
 
-def cmd_lattice(args) -> int:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def cmd_lattice(args, L, field) -> int:
     # x is an (i-1)-synor of multiplicity beta_{i,x}: the rank of reduced
     # homology in degree i - 2 of the open interval below x
     table = betti_from_resolution(synor_resolution(L, field))
@@ -152,9 +153,7 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def cmd_synor(args) -> int:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def cmd_synor(args, L, field) -> int:
     S = build_synor_complex(without_bottom(L), field)
     payload = synor_to_json(S, variables=L.variables)
     counts = {d: len(S.generators(d)) for d in S.dims()}
@@ -182,9 +181,7 @@ def _parse_chain(text: str, L: LcmLattice, field) -> FormalChain:
     return FormalChain.single(tuple(ids), field)
 
 
-def cmd_shuffle_demo(args) -> int:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def cmd_shuffle_demo(args, L, field) -> int:
     left = _parse_chain(args.left, L, field)
     right = _parse_chain(args.right, L, field)
     product = shuffle_product(left, right, L)
@@ -202,9 +199,7 @@ def cmd_shuffle_demo(args) -> int:
     return 0
 
 
-def _verify_subadditivity(args) -> tuple[bool, list[str]]:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def _verify_subadditivity(args, L, field) -> tuple[bool, list[str]]:
     table = betti_from_resolution(synor_resolution(L, field))
     pd = table.projective_dimension()
     ok = True
@@ -231,38 +226,31 @@ def _verify_subadditivity(args) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _verify_decomposition(args) -> tuple[bool, list[str]]:
-    L = lattice_of(load_ideal(args.input))
-    field = field_from_flag(args.field)
+def _verify_decomposition(args, L, field) -> tuple[bool, list[str]]:
     analysis = TopAnalysis(L, field)  # one synor complex for both
     ok1, lines1 = verify_lattice_instances(L, field, analysis)
     ok2, lines2 = verify_intervals(L, field, analysis.S)
     return ok1 and ok2, lines1 + lines2
 
 
-def _verify_lattices(args) -> tuple[bool, list[str]]:
-    field = field_from_flag(args.field)
-    max_n = args.max if args.max is not None else 7
+def _verify_lattices(args, L, field) -> tuple[bool, list[str]]:
     counts: dict[int, int] = {}
-    ok, lines = sweep_lattices(max_n, field, counts)
+    ok, lines = sweep_lattices(args.max, field, counts)
     lines.append("lattices checked: " + " ".join(
         f"n={n}:{c}" for n, c in sorted(counts.items())))
     return ok, lines
 
 
-def _verify_properties(args) -> tuple[bool, list[str]]:
+def _verify_properties(args, L, field) -> tuple[bool, list[str]]:
     """Soundness spot-suite on random posets: generator counts against
     the simplicial oracle, homology of a restriction, bracket vanishing."""
-    field = field_from_flag(args.field)
-    count = args.max if args.max is not None else 25
-    if count < 1:
+    if args.max < 1:
         raise ValidationError(
-            f"verify properties needs --max of at least 1 trial, not {count}")
-    base = args.seed
+            f"verify properties needs --max of at least 1 trial, "
+            f"not {args.max}")
     ok = True
     lines = []
-    for trial in range(count):
-        seed = base + trial
+    for seed in range(args.seed, args.seed + args.max):
         P = random_poset(seed, 4 + (seed % 7))
         S = build_synor_complex(P, field)
         oracle = {(x, d): mult for x, d, mult in synors(P, field)}
@@ -294,78 +282,70 @@ def _verify_properties(args) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def cmd_verify(args) -> int:
-    runner = {
-        "subadditivity": _verify_subadditivity,
-        "decomposition": _verify_decomposition,
-        "lattices": _verify_lattices,
-        "properties": _verify_properties,
-    }[args.what]
-    ok, lines = runner(args)
+def cmd_verify(args, L, field) -> int:
+    ok, lines = args.driver(args, L, field)
     payload = {"ok": ok, "lines": lines}
     lines.append("all pass" if ok else "FAILURES above")
     _emit(args, payload, lines)
     return 0 if ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each command's defaults carry
+    its handler as `func` (and a verify driver's as `driver`)."""
     parser = _Parser(prog="synorres", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("input", help="ideal file, `-`, or @corpus form")
+    def command(subparsers, name, help, takes_input=True, **defaults):
+        p = subparsers.add_parser(name, help=help)
+        if takes_input:
+            p.add_argument("input", help="ideal file, `-`, or @corpus form")
         p.add_argument("--field", default="q",
                        help="q for rationals or a prime p")
         p.add_argument("--format", choices=["text", "json"], default="text")
+        p.set_defaults(**defaults)
+        return p
 
-    p = sub.add_parser("betti",
-                       help="Betti table from the synor resolution")
-    common(p)
-    p.set_defaults(func=cmd_betti)
-
-    p = sub.add_parser("resolve",
-                       help="minimal resolution with certification")
-    common(p)
-    p.set_defaults(func=cmd_resolve)
-
-    p = sub.add_parser("lattice", help="lcm lattice dump with synors")
-    common(p)
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("synor", help="synor complex generator dump")
-    common(p)
-    p.set_defaults(func=cmd_synor)
-
-    p = sub.add_parser("shuffle-demo",
-                       help="expanded shuffle product of two chains")
-    common(p)
+    command(sub, "betti", "Betti table from the synor resolution",
+            func=cmd_betti)
+    command(sub, "resolve", "minimal resolution with certification",
+            func=cmd_resolve)
+    command(sub, "lattice", "lcm lattice dump with synors", func=cmd_lattice)
+    command(sub, "synor", "synor complex generator dump", func=cmd_synor)
+    p = command(sub, "shuffle-demo", "expanded shuffle product of two chains",
+                func=cmd_shuffle_demo)
     p.add_argument("left", help="chain, monomials joined by `>`")
     p.add_argument("right", help="chain, monomials joined by `>`")
-    p.set_defaults(func=cmd_shuffle_demo)
 
-    p = sub.add_parser("verify", help="theorem verification drivers")
-    p.add_argument("what", choices=["subadditivity", "decomposition",
-                                    "lattices", "properties"])
-    p.add_argument("input", nargs="?",
-                   help="ideal input (subadditivity/decomposition)")
-    p.add_argument("--field", default="q")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--max", type=int, default=None)
-    p.set_defaults(func=cmd_verify)
-
+    drivers = sub.add_parser(
+        "verify", help="theorem verification drivers").add_subparsers(
+            dest="what", required=True)
+    command(drivers, "subadditivity",
+            "subadditivity of maximal shifts and the shift-count bound",
+            func=cmd_verify, driver=_verify_subadditivity)
+    command(drivers, "decomposition",
+            "decomposition theorem at the top and in lower intervals",
+            func=cmd_verify, driver=_verify_decomposition)
+    p = command(drivers, "lattices",
+                "decomposition on every lattice of up to --max elements",
+                takes_input=False, func=cmd_verify, driver=_verify_lattices)
+    p.add_argument("--max", type=int, default=7,
+                   help="largest lattice size, 2 to 8 (default 7)")
+    p = command(drivers, "properties", "synor soundness on random posets",
+                takes_input=False, func=cmd_verify, driver=_verify_properties)
+    p.add_argument("--seed", type=int, default=1,
+                   help="seed of the first poset (default 1)")
+    p.add_argument("--max", type=int, default=25,
+                   help="number of posets (default 25)")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "what", None) in ("subadditivity", "decomposition") \
-            and not args.input:
-        print("error: this verifier needs an ideal input", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        L = lattice_of(load_ideal(args.input)) if "input" in args else None
+        return args.func(args, L, field_from_flag(args.field))
     except TheoremContradiction as e:
         payload = {"message": str(e)}
         payload.update(e.payload)
@@ -374,10 +354,7 @@ def main(argv=None) -> int:
         print(f"theorem contradiction: {e}", file=sys.stderr)
         print(f"reproducer written to {REPRODUCER_PATH}", file=sys.stderr)
         return 2
-    except (ValidationError, DomainError, DimensionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (ValidationError, DomainError, DimensionError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

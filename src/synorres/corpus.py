@@ -44,6 +44,10 @@ def ideal_powers(n: int, a: int) -> IdealSpec:
     """The ideal of a-th powers of n variables; t_k = a*k for all k."""
     if n < 1 or a < 1:
         raise DomainError("need n >= 1 and a >= 1")
+    cap = poset.LCM_LATTICE_CAP  # vs. the 2^n elements of B_n
+    if n >= cap.bit_length():
+        raise DomainError(f"powers({n},{a}): refusing to build an lcm lattice "
+                          f"with more than {cap} elements (2^{n})")
     variables = tuple(f"x{i + 1}" for i in range(n))
     gens = tuple(
         Monomial(tuple(a if j == i else 0 for j in range(n)))

@@ -235,9 +235,45 @@ def test_verify_properties_takes_restriction_homology_in_one_pass(
 
 
 def test_verify_requires_input(capsys):
-    code, _, err = run(capsys, "verify", "subadditivity")
-    assert code == 1
-    assert "needs an ideal input" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "subadditivity"])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert "error: the following arguments are required: input" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "lattices", "@example62"],
+    ["verify", "properties", "@kpq:3,2"],
+    ["verify", "subadditivity", "@example62", "--max", "3"],
+    ["verify", "decomposition", "@kpq:3,2", "--seed", "2"],
+    ["verify", "subadditivity"],
+])
+def test_verify_refuses_options_its_driver_does_not_read(capsys, argv):
+    # each driver's sub-parser declares only what the driver reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1
+    assert out == ""
+    assert err.startswith("usage: synorres") and "\nerror: " in err
+
+
+def test_main_builds_the_parser_once(capsys):
+    synorres.cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run(capsys, "verify", "lattices", "--max", "3")[0] == 0
+    info = synorres.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_non_utf8_ideal_file_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"vars: x y\n\xff x\n")
+    code, out, err = run(capsys, "betti", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "not UTF-8 text" in err
+    assert err.count("\n") == 1
 
 
 def test_unknown_corpus_form(capsys):
@@ -271,8 +307,8 @@ def test_oversized_power_ideal_fails_fast(capsys):
 def test_oversized_power_ideal_is_refused_by_the_parser(capsys, monkeypatch):
     # the generator list alone would hold 10^10 exponents
     def never(*args):
-        raise AssertionError("ideal_powers ran for an oversized lattice")
-    monkeypatch.setattr("synorres.cli.ideal_powers", never)
+        raise AssertionError("a power generator was built")
+    monkeypatch.setattr("synorres.corpus.Monomial", never)
     code, _, err = run(capsys, "betti", "@powers:100000,1")
     assert code == 1
     assert "more than 2048 elements" in err
@@ -418,13 +454,12 @@ def test_bad_usage_exits_one(capsys):
 def test_contradiction_writes_reproducer(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
 
-    def boom(args):
+    def boom(*args):
         raise TheoremContradiction("synthetic failure",
                                    {"stage": "unit", "extra": 1})
-    monkeypatch.setattr("synorres.cli.cmd_betti", boom)
-    # reparse so the patched handler is picked up
-    from synorres import cli
-    code = cli.main(["betti", "@powers:2,1"])
+    # the parser binds cmd_betti once, so patch what the handler calls
+    monkeypatch.setattr("synorres.cli.synor_resolution", boom)
+    code = main(["betti", "@powers:2,1"])
     out, err = capsys.readouterr()
     assert code == 2
     assert "theorem contradiction" in err

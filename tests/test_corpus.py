@@ -100,6 +100,13 @@ def test_powers_spec():
     assert spec.expected["t"] == (0, 2, 4, 6)
 
 
+def test_powers_refuses_a_boolean_lattice_past_the_cap():
+    # B_n has 2^n elements: B_11 fits the 2048-element cap, B_12 does not
+    assert len(ideal_powers(11, 1).generators) == 11
+    with pytest.raises(DomainError, match="more than 2048 elements"):
+        ideal_powers(12, 1)
+
+
 def test_kpq_spec_shapes():
     for (p, q, size) in ((3, 2, 21), (4, 2, 37), (4, 3, 45)):
         spec = ideal_kpq(p, q)

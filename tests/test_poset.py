@@ -349,11 +349,14 @@ def test_lcm_lattice_size_cap(monkeypatch):
 
 def test_oversized_lcm_lattice_fails_before_the_minimality_scan():
     # B_1200 passes the cap early in the closure; the quadratic minimality
-    # scan over 1200 generators of length 1200 would take tens of seconds
-    spec = ideal_powers(1200, 1)
+    # scan over 1200 generators of length 1200 would take tens of seconds;
+    # ideal_powers refuses B_1200 itself, so the generators are built here
+    gens = [Monomial(tuple(int(j == i) for j in range(1200)))
+            for i in range(1200)]
+    variables = tuple(f"x{i + 1}" for i in range(1200))
     start = time.perf_counter()
     with pytest.raises(DomainError, match="more than 2048 elements"):
-        build_lcm_lattice(list(spec.generators), spec.variables)
+        build_lcm_lattice(gens, variables)
     assert time.perf_counter() - start < 5.0
 
 
