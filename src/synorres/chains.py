@@ -24,9 +24,9 @@ lexicographic order and generators sort in build order.
 all_homology_ranks, the order-complex oracle, gets its ranks from
 linalg.cleared_spans and never builds a cleared column.  Both clear
 (skip the columns of d_d that are pivots of d_{d+1}'s span), which is
-exact because the boundary of a boundary is zero.  bounds decides
-whether a chain is a boundary of chains in an ideal, from one memoized
-span per ideal, degree and field.
+exact because the boundary of a boundary is zero.  Whether an order
+cycle bounds in an order ideal is decided in a synor complex
+(synor.bounds_in), never by spanning order chains.
 Over GF(p) accumulate reduces its sums mod field.modulus, and the
 FormalChain constructor reduces every coefficient it is given (which
 covers negation and scale), so stored coefficients lie in [0, p).
@@ -35,7 +35,7 @@ covers negation and scale), so stored coefficients lie in [0, p).
 from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
-from .linalg import HomologyBasis, cleared_spans, complex_homology, span
+from .linalg import HomologyBasis, cleared_spans, complex_homology
 
 
 def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
@@ -261,24 +261,6 @@ def homology(P, k: int, field) -> HomologyBasis:
     echelon-deterministic representative cycles as FormalChains."""
     return basis_homology(P.chains, lambda key: boundary_key(key, field),
                           field, range(k, k + 1), "order")[0]
-
-
-def bounds(P, ideal_ids, c: FormalChain) -> bool:
-    """Whether the order chain c is the boundary of a chain of P supported
-    in ideal_ids.
-
-    The span of the boundaries of the supported (c.dim + 1)-chains, keyed
-    by chain, is built once per (ideal, degree, field) and memoized in
-    P's cache under ("bounds", ideal, c.dim, field), which only this
-    function writes.  A term of c outside the ideal is in no row of the
-    span, so it stays in the residual."""
-    ideal = frozenset(int(i) for i in ideal_ids)
-    key = ("bounds", ideal, c.dim, c.field)
-    if key not in P._cache:
-        P._cache[key] = span((boundary_key(k, c.field)
-                              for k in P.chains(c.dim + 1)
-                              if set(k) <= ideal), c.field)
-    return P._cache[key].contains(c.terms)
 
 
 def all_homology_ranks(P, field) -> dict[int, int]:

@@ -293,7 +293,8 @@ def cmd_verify(args, L, field) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; each command's defaults carry
-    its handler as `func` (and a verify driver's as `driver`)."""
+    its handler as `func` (and a verify driver's as `driver`) and its own
+    parser as `parser`, which reports arguments it does not declare."""
     parser = _Parser(prog="synorres", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", default="q",
                        help="q for rationals or a prime p")
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.set_defaults(**defaults)
+        p.set_defaults(parser=p, **defaults)
         return p
 
     command(sub, "betti", "Betti table from the synor resolution",
@@ -342,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         L = lattice_of(load_ideal(args.input)) if "input" in args else None
         return args.func(args, L, field_from_flag(args.field))

@@ -166,20 +166,14 @@ class Poset:
         gives the empty chain."""
         key = ("chains", dim)
         if key not in self._cache:
-            if dim < -1:
-                self._cache[key] = []
-            elif dim == -1:
-                self._cache[key] = [()]
+            if dim < 0:
+                self._cache[key] = [()] if dim == -1 else []
+            elif dim == 0:
+                self._cache[key] = [(i,) for i in range(self.n)]
             else:
-                prev = self.chains(dim - 1)
-                if dim == 0:
-                    cur = [(i,) for i in range(self.n)]
-                else:
-                    less = self._less_lists()
-                    cur = [
-                        t + (j,) for t in prev for j in less[t[-1]]
-                    ]
-                self._cache[key] = cur
+                less = self._less_lists()
+                self._cache[key] = [t + (j,) for t in self.chains(dim - 1)
+                                    for j in less[t[-1]]]
         return self._cache[key]
 
     def _less_lists(self):

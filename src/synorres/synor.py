@@ -39,7 +39,10 @@ That comparison rests on the connecting isomorphism H_m(P, I) = H~_{m-1}(I)
 of the pair's long exact sequence, which holds when P is a cone (has a
 unique maximal element, so its reduced homology vanishes): two relative
 cycles are homologous rel I exactly when the boundary of their
-difference bounds inside I, which chains.bounds decides.
+difference bounds inside I.  bounds_in decides that in the complex: rho
+induces the inverse of phi on the homology of every order ideal, so an
+order cycle c bounds in I exactly when rho(c) bounds in S restricted to
+I, and no order chain of I is ever enumerated.
 """
 
 from __future__ import annotations
@@ -50,8 +53,7 @@ import numpy as np
 
 from .algebra import DimensionError, DomainError, Monomial, ValidationError
 from .chains import (FormalChain, all_homology_ranks, basis_homology,
-                     boundary, boundary_key, bounds, concat,
-                     graded_component)
+                     boundary, boundary_key, concat, graded_component)
 # Bound only so that perfbench's self-test can check that the tracer
 # wraps functions through module-level aliases.
 from .chains import homology as simplicial_homology  # noqa: F401
@@ -372,26 +374,66 @@ def rho_chain(S: SynorComplex, chain: FormalChain) -> FormalChain:
 # --- relative homology comparison ---
 
 
-def homologous_in_pair(g: FormalChain, g2: FormalChain, P: Poset,
+def bounds_in(S: SynorComplex, ideal_ids, c: FormalChain) -> bool:
+    """Whether the order chain c is the boundary of order chains supported
+    in the order ideal ideal_ids, decided in S: c must have no term
+    outside the ideal and no boundary, and rho(c) must lie in the span of
+    delta of S's (c.dim + 1)-generators at elements of the ideal.
+
+    Why this decides it.  Let I be the ideal, C(I) its order chains and
+    S|I the restriction of S.
+    - rho is a chain map (delta rho = rho boundary, by construction), and
+      rho(key) lies on generators at elements <= key[0]; I is a down-set,
+      so rho maps C(I) into S|I.
+    - phi: S|I -> C(I) is a quasi-isomorphism (restriction to an order
+      ideal preserves homology; see the module docstring).
+    - rho phi is chain homotopic to the identity of S|I, by a homotopy H
+      supported in I.  Both maps fix the empty generator; set H = 0
+      there.  For a generator h at x, taken by increasing dimension,
+      z = rho phi(h) - h - H(delta h) lies on elements <= x, and
+      delta z = 0 by the homotopy relation on delta h.  S on the
+      principal ideal of x is acyclic, so z = delta w for some w there;
+      set H(h) = w.  (This is the acyclic carrier theorem.)
+    So rho_* phi_* is the identity, rho_* is the inverse of the
+    isomorphism phi_*, and a cycle of C(I) is a boundary there exactly
+    when its image under rho is one in S|I.
+
+    The span is built once per (ideal, c.dim) and kept in S's span memo
+    beside rho's, under the key (ideal, c.dim); restrictions share that
+    memo, and the ideal must pass restrict's guards (an order ideal
+    inside S's elements, else ValidationError), so a key names one span.
+    """
+    ideal = frozenset(int(i) for i in ideal_ids)
+    key = (ideal, c.dim)
+    if key not in S._spans:
+        gens = S.restrict(ideal).generators(c.dim + 1)
+        S._spans[key] = span((S.delta[g].terms for g in gens), S.field)
+    return (all(ideal.issuperset(k) for k in c.terms)
+            and boundary(c).is_zero()
+            and S._spans[key].contains(rho_chain(S, c).terms))
+
+
+def homologous_in_pair(g: FormalChain, g2: FormalChain, S: SynorComplex,
                        ideal_ids) -> bool:
-    """Whether two relative cycles agree in the homology of (P, ideal).
+    """Whether two relative cycles agree in the homology of (P, ideal),
+    where P is S's poset.
 
     Both chains must have boundaries supported in the ideal, and P must
     have a unique maximal element.  P is then a cone, whose reduced
     homology vanishes, so the connecting map H_m(P, I) -> H~_{m-1}(I) of
     the pair's long exact sequence is an isomorphism: g and g2 are
     homologous rel I exactly when the boundary of g - g2 is a boundary
-    of chains supported in I.
+    of chains supported in I, which bounds_in decides in S.
     """
     if g.dim != g2.dim:
         raise DimensionError("relative cycles of different dimensions")
-    if len(P.maximal_elements()) != 1:
+    if len(S.poset.maximal_elements()) != 1:
         raise DomainError("relative comparison requires a unique maximal element")
     ideal = frozenset(int(i) for i in ideal_ids)
     db, db2 = boundary(g), boundary(g2)
     if not all(set(key) <= ideal for c in (db, db2) for key in c.terms):
         raise ValidationError("input is not a relative cycle")
-    return bounds(P, ideal, db - db2)
+    return bounds_in(S, ideal, db - db2)
 
 
 # --- serialization ---

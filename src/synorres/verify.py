@@ -13,7 +13,11 @@ lifted to the prefix element whose position makes it an (i2-1)-synor.
 Only the witness depends on more of the triple than (i1, i1+i2-k-1), so
 the proof runs once per such pair.  Every intermediate homological claim
 of the proof is asserted as it is used, and a failure raises
-TheoremContradiction with a JSON-ready reproducer payload.
+TheoremContradiction with a JSON-ready reproducer payload.  The proof
+runs in the synor complex: its nontriviality and relative-homology
+checks are decided there by synor.bounds_in, so it never enumerates an
+order chain.  Order-complex homology (resolution.interval_ranks) is read
+only by the brute-force search, valid_triples and the witness check.
 
 On lcm lattices the Betti table of the synor resolution yields the
 Betti-level consequences: subadditivity of maximal shifts with witness
@@ -38,7 +42,7 @@ diffable.
 from __future__ import annotations
 
 from .algebra import DomainError, ValidationError
-from .chains import FormalChain, bounds, graded_component
+from .chains import FormalChain, graded_component
 from .linalg import kernel_basis
 from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice, Poset,
                     enumerate_lattices, lattice_hash, poset_to_json,
@@ -46,8 +50,9 @@ from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice, Poset,
 from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
                          resolution_from_complex)
 from .shuffle import shuffle_product
-from .synor import (Generator, SynorComplex, bracket, build_synor_complex,
-                    ell_representation, homologous_in_pair, rho)
+from .synor import (Generator, SynorComplex, bounds_in, bracket,
+                    build_synor_complex, ell_representation,
+                    homologous_in_pair, rho)
 
 
 class TheoremContradiction(Exception):
@@ -134,8 +139,9 @@ class TopAnalysis:
     lattice ids.  The brute-force search and every witness use lattice
     ids; below a lattice id x lies the open interval (0, x), whose ranks
     the lattice's memo holds.  Whether a chain bounds in the middle part
-    is read from chains.bounds, whose span per degree P's cache holds, so
-    the nontriviality and relative-homology checks share it.
+    is decided in the synor complex by synor.bounds_in, whose span per
+    degree S's memo holds, so the nontriviality and relative-homology
+    checks share it and the proof never enumerates P's order chains.
     """
 
     def __init__(self, L: Lattice, field):
@@ -243,7 +249,8 @@ class TopAnalysis:
         whose rho holds an n1 joining to the top with an n2 of its suffix
         (n2 None for an empty suffix); payloads name the asking triple."""
         m = i1 + i2 - k - 1
-        gens = [g for g in self.S.generators(m) if g.element == self.top]
+        S = self.S
+        gens = [g for g in S.generators(m) if g.element == self.top]
         if not gens:
             return None
         g = gens[0]
@@ -251,18 +258,16 @@ class TopAnalysis:
         # the boundary of the principal chain represents a nonzero class
         # of the middle part, which is what makes the relative class of
         # the chain itself nonzero
-        zeta_phi = self.S.phi_chain(self.S.delta[g])
-        if bounds(self.P, self.middle, zeta_phi):
+        if bounds_in(S, self.middle, S.phi_chain(S.delta[g])):
             raise TheoremContradiction(
                 "principal chain has trivial relative class",
                 self._payload(i1, i2, k, "nontriviality"))
 
-        reps = ell_representation(self.S, g, i1 - 1)
+        reps = ell_representation(S, g, i1 - 1)
         total = self._shuffle_sum(reps, m)
 
         try:
-            same_class = homologous_in_pair(self.S.phi(g), total, self.P,
-                                            self.middle)
+            same_class = homologous_in_pair(S.phi(g), total, S, self.middle)
         except ValidationError:
             raise TheoremContradiction(
                 "shuffle sum is not a relative cycle",
@@ -278,7 +283,7 @@ class TopAnalysis:
                 self._payload(i1, i2, k, "top-component"))
 
         for chi, zeta in sorted(reps.items()):
-            xs = sorted({h.element for h in rho(self.S, chi).terms})
+            xs = sorted({h.element for h in rho(S, chi).terms})
             if zeta.dim == -1:
                 if self.top in xs:
                     return chi, self.top, None

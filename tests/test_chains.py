@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 from synorres.algebra import (DimensionError, DomainError, PrimeField,
                               RationalField, ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
-                             boundary_key, bounds, concat, graded_component,
+                             boundary_key, concat, graded_component,
                              homology, normalize)
 from synorres.corpus import MmixRandom, random_chain, random_poset
 from synorres.linalg import span
 from synorres.poset import open_interval
+from synorres.synor import bounds_in, build_synor_complex
 
 QQ = RationalField()
 
@@ -152,9 +153,11 @@ def test_rank_only_homology_matches_cycle_bases(seed, n):
 
 
 def bounds_by_index(P, ideal_ids, c):
-    """chains.bounds before keyed vectors, kept as the reference: rows are
-    positions among the supported c.dim-chains, and a term outside the
-    ideal answers False before any span is read."""
+    """The order-complex test that synor.bounds_in replaced, kept as its
+    reference: c bounds in the ideal when it lies in the span of the
+    boundaries of the supported (c.dim + 1)-chains.  Rows are positions
+    among the supported c.dim-chains, and a term outside the ideal
+    answers False before any span is read."""
     ideal = frozenset(int(i) for i in ideal_ids)
     rows = [k for k in P.chains(c.dim) if set(k) <= ideal]
     index = {k: i for i, k in enumerate(rows)}
@@ -198,8 +201,11 @@ def bounds_instance(seed, field, relabel):
 @given(st.integers(1, 10 ** 6),
        st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
 def test_bounds_matches_the_index_based_membership(relabel, seed, field):
+    # the synor-side test (rho of c in the span of delta over the ideal)
+    # agrees with the span of the ideal's order chains
     P, ideal, c, _ = bounds_instance(seed, field, relabel)
-    assert bounds(P, ideal, c) == bounds_by_index(P, ideal, c)
+    S = build_synor_complex(P, field)
+    assert bounds_in(S, ideal, c) == bounds_by_index(P, ideal, c)
 
 
 def test_bounds_cases_reach_every_outcome(relabel):
@@ -208,7 +214,7 @@ def test_bounds_cases_reach_every_outcome(relabel):
         seen = set()
         for seed in range(1, 61):
             P, ideal, c, leaves = bounds_instance(seed, field, relabel)
-            got = bounds(P, ideal, c)
+            got = bounds_in(build_synor_complex(P, field), ideal, c)
             assert got == bounds_by_index(P, ideal, c)
             assert not (leaves and got)
             seen.add((got, leaves))

@@ -259,6 +259,23 @@ def test_verify_refuses_options_its_driver_does_not_read(capsys, argv):
     assert err.startswith("usage: synorres") and "\nerror: " in err
 
 
+@pytest.mark.parametrize("argv,command,extras", [
+    (["verify", "lattices", "@example62"], "verify lattices", "@example62"),
+    (["betti", "@example62", "extra"], "betti", "extra"),
+    (["verify", "decomposition", "@kpq:3,2", "--seed", "2"],
+     "verify decomposition", "--seed 2"),
+])
+def test_a_command_reports_arguments_it_does_not_declare(capsys, argv,
+                                                         command, extras):
+    # the chosen command's own usage line, not the top-level one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 1 and out == ""
+    assert err.startswith(f"usage: synorres {command} [-h]")
+    assert err.endswith(f"\nerror: unrecognized arguments: {extras}\n")
+
+
 def test_main_builds_the_parser_once(capsys):
     synorres.cli.build_parser.cache_clear()
     for _ in range(2):

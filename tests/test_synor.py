@@ -384,8 +384,35 @@ def test_homologous_in_pair_detects_boundary(cycle_lattice):
     g1, g2 = S.generators(1)
     c1, c2 = S.phi(g1), S.phi(g2)
     # distinct homology classes rel the open star: not homologous
-    assert not homologous_in_pair(c1, c2, upper, ideal)
-    assert homologous_in_pair(c1, c1, upper, ideal)
+    assert not homologous_in_pair(c1, c2, S, ideal)
+    assert homologous_in_pair(c1, c1, S, ideal)
+
+
+def test_homologous_in_pair_and_bounds_in_guards(cycle_lattice):
+    upper = without_bottom(cycle_lattice)
+    S = build_synor_complex(upper, QQ)
+    top = upper.n - 1
+    ideal = upper.strictly_below(top)
+    c1 = S.phi(S.generators(1)[0])
+    with pytest.raises(DimensionError):
+        homologous_in_pair(c1, S.phi(S.generators(0)[0]), S, ideal)
+    two_tops = build_synor_complex(antichain(2), QQ)
+    vertex = FormalChain.single((0,), QQ)
+    with pytest.raises(DomainError):
+        homologous_in_pair(vertex, vertex, two_tops, [])
+    # the span is kept per ideal, so the ideal must be one of S's ideals
+    vertex = FormalChain.single((ideal[0],), QQ)
+    with pytest.raises(ValidationError):
+        synor.bounds_in(S, [top], vertex)
+    with pytest.raises(ValidationError):
+        synor.bounds_in(S.restrict(ideal[:1]), ideal, vertex)
+    # a vertex is no cycle, and its difference with another vertex is
+    # a boundary exactly when the two are joined inside the ideal
+    assert not synor.bounds_in(S, ideal, vertex)
+    assert synor.bounds_in(S, range(upper.n),
+                           vertex - FormalChain.single((top,), QQ))
+    assert not synor.bounds_in(S, ideal, FormalChain.single((top,), QQ)
+                               - vertex)
 
 
 def test_synor_json_shape(cycle_lattice):
@@ -486,13 +513,15 @@ def pair_instance(seed: int, field):
 
 def check_connecting_isomorphism(seed, field):
     P, ideal, g, g2, bad = pair_instance(seed, field)
+    S = build_synor_complex(P, field)
     want = homologous_in_pair_by_span(g, g2, P, ideal)
-    assert homologous_in_pair(g, g2, P, ideal) == want
-    assert homologous_in_pair(g, g, P, ideal)
+    assert homologous_in_pair(g, g2, S, ideal) == want
+    assert homologous_in_pair(g, g, S, ideal)
     if bad is not None:
-        for compare in (homologous_in_pair, homologous_in_pair_by_span):
-            with pytest.raises(ValidationError):
-                compare(bad, g, P, ideal)
+        with pytest.raises(ValidationError):
+            homologous_in_pair(bad, g, S, ideal)
+        with pytest.raises(ValidationError):
+            homologous_in_pair_by_span(bad, g, P, ideal)
     return want, bad is not None
 
 

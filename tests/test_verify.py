@@ -107,16 +107,55 @@ def test_routes_raise_when_their_witness_fails_verify(cycle_lattice,
 def test_constructive_checks_share_one_span_per_degree():
     # the nontriviality and relative-homology checks of every valid triple
     # ask whether a chain bounds in the middle part in degree m - 1, where
-    # m is 1 or 4; each degree is spanned once, in P's cache
+    # m is 1 or 4; each degree is spanned once, in S's memo, keyed by
+    # (ideal, degree) beside rho's (chain top, degree) keys
     L = lattice_of(ideal_example62())
     ana = TopAnalysis(L, QQ)
     triples = ana.valid_triples()
     assert len(triples) == 23
     for triple in triples:
         assert ana.constructive(*triple) is not None
-    spans = [key for key in ana.P._cache if key[0] == "bounds"]
-    assert sorted(spans, key=lambda key: key[2]) == [
-        ("bounds", ana.middle, d, QQ) for d in (0, 3)]
+    spans = [key for key in ana.S._spans if isinstance(key[0], frozenset)]
+    assert sorted(spans, key=lambda key: key[1]) == [
+        (ana.middle, d) for d in (0, 3)]
+
+
+@pytest.mark.parametrize("spec", [ideal_example62(), ideal_kpq(3, 2)],
+                         ids=["example62", "kpq(3,2)"])
+def test_the_proof_enumerates_no_order_chain(spec):
+    # the constructive route decides its relative checks in S, so P = L
+    # minus its bottom never builds its order chains (the "chains" and
+    # "less" keys) or an order-chain span ("bounds")
+    ana = TopAnalysis(lattice_of(spec), QQ)
+    ok, _ = verify_lattice_instances(ana.L, QQ, ana)
+    assert ok
+    names = {key if isinstance(key, str) else key[0] for key in ana.P._cache}
+    assert not names & {"chains", "less", "bounds"}
+
+
+def test_a_top_generator_boundary_does_not_bound_in_the_middle(
+        example62_lattice):
+    # phi(delta g) is a nonzero class of the middle part for each top
+    # generator g; the nontriviality check rests on this
+    ana = TopAnalysis(example62_lattice, QQ)
+    tops = [g for d in ana.S.dims() for g in ana.S.generators(d)
+            if g.element == ana.top]
+    assert tops
+    for g in tops:
+        cycle = ana.S.phi_chain(ana.S.delta[g])
+        assert not synor.bounds_in(ana.S, ana.middle, cycle)
+
+
+def test_nontriviality_negative_control(example62_lattice, monkeypatch):
+    # a proof whose principal chain bounds in the middle part fails at
+    # the nontriviality stage, before any shuffle sum
+    monkeypatch.setattr(verify, "bounds_in", lambda *args: True)
+    ana = TopAnalysis(example62_lattice, QQ)
+    for triple in ((1, 1, 0), (2, 3, 0)):
+        with pytest.raises(TheoremContradiction) as e:
+            ana.constructive(*triple)
+        assert e.value.payload["stage"] == "nontriviality"
+        assert str(e.value) == "principal chain has trivial relative class"
 
 
 @pytest.mark.parametrize("spec,passes,spans", [
