@@ -12,10 +12,12 @@ spec = ideal_example62()
 L = build_lcm_lattice(list(spec.generators), spec.variables)
 ana = TopAnalysis(L, field)
 
-# which (i1, i2, k) does the top support?  its open interval has
-# homology in degrees -1+1=0 and 3, so it is a 2-synor and a 5-synor
-# in the resolution indexing
-print("middle homology:", {d: r for d, r in ana.middle_ranks().items() if r})
+# which (i1, i2, k) does the top support?  ana's synor complex gives
+# the top one generator in dimensions 1 and 4, so its open interval has
+# homology in degrees 0 and 3: it is a 2-synor and a 5-synor in the
+# resolution indexing, where column i holds degree i - 2
+print("middle homology:", {i - 2: ana.beta(i, L.top)
+                           for i in range(L.n) if ana.beta(i, L.top)})
 triples = ana.valid_triples()
 print(f"{len(triples)} valid parameter triples")
 print()

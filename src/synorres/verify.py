@@ -3,21 +3,21 @@
 The top-decomposition statement: if the top of a lattice L is an
 (i1+i2-k-1)-synor of L minus its bottom, then some (i1-1)-synor x and
 (i2-1)-synor y satisfy x v y = top.  Two independent routes are
-implemented.  The brute-force oracle searches all synor pairs using
-simplicial homology only.  The constructive route follows the existence
-proof step by step: pick a principal synor chain at the top, take its
-(i1-1)-st prefix representation, push each prefix through the retraction
-rho, shuffle against the corresponding suffix, and read the witness off
-a term whose chains reach the top; for k >= 1 the second witness is
-lifted to the prefix element whose position makes it an (i2-1)-synor.
-Only the witness depends on more of the triple than (i1, i1+i2-k-1), so
-the proof runs once per such pair.  Every intermediate homological claim
+implemented.  The brute-force oracle searches all synor pairs, read off
+the generator counts of the synor complex.  The constructive route
+follows the existence proof step by step: pick a principal synor chain
+at the top, take its (i1-1)-st prefix representation, push each prefix
+through the retraction rho, shuffle against the corresponding suffix,
+and read the witness off a term whose chains reach the top; for k >= 1
+the second witness is lifted to the prefix element whose position makes
+it an (i2-1)-synor.  Only the witness depends on more of the triple than
+(i1, i1+i2-k-1), so the proof runs once per such pair.  Every intermediate homological claim
 of the proof is asserted as it is used, and a failure raises
 TheoremContradiction with a JSON-ready reproducer payload.  The proof
 runs in the synor complex: its nontriviality and relative-homology
 checks are decided there by synor.bounds_in, so it never enumerates an
 order chain.  Order-complex homology (resolution.interval_ranks) is read
-only by the brute-force search, valid_triples and the witness check.
+only by the witness check, at the witnesses' elements.
 
 On lcm lattices the Betti table of the synor resolution yields the
 Betti-level consequences: subadditivity of maximal shifts with witness
@@ -27,19 +27,22 @@ in the table by _interval_witness, which verify_intervals runs at every
 multidegree and split of the table, and check_subadditivity at each
 multidegree of extremal degree.
 
-Each route has its own source of candidates (order-complex interval
-ranks, the supports of the shuffle terms, the Betti table), and every
-route searches them with the one pair search _first_pair.
+Each route has its own source of candidates (the synor complex's
+generator counts, the supports of the shuffle terms, the Betti table).
+The brute-force and interval searches share _synor_pair, and every route
+searches with the one pair search _first_pair.
 DecompositionWitness.verify is the one witness check: it re-reads both
 witnesses' ranks from the lattice's interval memo
-(resolution.interval_ranks) and the join from the lattice.  No caller
-re-checks a witness that a route has returned.
+(resolution.interval_ranks), which no route searches, and the join from
+the lattice.  No caller re-checks a witness that a route has returned.
 
 Reports are plain objects with stable line formats so sweep output is
 diffable.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .algebra import DomainError, ValidationError
 from .chains import FormalChain, graded_component
@@ -132,14 +135,15 @@ def _first_pair(P: Poset, xs, ys, target: int) -> tuple[int, int] | None:
 class TopAnalysis:
     """Per-lattice workspace for decomposition checks.
 
-    Holds the lattice, the poset P = L minus bottom (the synor complex
-    lives there) and the middle part (P minus top) as a P-id set.  P
-    keeps L's ids in ascending order and has L's joins, so the
+    Holds the lattice, the poset P = L minus bottom and the synor complex
+    S of P, built once here, and the middle part (P minus top) as a P-id
+    set.  P keeps L's ids in ascending order and has L's joins, so the
     constructive route runs in P-ids, and to_L maps its witnesses to
-    lattice ids.  The brute-force search and every witness use lattice
-    ids; below a lattice id x lies the open interval (0, x), whose ranks
-    the lattice's memo holds.  Whether a chain bounds in the middle part
-    is decided in the synor complex by synor.bounds_in, whose span per
+    lattice ids.  S carries one (i-1)-generator at a lattice id x per
+    dimension of H~_{i-2}((0, x)), and beta(i, x) reads that count, which
+    is beta_{i,x} on an lcm lattice (Gasharov-Peeva-Welker); valid_triples
+    and the brute-force search read nothing else.  Whether a chain bounds
+    in the middle part is decided in S by synor.bounds_in, whose span per
     degree S's memo holds, so the nontriviality and relative-homology
     checks share it and the proof never enumerates P's order chains.
     """
@@ -153,31 +157,22 @@ class TopAnalysis:
         self.to_L = self.P.origin
         self.top = self.to_L.index(L.top)
         self.middle = frozenset(i for i in range(self.P.n) if i != self.top)
-        self._S: SynorComplex | None = None
+        self.S = build_synor_complex(self.P, field)
+        self._betti = Counter((g.dim + 1, self.to_L[g.element])
+                              for d in self.S.dims() if d >= 0
+                              for g in self.S.generators(d))
         self._proofs: dict = {}  # (i1, m) -> what _proof found
 
-    @property
-    def S(self) -> SynorComplex:
-        if self._S is None:
-            self._S = build_synor_complex(self.P, self.field)
-        return self._S
-
-    def synor_elements(self, i: int) -> list[int]:
-        """Lattice ids above the bottom carrying nonzero H_{i-1} below, in
-        ascending order; the ranks are computed simplicially."""
-        return [x for x in self.to_L
-                if interval_ranks(self.L, x, self.field).get(i - 1, 0)]
-
-    def middle_ranks(self) -> dict:
-        return interval_ranks(self.L, self.L.top, self.field)
+    def beta(self, i: int, x: int) -> int:
+        """The number of S's (i-1)-generators at the lattice id x."""
+        return self._betti[i, x]
 
     def valid_triples(self) -> list[tuple[int, int, int]]:
         """All (i1, i2, k) whose hypothesis holds for this lattice."""
         out = []
-        for m_minus_1, rank in sorted(self.middle_ranks().items()):
-            if not rank:
+        for m in self.S.dims():
+            if not self.beta(m + 1, self.L.top):
                 continue
-            m = m_minus_1 + 1
             for k in range(0, m + 2):
                 total = m + 1 + k
                 for i1 in range(max(1, k), total + 1):
@@ -194,13 +189,10 @@ class TopAnalysis:
             raise DomainError("need 0 <= k <= min(i1, i2)")
 
     def bruteforce(self, i1: int, i2: int, k: int) -> DecompositionWitness | None:
-        """Exhaustive synor-pair search; the oracle side of the theorem."""
+        """Exhaustive synor-pair search at the top over S's generator
+        counts; the oracle side of the theorem, None on a miss."""
         self._check_params(i1, i2, k)
-        m = i1 + i2 - k - 1
-        if not self.middle_ranks().get(m - 1, 0):
-            return None
-        pair = _first_pair(self.L, self.synor_elements(i1 - 1),
-                           self.synor_elements(i2 - 1), self.L.top)
+        pair = _synor_pair(self.L, self.L.top, i1, i2, k, self.beta)
         if pair is None:
             return None
         return self._witness(i1, i2, k, *pair, stage="bruteforce")
@@ -309,14 +301,29 @@ class TopAnalysis:
             ((self.field.one, product(chi)) for chi in sorted(reps)))
 
 
+def _synor_pair(L: Lattice, m: int, i1: int, i2: int, k: int,
+                beta) -> tuple[int, int] | None:
+    """The first synor pair joining to m, or None.
+
+    beta(i, x) counts the (i-1)-synors at the lattice id x.  None unless
+    m is an (i1+i2-k-1)-synor; otherwise _first_pair searches the x <= m
+    with beta(i1, x) nonzero against the y <= m with beta(i2, y) nonzero,
+    both in ascending ids, for x v y = m.
+    """
+    if not beta(i1 + i2 - k, m):
+        return None
+    below = L.below_or_equal(m)
+    xs, ys = ([x for x in below if beta(i, x)] for i in (i1, i2))
+    return _first_pair(L, xs, ys, m)
+
+
 def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
                       field, table: BettiTable) -> DecompositionWitness:
     """Decompose the element m inside its closed interval [0, m].
 
     The (i-1)-synors of that interval are the x <= m with beta_{i,x} > 0,
-    so the candidates come from the Betti table: _first_pair searches
-    the synors below m in ascending ids, x outermost, for x v y = m.
-    The pair is then re-verified by order-complex homology.  Raises
+    so _synor_pair reads its candidates from the Betti table.  The pair
+    is then re-verified by order-complex homology.  Raises
     TheoremContradiction if beta_{i1+i2-k,m} = 0, if no pair exists, or
     if the re-verification fails.
     """
@@ -324,12 +331,8 @@ def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
         return {"lattice": poset_to_json(L), "m": m,
                 "i1": i1, "i2": i2, "k": k, "stage": stage}
 
-    pair = None
-    if table.beta(i1 + i2 - k, L.monomials[m]):
-        below = L.below_or_equal(m)
-        xs, ys = ([x for x in below if table.beta(i, L.monomials[x])]
-                  for i in (i1, i2))
-        pair = _first_pair(L, xs, ys, m)
+    pair = _synor_pair(L, m, i1, i2, k,
+                       lambda i, x: table.beta(i, L.monomials[x]))
     if pair is None:
         raise TheoremContradiction("no synor pair joins to the interval top",
                                    payload("interval-search"))

@@ -11,6 +11,11 @@ The helper scan covers the module-level functions of the package whose
 names start with an underscore: each must be referenced, as a name or an
 attribute, somewhere in the package outside its own definition.  A
 helper that only the tests call is dead code.
+
+The route scan pins which functions of the package refer to the
+order-complex entry points, so that a command path cannot start reading
+order-complex homology unnoticed: the order complex is the oracle that
+the synor complex is checked against.
 """
 
 import ast
@@ -118,3 +123,65 @@ def test_the_helper_scan_finds_a_dead_helper():
         "b": "import a\nx = a._by_attribute\n",
     }
     assert unreferenced_helpers(sources) == ["a._dead", "a._recursive"]
+
+
+ORDER_COMPLEX_ENTRY_POINTS = ("interval_ranks", "all_homology_ranks",
+                              "betti_from_intervals", "synors",
+                              "open_interval")
+
+
+def referrers(sources: dict[str, str], names) -> dict[str, set[str]]:
+    """For each of names, the code in sources that refers to it, as a
+    name or an attribute: `module.function` or `module.Class.method`
+    (nested functions count as their enclosing one), `module.Class` for
+    the rest of a class body, or `module` for module-level code; imports
+    are not references."""
+    def named(prefix, node):
+        return f"{prefix}.{node.name}" if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else prefix
+
+    out = {name: set() for name in names}
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            owner = named(module, stmt)
+            if isinstance(stmt, ast.ClassDef):
+                owners = [(named(owner, node), node) for node in stmt.body]
+            else:
+                owners = [(owner, stmt)]
+            for owner, tree in owners:
+                for node in ast.walk(tree):
+                    ref = node.id if isinstance(node, ast.Name) else \
+                        node.attr if isinstance(node, ast.Attribute) else None
+                    if ref in out:
+                        out[ref].add(owner)
+    return out
+
+
+def test_only_the_oracles_read_the_order_complex():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert referrers(sources, ORDER_COMPLEX_ENTRY_POINTS) == {
+        "interval_ranks": {"verify.DecompositionWitness.verify",
+                           "resolution.betti_from_intervals"},
+        "all_homology_ranks": {"resolution.interval_ranks", "synor.synors",
+                               "cli._verify_properties"},
+        "betti_from_intervals": {"cli.cmd_resolve"},
+        "synors": {"cli._verify_properties"},
+        "open_interval": {"resolution.interval_ranks"},
+    }
+
+
+def test_the_route_scan_names_each_referrer():
+    # a call, an attribute read and a bare reference all count, inside
+    # functions, methods and module-level code; an import does not
+    sources = {
+        "a": ("from b import f\n"
+              "def g():\n    def inner():\n        return f()\n"
+              "    return inner\n"
+              "class C:\n    x = f\n"
+              "    def m(self):\n        return self.f\n"
+              "table = {'f': f}\n"),
+        "b": "def f():\n    return 1\ndef h():\n    return 2\n",
+    }
+    assert referrers(sources, ("f", "h")) == {
+        "f": {"a.g", "a.C", "a.C.m", "a"}, "h": set()}

@@ -7,10 +7,10 @@ import pytest
 from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
 from synorres import chains, synor, verify
 from synorres.cli import main
-from synorres.corpus import ideal_example62, ideal_kpq
-from synorres.poset import Lattice, build_lcm_lattice
+from synorres.corpus import corpus_ideals, ideal_example62, ideal_kpq
+from synorres.poset import Lattice, build_lcm_lattice, enumerate_lattices
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
-                                 synor_resolution)
+                                 interval_ranks, synor_resolution)
 from synorres.verify import (DecompositionWitness, TheoremContradiction,
                              TopAnalysis, _interval_witness, check_class_sums,
                              check_shift_count_bound, check_subadditivity,
@@ -29,8 +29,11 @@ def boolean_ideal(n):
 
 
 def test_valid_triples_example62(example62_lattice):
-    ana = TopAnalysis(example62_lattice, QQ)
-    assert ana.middle_ranks() == {-1: 0, 0: 1, 1: 0, 2: 0, 3: 1}
+    L = example62_lattice
+    ana = TopAnalysis(L, QQ)
+    # the top is one 1-synor and one 4-synor: Betti columns 2 and 5
+    assert {i: ana.beta(i, L.top) for i in range(L.n)
+            if ana.beta(i, L.top)} == {2: 1, 5: 1}
     triples = ana.valid_triples()
     assert len(triples) == 23
     assert (1, 1, 0) in triples and (5, 5, 5) in triples
@@ -40,8 +43,8 @@ def test_valid_triples_example62(example62_lattice):
 def test_bruteforce_on_boolean_cube():
     L = boolean_ideal(3)
     ana = TopAnalysis(L, QQ)
-    # the cube's top is a 3-synor only
-    assert [m for m, r in ana.middle_ranks().items() if r] == [1]
+    # the cube's top is a 2-synor only: Betti column 3
+    assert [i for i in range(L.n) if ana.beta(i, L.top)] == [3]
     w = ana.bruteforce(1, 2, 0)
     assert w is not None
     assert w.verify(QQ)
@@ -394,3 +397,76 @@ def test_sweep_lines_do_not_depend_on_a_warm_memo():
     betti_from_intervals(warm, PrimeField(2))
     betti_from_intervals(warm, QQ)
     assert lines(warm) == cold
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "GF2"])
+def test_synor_counts_equal_interval_ranks(field):
+    # TopAnalysis reads its synors off S's generator counts; the order
+    # complex of each open interval (0, x) is the independent oracle, on
+    # every lattice with n <= 7 and every corpus lcm lattice
+    lattices = [*(L for n in range(2, 8) for L in enumerate_lattices(n)),
+                *(lattice_of(spec) for spec in corpus_ideals())]
+    checked = 0
+    for L in lattices:
+        ana = TopAnalysis(L, field)
+        for x in range(L.n):
+            if x == L.bottom:
+                continue
+            ranks = interval_ranks(L, x, field)
+            assert [ana.beta(i, x) for i in range(L.n + 2)] == [
+                ranks.get(i - 2, 0) for i in range(L.n + 2)], (L.n, x)
+            checked += 1
+    assert checked == 807
+
+
+def test_bruteforce_witness_check_rejects_fake_synors(example62_lattice):
+    # with every element above the bottom counted as a synor in every
+    # column, the search finds pairs that the order-complex witness check
+    # refuses; it reads no count the search read
+    L = example62_lattice
+    ana = TopAnalysis(L, QQ)
+    ana.beta = lambda i, x: int(x != L.bottom)
+    triples = ana.valid_triples()
+    assert len(triples) == 45
+    kept = []
+    for triple in triples:
+        try:
+            w = ana.bruteforce(*triple)
+        except TheoremContradiction as e:
+            assert str(e) == "witness certification failed"
+            assert e.payload["stage"] == "bruteforce"
+            continue
+        kept.append((triple, w.n1, w.n2))
+    # the two survivors name a genuine pair: an atom and a 3-synor
+    assert kept == [((1, 4, 0), 1, 30), ((1, 4, 1), 1, 30)]
+
+
+def witness_memo_and_names(L):
+    """After a sweep of L's valid triples, the elements in L's interval
+    memo and the witness elements that both routes named."""
+    ana = TopAnalysis(L, QQ)
+    ok, _ = verify_lattice_instances(L, QQ, ana)
+    assert ok
+    memo = {key[2] for key in L._cache
+            if isinstance(key, tuple) and key[0] == "interval_ranks"}
+    named = {n for triple in ana.valid_triples()
+             for w in (ana.bruteforce(*triple), ana.constructive(*triple))
+             for n in (w.n1, w.n2)}
+    return memo, named
+
+
+@pytest.mark.parametrize("spec", [ideal_example62(), ideal_kpq(3, 2)],
+                         ids=["example62", "kpq(3,2)"])
+def test_interval_memo_holds_only_the_witnesses(spec):
+    # the routes search S's counts and the Betti table, so the order
+    # complex is read only where DecompositionWitness.verify checks one
+    L = lattice_of(spec)
+    memo, named = witness_memo_and_names(L)
+    assert memo == named and len(memo) < L.n - 1
+
+
+def test_interval_memo_holds_only_the_witnesses_on_small_lattices():
+    for n in range(2, 8):
+        for L in enumerate_lattices(n):
+            memo, named = witness_memo_and_names(L)
+            assert memo == named, (n, L.leq.tolist())
