@@ -413,6 +413,40 @@ def _natural_posets(m: int):
     yield from rec([])
 
 
+def _natural_relabelings(down):
+    """Every natural relabeling of the poset given by down-masks `down`.
+
+    One down-mask tuple (as `_natural_posets` yields it) per linear
+    extension; automorphisms may repeat a tuple.  Positions are filled in
+    order: an element may take position k once its strict down-set is
+    placed, and its new mask is bit k ORed with the new masks of the
+    elements below it.
+    """
+    m = len(down)
+    below = [d & ~(1 << i) for i, d in enumerate(down)]
+    new = [0] * m  # new[x]: x's down-mask in the labeling being built
+    out = []
+
+    def rec(placed, masks):
+        k = len(masks)
+        if k == m:
+            out.append(tuple(masks))
+            return
+        for x in range(m):
+            if placed >> x & 1 or below[x] & ~placed:
+                continue
+            mask, rest = 1 << k, below[x]
+            while rest:
+                low = rest & -rest
+                mask |= new[low.bit_length() - 1]
+                rest ^= low
+            new[x] = mask
+            rec(placed | 1 << x, masks + [mask])
+
+    rec(0, [])
+    return out
+
+
 def _bounded_closure(down, m):
     """Up-set masks of the middle poset with a new bottom 0 and top m + 1.
 
@@ -482,9 +516,21 @@ def _decode_canonical(data: bytes, n: int) -> np.ndarray:
 def enumerate_lattices(n: int):
     """Yield every lattice on n elements up to isomorphism exactly once.
 
-    Canonically relabeled (ids form a linear extension, bottom first).
+    Canonically relabeled (ids form a linear extension, bottom first), in
+    order of first appearance among the candidates, which are the middle
+    posets of `_natural_posets(n - 2)` with a bottom and a top added.
     Refuses n above LATTICE_ENUMERATION_CAP: the middle-poset search grows
     too fast.
+
+    Only the first candidate of each isomorphism class is coded with
+    `_canonical_code`; it then marks all of its natural relabelings as
+    seen, so a later candidate of its class costs one tuple lookup.  This
+    is exact.  An isomorphism of bounded lattices fixes bottom and top, so
+    two candidates are isomorphic iff their middle posets are.  A natural
+    labeling of a poset is one of its linear extensions, and
+    `_natural_posets` yields each naturally labeled poset once, so the
+    relabelings of a kept candidate are exactly the later candidates of
+    its class.
     """
     if not 2 <= n <= LATTICE_ENUMERATION_CAP:
         raise DomainError(
@@ -492,14 +538,14 @@ def enumerate_lattices(n: int):
             f"elements, not {n}")
     seen = set()
     for down in _natural_posets(n - 2):
+        if down in seen:
+            continue
         up = _bounded_closure(down, n - 2)
         if not _lattice_tables(range(n), up):
             continue
-        form = _canonical_code(up)
-        if form in seen:
-            continue
-        seen.add(form)
-        yield Lattice(_decode_canonical(form, n), validate=False)
+        seen.update(_natural_relabelings(down))
+        yield Lattice(_decode_canonical(_canonical_code(up), n),
+                      validate=False)
 
 
 # --- isomorphism testing (used by tests) ---

@@ -94,6 +94,10 @@ def test_json_dump_bytes_are_pinned(capsys, tmp_path, command, source,
 ARGV_DIGESTS = {
     ("verify", "lattices", "--max", "6"):
         "a96ed9cb79d718e95dbc0d8f6a1202b03cbc86c5dbdb2dde003c99b4ae7ae05f",
+    ("verify", "lattices", "--max", "8", "--field", "q"):
+        "79ad0d48b95f94701fd1816e121ff937443009de0a971ac13db48105a1206954",
+    ("verify", "lattices", "--max", "8", "--field", "2"):
+        "79ad0d48b95f94701fd1816e121ff937443009de0a971ac13db48105a1206954",
     ("verify", "decomposition", "@kpq:3,2", "--field", "q"):
         "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
     ("verify", "decomposition", "@kpq:3,2", "--field", "2"):

@@ -11,9 +11,11 @@ from synorres.algebra import (DimensionError, DomainError, Monomial,
 from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
                              ideal_powers, random_ideal, random_poset)
 from synorres.poset import (Lattice, LcmLattice, Poset, _bounded_closure,
-                            _decode_canonical, _natural_posets,
-                            build_lcm_lattice, canonical_form,
-                            enumerate_lattices, is_isomorphic, is_lattice,
+                            _canonical_code, _decode_canonical,
+                            _lattice_tables, _natural_posets,
+                            _natural_relabelings, build_lcm_lattice,
+                            canonical_form, enumerate_lattices,
+                            is_isomorphic, is_lattice,
                             lattice_hash, open_interval, poset_from_json,
                             poset_to_json, without_bottom)
 
@@ -398,6 +400,48 @@ def test_without_bottom_has_the_lattice_joins():
 def test_enumeration_counts():
     counts = [len(list(enumerate_lattices(n))) for n in range(2, 8)]
     assert counts == [1, 1, 2, 5, 15, 53]
+
+
+def code_every_candidate(n):
+    """Enumeration by coding every lattice candidate with
+    `_canonical_code` and keeping the first candidate of each code."""
+    seen = set()
+    for down in _natural_posets(n - 2):
+        up = _bounded_closure(down, n - 2)
+        if not _lattice_tables(range(n), up):
+            continue
+        form = _canonical_code(up)
+        if form not in seen:
+            seen.add(form)
+            yield _decode_canonical(form, n).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_enumeration_matches_code_every_candidate_reference(n):
+    found = [L.leq.tobytes() for L in enumerate_lattices(n)]
+    assert found == list(code_every_candidate(n))
+
+
+def test_natural_posets_are_distinct_with_a006455_counts():
+    # naturally labeled posets on m elements: OEIS A006455
+    for m, count in enumerate([1, 1, 2, 7, 40, 357, 4824]):
+        downs = list(_natural_posets(m))
+        assert len(downs) == len(set(downs)) == count
+
+
+def test_natural_relabelings_are_the_candidates_of_the_same_class():
+    for m in range(6):
+        downs = list(_natural_posets(m))
+        codes = [_canonical_code(_bounded_closure(d, m)) for d in downs]
+        for down, code in zip(downs, codes):
+            relabelings = _natural_relabelings(down)
+            assert set(relabelings) == {d for d, c in zip(downs, codes)
+                                        if c == code}
+            extensions = sum(
+                all(not down[perm[a]] >> perm[b] & 1 for a in range(m)
+                    for b in range(a + 1, m))
+                for perm in permutations(range(m)))
+            assert len(relabelings) == extensions  # one per extension
 
 
 def test_enumerated_are_lattices_pairwise_nonisomorphic():
