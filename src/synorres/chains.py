@@ -22,7 +22,10 @@ degrees whose homology is nonzero.  Vectors are keyed by basis element,
 and pivots are least keys, which is why chains(d) comes in
 lexicographic order and generators sort in build order.
 all_homology_ranks, the order-complex oracle, gets its ranks from
-linalg.cleared_spans and never builds a cleared column.  Both clear
+linalg.cleared_spans and never builds a cleared column, and so does
+facet_ranks, which ranks a simplicial complex given by bitmask facets
+(the upper Koszul and crosscut complexes of resolution.interval_ranks)
+and refuses one whose facets bound more than FACE_CAP faces.  All clear
 (skip the columns of d_d that are pivots of d_{d+1}'s span), which is
 exact because the boundary of a boundary is zero.  Whether an order
 cycle bounds in an order ideal is decided in a synor complex
@@ -36,6 +39,13 @@ from __future__ import annotations
 
 from .algebra import DimensionError, DomainError, ValidationError
 from .linalg import HomologyBasis, cleared_spans, complex_homology
+
+# facet_ranks refuses a complex when it and its nerve both have maximal
+# facets F with sum 2^|F| above this, a bound on the faces read before
+# any is listed.  Under it, the slowest of a random search (10-20
+# vertices, 3-40 facets) ranked in 0.54 s of CPU over QQ; every interval
+# of B11 ranks in 0.76 s in all (2-core x86, Python 3.11).
+FACE_CAP = 1 << 14
 
 
 def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
@@ -282,3 +292,88 @@ def all_homology_ranks(P, field) -> dict[int, int]:
     ranks.append(0)
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
             for d in range(-1, top + 1)}
+
+
+def _maximal_facets(facets) -> list[int]:
+    """The inclusion-maximal masks among facets, largest first."""
+    kept: list[int] = []
+    for f in sorted(set(facets), key=int.bit_count, reverse=True):
+        if all(f & ~g for g in kept):
+            kept.append(f)
+    return kept
+
+
+def _nerve_facets(kept: list[int]) -> list[int]:
+    """Facets of the nerve of the cover by the masks kept: for each
+    vertex, the set of positions in kept whose mask holds it."""
+    vertices = 0
+    for f in kept:
+        vertices |= f
+    out = []
+    while vertices:
+        v = vertices & -vertices
+        vertices ^= v
+        out.append(sum(1 << i for i, f in enumerate(kept) if f & v))
+    return _maximal_facets(out)
+
+
+def facet_ranks(facets, field, where: str) -> dict[int, int]:
+    """Reduced homology ranks, by degree, of the simplicial complex whose
+    faces are the subsets of the given facets, int bitmasks of vertices.
+
+    Only the maximal facets F are kept.  When they are nonempty, the
+    complex has the homotopy type of the nerve of its cover by them
+    (the nerve theorem; Bjorner, Topological methods, 1995, Thm 10.6),
+    whose facets are, for each vertex, the set of F that hold it, and
+    whichever of the two has the smaller bound sum 2^|F| is ranked: a
+    complex of few large facets has a small nerve.  The faces are listed
+    below the facets; the boundary of a face is the alternating sum, by
+    bit position, of the faces that drop one of its bits.  The facets [0]
+    give the complex {empty face}, with rank 1 in degree -1, and no
+    facets give the void complex, with no ranks.  The rows are face
+    masks, spanned top degree first with clearing, as in
+    all_homology_ranks.  Raises DomainError, naming where, when the
+    smaller bound exceeds FACE_CAP; no face is listed before."""
+    kept = _maximal_facets(facets)
+    bound = sum(1 << f.bit_count() for f in kept)
+    if kept and kept[-1]:  # no empty facet: the nerve is defined
+        nerve = _nerve_facets(kept)
+        nerve_bound = sum(1 << f.bit_count() for f in nerve)
+        if nerve_bound < bound:
+            kept, bound = nerve, nerve_bound
+    if bound > FACE_CAP:
+        raise DomainError(
+            f"interval ranks: refusing the {where}: its facets bound "
+            f"{bound} faces, more than {FACE_CAP}")
+    faces = set()
+    for f in kept:
+        s = f
+        while s:  # the nonzero submasks of f
+            faces.add(s)
+            s = (s - 1) & f
+        faces.add(0)
+    # kept is largest first; by_size[k] lists the faces of k vertices
+    by_size: list[list[int]] = [
+        [] for _ in range(kept[0].bit_count() + 1 if kept else 0)]
+    for f in sorted(faces):
+        by_size[f.bit_count()].append(f)
+    signs = (field.one, field.of(-1))
+
+    def columns_of(i, cleared):
+        out = []
+        for f in by_size[i]:
+            if f in cleared:
+                continue
+            col, j, rest = {}, 0, f
+            while rest:
+                low = rest & -rest
+                col[f ^ low] = signs[j & 1]
+                j += 1
+                rest ^= low
+            out.append(col)
+        return out
+    ranks = [red.rank for red in cleared_spans(columns_of, len(by_size),
+                                               field)]
+    ranks.append(0)
+    return {d: len(by_size[d + 1]) - ranks[d + 1] - ranks[d + 2]
+            for d in range(-1, len(by_size) - 1)}

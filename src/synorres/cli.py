@@ -32,9 +32,9 @@ from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
                      parse_ideal_text, random_ideal, random_poset)
 from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
                     poset_to_json, without_bottom)
-from .resolution import (betti_from_intervals, betti_from_resolution,
-                         certify_resolution, resolution_to_json,
-                         synor_resolution)
+from .resolution import (_betti_from_ranks, betti_from_resolution,
+                         certify_resolution, interval_ranks,
+                         resolution_to_json, synor_resolution)
 from .shuffle import shuffle_product
 from .chains import FormalChain, all_homology_ranks, basis_homology
 from .synor import build_synor_complex, synor_to_json, synors
@@ -111,7 +111,8 @@ def cmd_betti(args, L, field) -> int:
 def cmd_resolve(args, L, field) -> int:
     resolution = synor_resolution(L, field)
     report = certify_resolution(resolution, L, field)
-    match = betti_from_resolution(resolution) == betti_from_intervals(L, field)
+    match = betti_from_resolution(resolution) == _betti_from_ranks(
+        L, lambda m: interval_ranks(L, m, field))
     payload = {
         "resolution": resolution_to_json(resolution),
         "certification": {

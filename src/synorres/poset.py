@@ -420,20 +420,32 @@ def _natural_relabelings(down):
     extension; automorphisms may repeat a tuple.  Positions are filled in
     order: an element may take position k once its strict down-set is
     placed, and its new mask is bit k ORed with the new masks of the
-    elements below it.
+    elements below it.  Twins, elements with the same strict down-set and
+    up-set, are placed in index order only: swapping two twins is an
+    automorphism, so each extension walked stands for the extensions that
+    permute its twins among their positions, which give the same tuple,
+    and its tuple is repeated for each of them.
     """
     m = len(down)
     below = [d & ~(1 << i) for i, d in enumerate(down)]
+    above = [sum(1 << y for y in range(m) if below[y] >> x & 1)
+             for x in range(m)]
+    # before[x]: x's twins of lower index, which are placed first
+    before = [sum(1 << y for y in range(x) if below[y] == below[x]
+                  and above[y] == above[x]) for x in range(m)]
+    repeat = 1  # the twin permutations: k! for each class of k twins
+    for mask in before:
+        repeat *= mask.bit_count() + 1
     new = [0] * m  # new[x]: x's down-mask in the labeling being built
     out = []
 
     def rec(placed, masks):
         k = len(masks)
         if k == m:
-            out.append(tuple(masks))
+            out.extend([tuple(masks)] * repeat)
             return
         for x in range(m):
-            if placed >> x & 1 or below[x] & ~placed:
+            if placed >> x & 1 or (below[x] | before[x]) & ~placed:
                 continue
             mask, rest = 1 << k, below[x]
             while rest:

@@ -12,11 +12,17 @@ element), minimality, and cokernel equal to the ideal.  The resolution
 can also be read off a synor complex the caller already holds
 (resolution_from_complex), so a verifier builds the complex once.
 
-The independent oracle reads Betti numbers off the lattice directly:
-beta_{i,m} is the rank of reduced homology in degree i - 2 of the open
-interval between the bottom and m, with beta_{0,1} = 1 by convention.
-One memo per lattice holds those ranks (interval_ranks), and every
-reader of the oracle goes through it.
+The lattice gives Betti numbers directly too: beta_{i,m} is the rank of
+reduced homology in degree i - 2 of the open interval between the bottom
+and m, with beta_{0,1} = 1 by convention.  Two smaller complexes have
+that homology, and interval_ranks ranks them with chains.facet_ranks,
+one memo per lattice: on an lcm lattice the upper Koszul complex K^m of
+the ideal (Miller-Sturmfels, Combinatorial Commutative Algebra, Thm
+1.34), read off exponent vectors alone; on any other lattice the atom
+crosscut complex of [0, m] (Rota 1964).  `resolve` checks the synor
+resolution's table against the Koszul table, and witness checks read
+the same memo.  betti_from_intervals reads the open intervals' order
+complexes, with no memo: the oracle the tests check both against.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from collections import Counter
 import numpy as np
 
 from .algebra import DomainError, Monomial, ValidationError
-from .chains import all_homology_ranks
+from .chains import all_homology_ranks, facet_ranks
 from .linalg import cleared_spans, rank_of
 from .poset import (Lattice, LcmLattice, _lex_keys, open_interval,
                     without_bottom)
@@ -116,28 +122,69 @@ class BettiTable:
 def interval_ranks(L: Lattice, x: int, field) -> dict[int, int]:
     """Reduced homology ranks, by degree, of the open interval (0, x) of L.
 
-    Memoized in L's cache under ("interval_ranks", field, x), which only
-    this function writes.  Raises like open_interval on a bad id."""
+    They are read off a simplicial complex with the same homology, given
+    by its facets: the upper Koszul complex at x on an LcmLattice, the
+    atom crosscut complex of [0, x] on any other lattice.  Memoized in
+    L's cache under ("interval_ranks", field, x), which only this
+    function writes.  Raises IndexError for an id out of range and
+    DomainError for the bottom, whose open interval is undefined, or for
+    a complex above chains.FACE_CAP."""
     key = ("interval_ranks", field, x)
     if key not in L._cache:
-        L._cache[key] = all_homology_ranks(open_interval(L, L.bottom, x),
-                                           field)
+        if not 0 <= x < L.n:
+            raise IndexError("interval endpoints out of range")
+        if x == L.bottom:
+            raise DomainError("open interval requires a < b")
+        if isinstance(L, LcmLattice):
+            facets = _koszul_facets(L, x)
+            where = f"upper Koszul complex at {L.format_label(x)}"
+        else:
+            facets = _crosscut_facets(L, x)
+            where = f"crosscut complex of (0, {x})"
+        L._cache[key] = facet_ranks(facets, field, where)
     return L._cache[key]
 
 
-def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
-    """Betti table from interval homology; beta_{0,1} = 1 by convention.
+def _koszul_facets(L: LcmLattice, x: int) -> list[int]:
+    """Facets of the upper Koszul complex K^b, b = L.exps[x], over the
+    variables as bits: the squarefree F with x^(b - F) in the ideal.
+    Each generator g dividing b gives the facet {v : b_v > g_v}."""
+    b = L.exps[x]
+    gens = L.exps[list(L.atoms)]
+    rows = np.packbits(gens[(gens <= b).all(axis=1)] < b, axis=1,
+                       bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
-    The oracle the synor resolution's table is checked against.
-    """
+
+def _crosscut_facets(L: Lattice, x: int) -> list[int]:
+    """Facets of the atom crosscut complex of [0, x], the atom sets below
+    x whose join is below x, over L's atoms as bits: the atoms below each
+    lower cover of x.  An atom x gives the facet 0 alone."""
+    covers = L.covers()
+    atoms = [j for i, j in covers if i == L.bottom]
+    return [sum(1 << k for k, a in enumerate(atoms) if L.leq[a, c])
+            for c, y in covers if y == x]
+
+
+def _betti_from_ranks(L: LcmLattice, ranks_of) -> BettiTable:
+    """The Betti table whose entries at each m above the bottom are the
+    nonzero ranks_of(m), shifted by 2; beta_{0,1} = 1 by convention."""
     entries: dict = {(0, Monomial.one(len(L.variables))): 1}
     for m_id in range(L.n):
         if m_id == L.bottom:
             continue
-        ranks = interval_ranks(L, m_id, field)
         mono = L.monomials[m_id]
-        entries.update({(d + 2, mono): r for d, r in ranks.items() if r})
+        entries.update({(d + 2, mono): r
+                        for d, r in ranks_of(m_id).items() if r})
     return BettiTable(L.variables, entries)
+
+
+def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
+    """Betti table from the order complexes of the open intervals (0, m).
+
+    The oracle that the synor and Koszul tables are checked against."""
+    return _betti_from_ranks(L, lambda m: all_homology_ranks(
+        open_interval(L, L.bottom, m), field))
 
 
 class FreeResolution:

@@ -16,7 +16,8 @@ of the proof is asserted as it is used, and a failure raises
 TheoremContradiction with a JSON-ready reproducer payload.  The proof
 runs in the synor complex: its nontriviality and relative-homology
 checks are decided there by synor.bounds_in, so it never enumerates an
-order chain.  Order-complex homology (resolution.interval_ranks) is read
+order chain.  Interval homology (resolution.interval_ranks: upper Koszul
+complexes on lcm lattices, atom crosscuts on other lattices) is read
 only by the witness check, at the witnesses' elements.
 
 On lcm lattices the Betti table of the synor resolution yields the
@@ -34,7 +35,9 @@ searches with the one pair search _first_pair.
 DecompositionWitness.verify is the one witness check: it re-reads both
 witnesses' ranks from the lattice's interval memo
 (resolution.interval_ranks), which no route searches, and the join from
-the lattice.  No caller re-checks a witness that a route has returned.
+the lattice; an interval complex above chains.FACE_CAP raises rather
+than failing the check.  No caller re-checks a witness that a route has
+returned.
 
 Reports are plain objects with stable line formats so sweep output is
 diffable.
@@ -88,14 +91,14 @@ class DecompositionWitness:
 
     def verify(self, field) -> bool:
         L = self.lattice
-        try:
-            r1 = interval_ranks(L, self.n1, field).get(self.i1 - 2, 0)
-            r2 = interval_ranks(L, self.n2, field).get(self.i2 - 2, 0)
-            join = L.join_of(self.n1, self.n2)
-        except (DomainError, IndexError):
-            # structurally invalid data fails verification, never crashes it
+        if any(not 0 <= n < L.n or n == L.bottom for n in (self.n1, self.n2)):
+            # structurally invalid data fails verification, never crashes
+            # it; an interval complex above chains.FACE_CAP still raises
             return False
-        return r1 > 0 and r2 > 0 and L.le(self.target, join)
+        r1 = interval_ranks(L, self.n1, field).get(self.i1 - 2, 0)
+        r2 = interval_ranks(L, self.n2, field).get(self.i2 - 2, 0)
+        return r1 > 0 and r2 > 0 and L.le(self.target,
+                                            L.join_of(self.n1, self.n2))
 
     def describe(self) -> str:
         L = self.lattice

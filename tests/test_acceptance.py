@@ -256,8 +256,8 @@ def rp2_lattice():
 
 
 def test_criterion_12_field_dependence_rp2():
-    # one lattice object across fields: the interval memo must keep them
-    # apart, and GF(2) sees the torsion of H_1(RP^2)
+    # one lattice object across fields, which must stay apart, and GF(2)
+    # sees the torsion of H_1(RP^2)
     L = rp2_lattice()
     runs = [(QQ, (1, 10, 15, 6)), (PrimeField(2), (1, 10, 15, 7, 1)),
             (PrimeField(3), (1, 10, 15, 6)), (QQ, (1, 10, 15, 6))]

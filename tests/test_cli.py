@@ -122,6 +122,17 @@ def test_lattice_on_boolean_lattice_b8_is_fast(capsys):
     assert time.perf_counter() - start < 15.0
 
 
+@pytest.mark.parametrize("source", ["@powers:8,1", "@kpq:7,3"])
+def test_resolve_cross_check_is_fast(capsys, source):
+    # the cross-check reads Koszul ranks: 0.46 s and 0.50 s of wall in a
+    # fresh process (2-core x86), where the order complex ran past 150 s
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "resolve", source)
+    assert code == 0
+    assert out.splitlines()[-2:] == ["certified", "betti cross-check: ok"]
+    assert time.perf_counter() - start < 15.0
+
+
 def test_synor_dump(capsys):
     code, out, _ = run(capsys, "synor", "@example62")
     assert code == 0

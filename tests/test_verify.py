@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
-from synorres import chains, synor, verify
+from synorres import chains, resolution, synor, verify
 from synorres.cli import main
 from synorres.corpus import corpus_ideals, ideal_example62, ideal_kpq
 from synorres.poset import Lattice, build_lcm_lattice, enumerate_lattices
@@ -364,27 +364,34 @@ def lattice_of(spec):
 
 
 def test_each_interval_is_computed_once_per_run(monkeypatch, capsys):
-    real = chains.all_homology_ranks
-    labels = []
+    # interval_ranks ranks one complex per element through facet_ranks,
+    # which names the element; no command reads the order complex
+    real = chains.facet_ranks
+    named = []
 
-    def counted(P, field):
-        labels.append(P.labels)
-        return real(P, field)
+    def counted(facets, field, where):
+        named.append(where)
+        return real(facets, field, where)
 
+    def refused(P, field):
+        raise AssertionError("a command read the order complex")
+
+    monkeypatch.setattr(resolution, "facet_ranks", counted)
     for name, module in list(sys.modules.items()):
-        if (name.split(".")[0] == "synorres"
-                and getattr(module, "all_homology_ranks", None) is real):
-            monkeypatch.setattr(module, "all_homology_ranks", counted)
-    assert main(["verify", "decomposition", "@kpq:3,2"]) == 0
-    assert main(["verify", "subadditivity", "@example62"]) == 0
+        if (name.split(".")[0] == "synorres" and getattr(
+                module, "all_homology_ranks", None) is chains.all_homology_ranks):
+            monkeypatch.setattr(module, "all_homology_ranks", refused)
+    for argv, least in [(["verify", "decomposition", "@kpq:3,2"], 1),
+                        (["verify", "subadditivity", "@example62"], 1),
+                        # resolve ranks every element above the bottom
+                        (["resolve", "@kpq:3,2"],
+                         lattice_of(ideal_kpq(3, 2)).n - 1)]:
+        named.clear()
+        assert main(argv) == 0
+        seen = Counter(named)
+        assert [where for where, c in seen.items() if c > 1] == []
+        assert len(seen) >= least
     capsys.readouterr()
-    seen = Counter(labels)
-    # a nonempty interval (0, x) is named by its labels; an empty one lies
-    # below an atom, so there are at most as many as atoms
-    assert [lab for lab, c in seen.items() if lab and c > 1] == []
-    atoms = sum(len(lattice_of(spec).atoms)
-                for spec in (ideal_kpq(3, 2), ideal_example62()))
-    assert 0 < seen[()] <= atoms
 
 
 def test_sweep_lines_do_not_depend_on_a_warm_memo():
@@ -394,16 +401,17 @@ def test_sweep_lines_do_not_depend_on_a_warm_memo():
 
     cold = lines(lattice_of(ideal_kpq(3, 2)))
     warm = lattice_of(ideal_kpq(3, 2))
-    betti_from_intervals(warm, PrimeField(2))
-    betti_from_intervals(warm, QQ)
+    for field in (PrimeField(2), QQ):  # every interval's ranks memoized
+        for x in range(1, warm.n):
+            interval_ranks(warm, x, field)
     assert lines(warm) == cold
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "GF2"])
 def test_synor_counts_equal_interval_ranks(field):
-    # TopAnalysis reads its synors off S's generator counts; the order
-    # complex of each open interval (0, x) is the independent oracle, on
-    # every lattice with n <= 7 and every corpus lcm lattice
+    # TopAnalysis reads its synors off S's generator counts; the Koszul
+    # or crosscut complex of each open interval (0, x) is the second
+    # route, on every lattice with n <= 7 and every corpus lcm lattice
     lattices = [*(L for n in range(2, 8) for L in enumerate_lattices(n)),
                 *(lattice_of(spec) for spec in corpus_ideals())]
     checked = 0
@@ -421,7 +429,7 @@ def test_synor_counts_equal_interval_ranks(field):
 
 def test_bruteforce_witness_check_rejects_fake_synors(example62_lattice):
     # with every element above the bottom counted as a synor in every
-    # column, the search finds pairs that the order-complex witness check
+    # column, the search finds pairs that the interval-rank witness check
     # refuses; it reads no count the search read
     L = example62_lattice
     ana = TopAnalysis(L, QQ)
@@ -458,8 +466,8 @@ def witness_memo_and_names(L):
 @pytest.mark.parametrize("spec", [ideal_example62(), ideal_kpq(3, 2)],
                          ids=["example62", "kpq(3,2)"])
 def test_interval_memo_holds_only_the_witnesses(spec):
-    # the routes search S's counts and the Betti table, so the order
-    # complex is read only where DecompositionWitness.verify checks one
+    # the routes search S's counts and the Betti table, so interval
+    # ranks are read only where DecompositionWitness.verify checks one
     L = lattice_of(spec)
     memo, named = witness_memo_and_names(L)
     assert memo == named and len(memo) < L.n - 1
