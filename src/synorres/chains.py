@@ -21,11 +21,12 @@ matrix once for the ranks and computes representative cycles only in
 degrees whose homology is nonzero.  Vectors are keyed by basis element,
 and pivots are least keys, which is why chains(d) comes in
 lexicographic order and generators sort in build order.
-all_homology_ranks, the order-complex oracle, gets its ranks from
-linalg.cleared_spans and never builds a cleared column, and so does
-facet_ranks, which ranks a simplicial complex given by bitmask facets
-(the upper Koszul and crosscut complexes of resolution.interval_ranks)
-and refuses one whose facets bound more than FACE_CAP faces.  All clear
+all_homology_ranks, the order-complex oracle, refuses a poset of more
+than CHAIN_CAP chains and gets its ranks from linalg.cleared_spans,
+never building a cleared column, and so does facet_ranks, which ranks a
+simplicial complex given by bitmask facets (the upper Koszul and
+crosscut complexes of resolution.interval_ranks) and refuses one that,
+like its nerve, has more than FACE_CAP faces.  All clear
 (skip the columns of d_d that are pivots of d_{d+1}'s span), which is
 exact because the boundary of a boundary is zero.  Whether an order
 cycle bounds in an order ideal is decided in a synor complex
@@ -40,12 +41,19 @@ from __future__ import annotations
 from .algebra import DimensionError, DomainError, ValidationError
 from .linalg import HomologyBasis, cleared_spans, complex_homology
 
-# facet_ranks refuses a complex when it and its nerve both have maximal
-# facets F with sum 2^|F| above this, a bound on the faces read before
-# any is listed.  Under it, the slowest of a random search (10-20
+# facet_ranks refuses a complex when it and its nerve both have more
+# faces than this, each listing stopped as soon as it passes the cap: the
+# boundary of the 15-simplex (32,767 faces, its own nerve) is refused in
+# 0.03 s of CPU.  Under it, the slowest of a random search (10-20
 # vertices, 3-40 facets) ranked in 0.54 s of CPU over QQ; every interval
 # of B11 ranks in 0.76 s in all (2-core x86, Python 3.11).
 FACE_CAP = 1 << 14
+
+# all_homology_ranks refuses a poset with more nonempty order chains than
+# this, counted before any chain is built: the largest interval of
+# kpq(6,3), 47,365 chains, ranks in 9.2 s of CPU over QQ (2-core x86,
+# Python 3.11), and the top interval of B8 has 545,834.
+CHAIN_CAP = 1 << 16
 
 
 def accumulate(terms: dict, pairs, scale=None, p: int = 0) -> dict:
@@ -281,7 +289,14 @@ def all_homology_ranks(P, field) -> dict[int, int]:
     get no column of d_d built, and the ranks are those of the full
     matrices.  Unlike every other matrix here, the rows are chain
     positions, not chains: the ranks do not depend on the keys, and on
-    `resolve @powers:6,1` chain-tuple rows cost about 17% more time."""
+    `resolve @powers:6,1` chain-tuple rows cost about 17% more time.
+    Raises DomainError, naming the count, for a poset of more than
+    CHAIN_CAP nonempty chains; no chain is built before."""
+    count = _chain_count(P)
+    if count > CHAIN_CAP:
+        raise DomainError(
+            f"order-complex ranks: refusing a poset of {count} chains, "
+            f"more than {CHAIN_CAP}")
     top = P.max_chain_dim()
 
     def columns_of(i, cleared):
@@ -292,6 +307,16 @@ def all_homology_ranks(P, field) -> dict[int, int]:
     ranks.append(0)
     return {d: len(P.chains(d)) - ranks[d + 1] - ranks[d + 2]
             for d in range(-1, top + 1)}
+
+
+def _chain_count(P) -> int:
+    """The number of nonempty order chains of P, with none built: the
+    chains whose top element is x are x alone and x over each chain
+    topped below x, counted in linear-extension order."""
+    tops = [0] * P.n
+    for x in P.linear_extension():
+        tops[x] = 1 + sum(tops[y] for y in P.strictly_below(x))
+    return sum(tops)
 
 
 def _maximal_facets(facets) -> list[int]:
@@ -317,6 +342,35 @@ def _nerve_facets(kept: list[int]) -> list[int]:
     return _maximal_facets(out)
 
 
+def _faces_by_size(kept: list[int]) -> list[list[int]] | None:
+    """The faces below the maximal facets kept (largest first), by number
+    of vertices, each size in ascending order; None as soon as more than
+    FACE_CAP are listed.  Sizes are listed downward from the facets, each
+    face once, so the work is bounded by the faces listed, not by their
+    count with repeats."""
+    by_size: list[list[int]] = [
+        [] for _ in range(kept[0].bit_count() + 1 if kept else 0)]
+    level: set[int] = set()
+    count = 0
+    for size in range(len(by_size) - 1, -1, -1):
+        level.update(f for f in kept if f.bit_count() == size)
+        count += len(level)
+        if count > FACE_CAP:
+            return None
+        by_size[size] = sorted(level)
+        below: set[int] = set()
+        for f in by_size[size]:
+            rest = f
+            while rest:  # the faces that drop one vertex of f
+                low = rest & -rest
+                below.add(f ^ low)
+                rest ^= low
+            if count + len(below) > FACE_CAP:
+                return None
+        level = below
+    return by_size
+
+
 def facet_ranks(facets, field, where: str) -> dict[int, int]:
     """Reduced homology ranks, by degree, of the simplicial complex whose
     faces are the subsets of the given facets, int bitmasks of vertices.
@@ -324,39 +378,29 @@ def facet_ranks(facets, field, where: str) -> dict[int, int]:
     Only the maximal facets F are kept.  When they are nonempty, the
     complex has the homotopy type of the nerve of its cover by them
     (the nerve theorem; Bjorner, Topological methods, 1995, Thm 10.6),
-    whose facets are, for each vertex, the set of F that hold it, and
-    whichever of the two has the smaller bound sum 2^|F| is ranked: a
-    complex of few large facets has a small nerve.  The faces are listed
-    below the facets; the boundary of a face is the alternating sum, by
-    bit position, of the faces that drop one of its bits.  The facets [0]
-    give the complex {empty face}, with rank 1 in degree -1, and no
-    facets give the void complex, with no ranks.  The rows are face
-    masks, spanned top degree first with clearing, as in
-    all_homology_ranks.  Raises DomainError, naming where, when the
-    smaller bound exceeds FACE_CAP; no face is listed before."""
+    whose facets are, for each vertex, the set of F that hold it.  The
+    one of the two with the smaller bound sum 2^|F| is listed first (a
+    complex of few large facets has a small nerve), and the other only
+    if the first has more than FACE_CAP faces; the boundary of a face is
+    the alternating sum, by bit position, of the faces that drop one of
+    its bits.  The facets [0] give the complex {empty face}, with rank 1
+    in degree -1, and no facets give the void complex, with no ranks.
+    The rows are face masks, spanned top degree first with clearing, as
+    in all_homology_ranks.  Raises DomainError, naming where, when both
+    have more than FACE_CAP faces."""
     kept = _maximal_facets(facets)
-    bound = sum(1 << f.bit_count() for f in kept)
+    complexes = [kept]
     if kept and kept[-1]:  # no empty facet: the nerve is defined
-        nerve = _nerve_facets(kept)
-        nerve_bound = sum(1 << f.bit_count() for f in nerve)
-        if nerve_bound < bound:
-            kept, bound = nerve, nerve_bound
-    if bound > FACE_CAP:
+        complexes.append(_nerve_facets(kept))
+    for listed in sorted(complexes, key=lambda c: sum(
+            1 << f.bit_count() for f in c)):
+        by_size = _faces_by_size(listed)
+        if by_size is not None:
+            break
+    else:
         raise DomainError(
-            f"interval ranks: refusing the {where}: its facets bound "
-            f"{bound} faces, more than {FACE_CAP}")
-    faces = set()
-    for f in kept:
-        s = f
-        while s:  # the nonzero submasks of f
-            faces.add(s)
-            s = (s - 1) & f
-        faces.add(0)
-    # kept is largest first; by_size[k] lists the faces of k vertices
-    by_size: list[list[int]] = [
-        [] for _ in range(kept[0].bit_count() + 1 if kept else 0)]
-    for f in sorted(faces):
-        by_size[f.bit_count()].append(f)
+            f"interval ranks: refusing the {where}: it and its nerve "
+            f"each have more than {FACE_CAP} faces")
     signs = (field.one, field.of(-1))
 
     def columns_of(i, cleared):

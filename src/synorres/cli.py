@@ -229,8 +229,8 @@ def _verify_subadditivity(args, L, field) -> tuple[bool, list[str]]:
 
 def _verify_decomposition(args, L, field) -> tuple[bool, list[str]]:
     analysis = TopAnalysis(L, field)  # one synor complex for both
-    ok1, lines1 = verify_lattice_instances(L, field, analysis)
-    ok2, lines2 = verify_intervals(L, field, analysis.S)
+    ok1, lines1 = verify_lattice_instances(analysis)
+    ok2, lines2 = verify_intervals(analysis)
     return ok1 and ok2, lines1 + lines2
 
 

@@ -414,17 +414,17 @@ def _natural_posets(m: int):
 
 
 def _natural_relabelings(down):
-    """Every natural relabeling of the poset given by down-masks `down`.
+    """The set of natural relabelings of the poset given by down-masks
+    `down`, as down-mask tuples like those `_natural_posets` yields.
 
-    One down-mask tuple (as `_natural_posets` yields it) per linear
-    extension; automorphisms may repeat a tuple.  Positions are filled in
-    order: an element may take position k once its strict down-set is
-    placed, and its new mask is bit k ORed with the new masks of the
-    elements below it.  Twins, elements with the same strict down-set and
-    up-set, are placed in index order only: swapping two twins is an
-    automorphism, so each extension walked stands for the extensions that
-    permute its twins among their positions, which give the same tuple,
-    and its tuple is repeated for each of them.
+    Each linear extension gives one; automorphisms give several
+    extensions the same tuple, which the set keeps once.  Positions are
+    filled in order: an element may take position k once its strict
+    down-set is placed, and its new mask is bit k ORed with the new
+    masks of the elements below it.  Twins, elements with the same
+    strict down-set and up-set, are placed in index order only: swapping
+    two twins is an automorphism, so the extensions that permute twins
+    among their positions give the tuple of the one walked.
     """
     m = len(down)
     below = [d & ~(1 << i) for i, d in enumerate(down)]
@@ -433,16 +433,13 @@ def _natural_relabelings(down):
     # before[x]: x's twins of lower index, which are placed first
     before = [sum(1 << y for y in range(x) if below[y] == below[x]
                   and above[y] == above[x]) for x in range(m)]
-    repeat = 1  # the twin permutations: k! for each class of k twins
-    for mask in before:
-        repeat *= mask.bit_count() + 1
     new = [0] * m  # new[x]: x's down-mask in the labeling being built
-    out = []
+    out = set()
 
     def rec(placed, masks):
         k = len(masks)
         if k == m:
-            out.extend([tuple(masks)] * repeat)
+            out.add(tuple(masks))
             return
         for x in range(m):
             if placed >> x & 1 or (below[x] | before[x]) & ~placed:

@@ -182,9 +182,13 @@ def _betti_from_ranks(L: LcmLattice, ranks_of) -> BettiTable:
 def betti_from_intervals(L: LcmLattice, field) -> BettiTable:
     """Betti table from the order complexes of the open intervals (0, m).
 
-    The oracle that the synor and Koszul tables are checked against."""
-    return _betti_from_ranks(L, lambda m: all_homology_ranks(
-        open_interval(L, L.bottom, m), field))
+    The oracle that the synor and Koszul tables are checked against.
+    The intervals are ranked from the top down, so the top's, which
+    holds every other, is refused (chains.CHAIN_CAP) before any is
+    ranked."""
+    ranks = {m: all_homology_ranks(open_interval(L, L.bottom, m), field)
+             for m in reversed(range(L.n)) if m != L.bottom}
+    return _betti_from_ranks(L, ranks.__getitem__)
 
 
 class FreeResolution:

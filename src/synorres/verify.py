@@ -20,18 +20,19 @@ order chain.  Interval homology (resolution.interval_ranks: upper Koszul
 complexes on lcm lattices, atom crosscuts on other lattices) is read
 only by the witness check, at the witnesses' elements.
 
-On lcm lattices the Betti table of the synor resolution yields the
-Betti-level consequences: subadditivity of maximal shifts with witness
-pairs n1, n2 whose lcm realizes the extremal multidegree, and the
-product bound on the number of shifts.  Interval witnesses are searched
-in the table by _interval_witness, which verify_intervals runs at every
-multidegree and split of the table, and check_subadditivity at each
-multidegree of extremal degree.
+On lcm lattices the Betti numbers beta_{i,m} yield the Betti-level
+consequences: subadditivity of maximal shifts with witness pairs n1, n2
+whose lcm realizes the extremal multidegree, and the product bound on
+the number of shifts.  Interval witnesses are searched by
+_interval_witness, which verify_intervals runs at every multidegree and
+split of a TopAnalysis's synor counts, and check_subadditivity at each
+multidegree of extremal degree of the Betti table it is given.
 
 Each route has its own source of candidates (the synor complex's
 generator counts, the supports of the shuffle terms, the Betti table).
-The brute-force and interval searches share _synor_pair, and every route
-searches with the one pair search _first_pair.
+The brute-force and interval searches share _synor_pair, which reads
+beta(i, x), and every route searches with the one pair search
+_first_pair.
 DecompositionWitness.verify is the one witness check: it re-reads both
 witnesses' ranks from the lattice's interval memo
 (resolution.interval_ranks), which no route searches, and the join from
@@ -53,8 +54,7 @@ from .linalg import kernel_basis
 from .poset import (LATTICE_ENUMERATION_CAP, Lattice, LcmLattice, Poset,
                     enumerate_lattices, lattice_hash, poset_to_json,
                     without_bottom)
-from .resolution import (BettiTable, betti_from_resolution, interval_ranks,
-                         resolution_from_complex)
+from .resolution import BettiTable, interval_ranks
 from .shuffle import shuffle_product
 from .synor import (Generator, SynorComplex, bounds_in, bracket,
                     build_synor_complex, ell_representation,
@@ -321,21 +321,21 @@ def _synor_pair(L: Lattice, m: int, i1: int, i2: int, k: int,
 
 
 def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
-                      field, table: BettiTable) -> DecompositionWitness:
+                      field, beta) -> DecompositionWitness:
     """Decompose the element m inside its closed interval [0, m].
 
-    The (i-1)-synors of that interval are the x <= m with beta_{i,x} > 0,
-    so _synor_pair reads its candidates from the Betti table.  The pair
-    is then re-verified by order-complex homology.  Raises
-    TheoremContradiction if beta_{i1+i2-k,m} = 0, if no pair exists, or
-    if the re-verification fails.
+    The (i-1)-synors of that interval are the x <= m with beta(i, x) > 0,
+    beta counting the (i-1)-synors at a lattice id as for _synor_pair.
+    The pair is then checked by DecompositionWitness.verify, which reads
+    the witnesses' interval ranks (resolution.interval_ranks).  Raises
+    TheoremContradiction if beta(i1+i2-k, m) = 0, if no pair exists, or
+    if that check fails.
     """
     def payload(stage):
         return {"lattice": poset_to_json(L), "m": m,
                 "i1": i1, "i2": i2, "k": k, "stage": stage}
 
-    pair = _synor_pair(L, m, i1, i2, k,
-                       lambda i, x: table.beta(i, L.monomials[x]))
+    pair = _synor_pair(L, m, i1, i2, k, beta)
     if pair is None:
         raise TheoremContradiction("no synor pair joins to the interval top",
                                    payload("interval-search"))
@@ -365,10 +365,12 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
     ok = ts <= t1 + t2
     witnesses = []
     if ok and ts > 0 and i1 >= 1 and i2 >= 1:
+        def beta(i, x):
+            return table.beta(i, L.monomials[x])
         for (j, mono), _v in sorted(table.entries.items()):
             if j != s or mono.degree() != ts:
                 continue
-            w = _interval_witness(L, L.index[mono], i1, i2, k, field, table)
+            w = _interval_witness(L, L.index[mono], i1, i2, k, field, beta)
             witnesses.append(w)
             n1, n2 = L.monomials[w.n1], L.monomials[w.n2]
             lines.append(
@@ -468,45 +470,38 @@ def check_class_sums(S: SynorComplex, g: Generator, ell: int,
 # --- sweeps ---
 
 
-def verify_intervals(L: LcmLattice, field,
-                     S: SynorComplex | None = None) -> tuple[bool, list[str]]:
-    """Betti-level decomposition at every multidegree: for each m and
-    each split i1 + i2 of a column with nonzero entry at m, a certified
-    pair with lcm dominating m.  One line per instance.  The Betti table
-    is read off S, the synor complex of L minus its bottom, built here
-    when not given."""
-    if S is None:
-        S = build_synor_complex(without_bottom(L), field)
-    table = betti_from_resolution(resolution_from_complex(L, S))
+def verify_intervals(analysis: TopAnalysis) -> tuple[bool, list[str]]:
+    """Betti-level decomposition at every multidegree of an lcm lattice:
+    for each m and each split i1 + i2 of a column i with beta_{i,m} > 0,
+    a certified pair with lcm dominating m.  One line per instance.  The
+    counts are the analysis's synor counts, in (i, lattice id) order,
+    which on an lcm lattice is (i, monomial) order."""
+    L = analysis.L
     ok = True
     lines = []
-    for (i, mono), _v in sorted(table.entries.items()):
+    for i, m in sorted(analysis._betti):
         if i < 2:
             continue
-        m_id = L.index[mono]
         for i1 in range(1, i):
             i2 = i - i1
             try:
-                w = _interval_witness(L, m_id, i1, i2, 0, field, table)
+                w = _interval_witness(L, m, i1, i2, 0, analysis.field,
+                                      analysis.beta)
                 good = True
                 wtxt = f"{L.format_label(w.n1)},{L.format_label(w.n2)}"
             except TheoremContradiction as e:
                 good, wtxt = False, f"none stage={e.payload['stage']}"
             ok = ok and good
             lines.append(
-                f"INTERVAL {mono.format(L.variables)} i1={i1} i2={i2} "
+                f"INTERVAL {L.format_label(m)} i1={i1} i2={i2} "
                 f"RESULT={'pass' if good else 'fail'} witness={wtxt}")
     return ok, lines
 
 
-def verify_lattice_instances(L: Lattice, field,
-                             analysis: TopAnalysis | None = None
-                             ) -> tuple[bool, list[str]]:
-    """All valid (i1, i2, k) for one lattice, both routes, one line each;
-    analysis, L's TopAnalysis over field, is made here when not given."""
-    if analysis is None:
-        analysis = TopAnalysis(L, field)
-    h = lattice_hash(L)
+def verify_lattice_instances(analysis: TopAnalysis) -> tuple[bool, list[str]]:
+    """All valid (i1, i2, k) for the analysis's lattice, both routes, one
+    line each."""
+    h = lattice_hash(analysis.L)
     ok = True
     lines = []
     for i1, i2, k in analysis.valid_triples():
@@ -542,7 +537,7 @@ def sweep_lattices(max_n: int, field,
     lines = []
     for n in range(2, max_n + 1):
         for L in enumerate_lattices(n):
-            good, sub = verify_lattice_instances(L, field)
+            good, sub = verify_lattice_instances(TopAnalysis(L, field))
             ok = ok and good
             lines.extend(sub)
             counts[n] = counts.get(n, 0) + 1

@@ -17,9 +17,10 @@ from synorres.resolution import (betti_from_intervals, betti_from_resolution,
                                  certify_resolution, synor_resolution)
 from synorres.shuffle import check_chain_map
 from synorres.synor import build_synor_complex, synors
-from synorres.verify import (check_bracket_vanishing, check_class_sums,
-                             check_shift_count_bound, check_subadditivity,
-                             sweep_lattices, verify_intervals)
+from synorres.verify import (TopAnalysis, check_bracket_vanishing,
+                             check_class_sums, check_shift_count_bound,
+                             check_subadditivity, sweep_lattices,
+                             verify_intervals)
 
 QQ = RationalField()
 RESULTS = []
@@ -232,7 +233,7 @@ def test_criterion_11_interval_decomposition():
     ok = True
     instances = 0
     for spec, L in corpus_lattices():
-        good, lines = verify_intervals(L, QQ)
+        good, lines = verify_intervals(TopAnalysis(L, QQ))
         ok = ok and good
         instances += len(lines)
     note(11, "interval-decomposition-corpus", ok and instances > 0)

@@ -1,15 +1,19 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synorres.algebra import (DimensionError, DomainError, PrimeField,
                               RationalField, ValidationError)
-from synorres.chains import (FormalChain, all_homology_ranks, boundary,
-                             boundary_key, concat, graded_component,
-                             homology, normalize)
-from synorres.corpus import MmixRandom, random_chain, random_poset
+from synorres.chains import (CHAIN_CAP, FormalChain, _chain_count,
+                             all_homology_ranks, boundary, boundary_key,
+                             concat, graded_component, homology, normalize)
+from synorres.corpus import (MmixRandom, ideal_kpq, ideal_powers,
+                             random_chain, random_poset)
 from synorres.linalg import span
-from synorres.poset import open_interval
+from synorres.poset import build_lcm_lattice, open_interval
+from synorres.resolution import betti_from_intervals
 from synorres.synor import bounds_in, build_synor_complex
 
 QQ = RationalField()
@@ -219,3 +223,28 @@ def test_bounds_cases_reach_every_outcome(relabel):
             assert not (leaves and got)
             seen.add((got, leaves))
         assert {(True, False), (False, False), (False, True)} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10 ** 6), st.integers(0, 12))
+def test_chain_count_counts_the_chains_without_building_them(seed, n):
+    P = random_poset(seed, n)
+    want = sum(len(P.chains(d)) for d in range(P.max_chain_dim() + 1))
+    assert _chain_count(P) == want
+
+
+def test_chain_cap_admits_kpq63_and_refuses_b8():
+    # the largest open interval (0, m) of kpq(6,3) is the top's
+    spec = ideal_kpq(6, 3)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    assert _chain_count(open_interval(L, L.bottom, L.top)) == 47365
+    assert 47365 <= CHAIN_CAP
+    # B8's top interval is refused before any interval is ranked
+    spec = ideal_powers(8, 1)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    start = time.process_time()
+    with pytest.raises(DomainError, match=(
+            r"^order-complex ranks: refusing a poset of 545834 chains, "
+            rf"more than {CHAIN_CAP}$")):
+        betti_from_intervals(L, QQ)
+    assert time.process_time() - start < 1.0

@@ -164,8 +164,8 @@ def test_verify_decomposition(capsys):
 @pytest.mark.parametrize("source", ["@kpq:4,3", "@powers:5,1"])
 def test_verify_decomposition_builds_one_synor_complex(capsys, monkeypatch,
                                                        source):
-    # both verifiers read the complex of L minus its bottom: the LATTICE
-    # lines through TopAnalysis, the INTERVAL lines through its Betti table
+    # both verifiers read the complex of L minus its bottom through one
+    # TopAnalysis: the LATTICE lines and the INTERVAL lines alike
     built = []
 
     def counted(P, field):
@@ -177,6 +177,21 @@ def test_verify_decomposition_builds_one_synor_complex(capsys, monkeypatch,
     assert code == 0
     assert "LATTICE" in out and "INTERVAL" in out
     assert len(built) == 1
+
+
+def test_verify_decomposition_builds_no_resolution(capsys, monkeypatch):
+    # the INTERVAL lines read the analysis's synor counts, not a Betti
+    # table of a resolution made from the same complex
+    def refused(*args, **kwargs):
+        raise AssertionError("verify decomposition built a resolution")
+    for module in (synorres.cli, synorres.resolution, synorres.verify):
+        for name in ("resolution_from_complex", "betti_from_resolution"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    code, out, _ = run(capsys, "verify", "decomposition", "@kpq:3,2")
+    assert code == 0
+    assert "INTERVAL" in out
+    assert out.endswith("all pass\n")
 
 
 def test_verify_subadditivity(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
 from synorres import chains, resolution, synor, verify
+from synorres.chains import FormalChain
 from synorres.cli import main
 from synorres.corpus import corpus_ideals, ideal_example62, ideal_kpq
 from synorres.poset import Lattice, build_lcm_lattice, enumerate_lattices
@@ -107,6 +108,47 @@ def test_routes_raise_when_their_witness_fails_verify(cycle_lattice,
         assert str(e.value) == "witness certification failed"
 
 
+def _mutate(stage, monkeypatch):
+    """Break the proof step that the stage checks, and only that one."""
+    if stage == "relative-cycle-support":
+        # the shuffle sum plus one chain from the top, whose boundary
+        # leaves the middle part
+        real = TopAnalysis._shuffle_sum
+
+        def leaky(self, reps, dim):
+            total = real(self, reps, dim)
+            key = min(key for key in total.terms if key[0] == self.top)
+            return total + FormalChain.single(key, self.field,
+                                              kind=total.kind)
+        monkeypatch.setattr(TopAnalysis, "_shuffle_sum", leaky)
+    elif stage == "top-component":
+        # a sum whose part at the top reads as zero
+        monkeypatch.setattr(verify, "graded_component",
+                            lambda c, x: FormalChain.zero(c.dim, c.field,
+                                                          c.kind))
+    else:  # witness-scan: no shuffle term joins to the top
+        monkeypatch.setattr(verify, "_first_pair", lambda *args: None)
+
+
+@pytest.mark.parametrize("stage", ["relative-cycle-support", "top-component",
+                                   "witness-scan"])
+def test_broken_proof_steps_fail_at_their_stage(stage, cycle_lattice,
+                                                monkeypatch):
+    # negative controls: each proof check fails, naming its stage, when
+    # the step it checks is broken
+    _mutate(stage, monkeypatch)
+    ok, lines = verify_lattice_instances(TopAnalysis(cycle_lattice, QQ))
+    assert not ok
+    assert any(line.endswith(f"RESULT=fail witness=none stage={stage}")
+               for line in lines)
+    assert all(line.endswith(f"stage={stage}")
+               for line in lines if "stage=" in line)
+    with pytest.raises(TheoremContradiction) as e:
+        TopAnalysis(cycle_lattice, QQ).constructive(1, 1, 0)
+    assert e.value.payload["stage"] == stage
+    assert json.loads(json.dumps(e.value.payload))["i1"] == 1
+
+
 def test_constructive_checks_share_one_span_per_degree():
     # the nontriviality and relative-homology checks of every valid triple
     # ask whether a chain bounds in the middle part in degree m - 1, where
@@ -130,7 +172,7 @@ def test_the_proof_enumerates_no_order_chain(spec):
     # minus its bottom never builds its order chains (the "chains" and
     # "less" keys) or an order-chain span ("bounds")
     ana = TopAnalysis(lattice_of(spec), QQ)
-    ok, _ = verify_lattice_instances(ana.L, QQ, ana)
+    ok, _ = verify_lattice_instances(ana)
     assert ok
     names = {key if isinstance(key, str) else key[0] for key in ana.P._cache}
     assert not names & {"chains", "less", "bounds"}
@@ -182,7 +224,7 @@ def test_each_proof_pass_and_rho_span_is_computed_once(monkeypatch, spec,
 
     monkeypatch.setattr(TopAnalysis, "_shuffle_sum", shuffle_sum)
     monkeypatch.setattr(synor, "eliminate", eliminate)
-    ok, _ = verify_lattice_instances(lattice_of(spec), QQ)
+    ok, _ = verify_lattice_instances(TopAnalysis(lattice_of(spec), QQ))
     assert ok
     assert counts == {"shuffle sums": passes, "eliminations": spans}
 
@@ -220,7 +262,7 @@ def test_interval_decomposition(example62_lattice):
                 f"RESULT=pass"
                 for (i, m), _r in sorted(T.entries.items()) if i >= 2
                 for i1 in range(1, i)]
-    ok, lines = verify_intervals(L, QQ)
+    ok, lines = verify_intervals(TopAnalysis(L, QQ))
     assert ok and expected
     assert [line.split(" witness=")[0] for line in lines] == expected
 
@@ -228,9 +270,9 @@ def test_interval_decomposition(example62_lattice):
 def test_interval_decomposition_hypothesis_check(cycle_lattice):
     # xy is an atom: no (1,1) split of beta_2 there
     L = cycle_lattice
-    T = betti_from_resolution(synor_resolution(L, QQ))
+    ana = TopAnalysis(L, QQ)
     with pytest.raises(TheoremContradiction) as e:
-        _interval_witness(L, L.atoms[0], 1, 1, 0, QQ, T)
+        _interval_witness(L, L.atoms[0], 1, 1, 0, QQ, ana.beta)
     assert e.value.payload["stage"] == "interval-search"
 
 
@@ -256,6 +298,9 @@ def test_interval_witness_matches_closed_interval_search(
     else:
         L = cycle_lattice if name == "cycle" else example62_lattice
     T = betti_from_resolution(synor_resolution(L, QQ))
+
+    def beta(i, x):
+        return T.beta(i, L.monomials[x])
     checked = 0
     for (i, mono), _v in sorted(T.entries.items()):
         if i < 2:
@@ -263,7 +308,7 @@ def test_interval_witness_matches_closed_interval_search(
         m = L.monomials.index(mono)
         search = closed_interval_search(L, m)
         for i1 in range(1, i):
-            w = _interval_witness(L, m, i1, i - i1, 0, QQ, T)
+            w = _interval_witness(L, m, i1, i - i1, 0, QQ, beta)
             assert (w.n1, w.n2) == search(i1, i - i1)
             checked += 1
     assert checked > 0
@@ -277,14 +322,14 @@ def test_sweep_fail_lines_name_the_stage(cycle_lattice, monkeypatch):
 
     monkeypatch.setattr(verify, "_interval_witness",
                         contradiction("interval-search"))
-    ok, lines = verify_intervals(cycle_lattice, QQ)
+    ok, lines = verify_intervals(TopAnalysis(cycle_lattice, QQ))
     assert not ok
     assert lines == ["INTERVAL x*y*z i1=1 i2=1 RESULT=fail witness=none "
                      "stage=interval-search"]
 
     monkeypatch.setattr(TopAnalysis, "constructive",
                         contradiction("relative-homology"))
-    ok, lines = verify_lattice_instances(cycle_lattice, QQ)
+    ok, lines = verify_lattice_instances(TopAnalysis(cycle_lattice, QQ))
     assert not ok and lines
     assert all(line.endswith("RESULT=fail witness=none stage=relative-homology")
                for line in lines)
@@ -292,15 +337,15 @@ def test_sweep_fail_lines_name_the_stage(cycle_lattice, monkeypatch):
 
 def test_interval_witness_contradiction_stages(cycle_lattice, monkeypatch):
     L = cycle_lattice
-    T = betti_from_resolution(synor_resolution(L, QQ))
+    beta = TopAnalysis(L, QQ).beta
     top = L.top
     with pytest.raises(TheoremContradiction) as e:
-        _interval_witness(L, top, 2, 2, 0, QQ, T)  # beta_{4,xyz} = 0
+        _interval_witness(L, top, 2, 2, 0, QQ, beta)  # beta_{4,xyz} = 0
     assert e.value.payload["stage"] == "interval-search"
     monkeypatch.setattr(DecompositionWitness, "verify",
                         lambda self, field=None: False)
     with pytest.raises(TheoremContradiction) as e:
-        _interval_witness(L, top, 1, 1, 0, QQ, T)
+        _interval_witness(L, top, 1, 1, 0, QQ, beta)
     assert e.value.payload["stage"] == "interval-reverify"
 
 
@@ -322,7 +367,7 @@ def test_shift_count_bound(example62_lattice):
 
 
 def test_verify_lattice_instances_lines(cycle_lattice):
-    ok, lines = verify_lattice_instances(cycle_lattice, QQ)
+    ok, lines = verify_lattice_instances(TopAnalysis(cycle_lattice, QQ))
     assert ok
     assert lines
     for line in lines:
@@ -332,7 +377,7 @@ def test_verify_lattice_instances_lines(cycle_lattice):
 
 
 def test_verify_intervals_lines(cycle_lattice):
-    ok, lines = verify_intervals(cycle_lattice, QQ)
+    ok, lines = verify_intervals(TopAnalysis(cycle_lattice, QQ))
     assert ok
     # single interval instance: beta_2 at xyz split as (1,1)
     assert len(lines) == 1
@@ -396,8 +441,8 @@ def test_each_interval_is_computed_once_per_run(monkeypatch, capsys):
 
 def test_sweep_lines_do_not_depend_on_a_warm_memo():
     def lines(L):
-        return (verify_lattice_instances(L, QQ)[1]
-                + verify_intervals(L, QQ)[1])
+        ana = TopAnalysis(L, QQ)
+        return verify_lattice_instances(ana)[1] + verify_intervals(ana)[1]
 
     cold = lines(lattice_of(ideal_kpq(3, 2)))
     warm = lattice_of(ideal_kpq(3, 2))
@@ -453,7 +498,7 @@ def witness_memo_and_names(L):
     """After a sweep of L's valid triples, the elements in L's interval
     memo and the witness elements that both routes named."""
     ana = TopAnalysis(L, QQ)
-    ok, _ = verify_lattice_instances(L, QQ, ana)
+    ok, _ = verify_lattice_instances(ana)
     assert ok
     memo = {key[2] for key in L._cache
             if isinstance(key, tuple) and key[0] == "interval_ranks"}
