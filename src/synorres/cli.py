@@ -92,9 +92,11 @@ def lattice_of(spec: IdealSpec) -> LcmLattice:
     return build_lcm_lattice(list(spec.generators), spec.variables)
 
 
-def _emit(args, payload: dict, text_lines: list[str]):
+def _emit(args, payload, text_lines: list[str]):
+    """Print payload() as JSON under --format json, else text_lines;
+    the payload is built only when it is printed."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2, default=str))
+        print(json.dumps(payload(), indent=2, default=str))
     else:
         for line in text_lines:
             print(line)
@@ -104,7 +106,7 @@ def cmd_betti(args, L, field) -> int:
     table = betti_from_resolution(synor_resolution(L, field))
     t_line = "t: " + " ".join(str(x) for x in table.t_sequence())
     lines = [] if args.format == "json" else [table.text(), t_line]
-    _emit(args, table.to_json(), lines)
+    _emit(args, table.to_json, lines)
     return 0
 
 
@@ -113,15 +115,17 @@ def cmd_resolve(args, L, field) -> int:
     report = certify_resolution(resolution, L, field)
     match = betti_from_resolution(resolution) == _betti_from_ranks(
         L, lambda m: interval_ranks(L, m, field))
-    payload = {
-        "resolution": resolution_to_json(resolution),
-        "certification": {
-            "ok": report.ok,
-            "checks": [[name, good] for name, good in report.checks],
-            "problems": report.problems,
-        },
-        "betti_match": match,
-    }
+
+    def payload():
+        return {
+            "resolution": resolution_to_json(resolution),
+            "certification": {
+                "ok": report.ok,
+                "checks": [[name, good] for name, good in report.checks],
+                "problems": report.problems,
+            },
+            "betti_match": match,
+        }
     lines = ["ranks: " + " ".join(str(r) for r in resolution.ranks)]
     lines.extend(report.lines())
     lines.append(f"betti cross-check: {'ok' if match else 'MISMATCH'}")
@@ -140,12 +144,13 @@ def cmd_lattice(args, L, field) -> int:
         for i in range(1, pd + 1)
         if (b := table.beta(i, L.monomials[x]))
     ]
-    payload = poset_to_json(L)
-    payload["hash"] = lattice_hash(L)
-    payload["synors"] = synor_rows
+    digest = lattice_hash(L)
+
+    def payload():
+        return {**poset_to_json(L), "hash": digest, "synors": synor_rows}
     lines = [
         f"elements: {L.n}",
-        f"hash: {payload['hash']}",
+        f"hash: {digest}",
         "atoms: " + " ".join(L.format_label(a) for a in L.atoms),
         "synors (element, dim, multiplicity):",
     ]
@@ -156,12 +161,11 @@ def cmd_lattice(args, L, field) -> int:
 
 def cmd_synor(args, L, field) -> int:
     S = build_synor_complex(without_bottom(L), field)
-    payload = synor_to_json(S, variables=L.variables)
     counts = {d: len(S.generators(d)) for d in S.dims()}
     lines = [f"generators by dimension: "
              f"{' '.join(f'{d}:{n}' for d, n in sorted(counts.items()))}"]
     lines.append(f"total rank: {S.total_rank()}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: synor_to_json(S, variables=L.variables), lines)
     return 0
 
 
@@ -196,7 +200,7 @@ def cmd_shuffle_demo(args, L, field) -> int:
     ]
     for key, coeff in terms:
         lines.append(f"  {coeff:>4}  ({' > '.join(key)})")
-    _emit(args, {"dim": product.dim, "terms": terms}, lines)
+    _emit(args, lambda: {"dim": product.dim, "terms": terms}, lines)
     return 0
 
 
@@ -285,9 +289,8 @@ def _verify_properties(args, L, field) -> tuple[bool, list[str]]:
 
 def cmd_verify(args, L, field) -> int:
     ok, lines = args.driver(args, L, field)
-    payload = {"ok": ok, "lines": lines}
     lines.append("all pass" if ok else "FAILURES above")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"ok": ok, "lines": lines}, lines)
     return 0 if ok else 2
 
 

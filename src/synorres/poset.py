@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 
 import numpy as np
 
@@ -104,19 +105,19 @@ class Poset:
         return self._cache["covers"]
 
     def linear_extension(self) -> tuple[int, ...]:
-        """Topological order of ids, smallest id first among available."""
+        """Topological order of ids, smallest id first among available.
+
+        When leq is upper triangular, as on every lcm lattice, every
+        enumerated lattice and their induced subposets, the ids in order
+        are that extension: id i is available once 0..i-1 are placed.
+        leq is reflexive, so it is upper triangular iff each row's first
+        true entry is on the diagonal."""
         if "linext" not in self._cache:
-            lt = self.leq & ~np.eye(self.n, dtype=bool)
-            waiting = lt.sum(axis=0)  # predecessors not yet placed
-            heap = np.flatnonzero(waiting == 0).tolist()
-            out = []
-            while heap:
-                x = heapq.heappop(heap)
-                out.append(x)
-                waiting -= lt[x]
-                for y in np.flatnonzero(lt[x] & (waiting == 0)).tolist():
-                    heapq.heappush(heap, y)
-            self._cache["linext"] = tuple(out)
+            ids = np.arange(self.n)
+            if self.n and (self.leq.argmax(axis=1) != ids).any():
+                self._cache["linext"] = _smallest_first(self.leq)
+            else:
+                self._cache["linext"] = tuple(ids.tolist())
         return self._cache["linext"]
 
     def join_of(self, a: int, b: int) -> int:
@@ -232,6 +233,22 @@ class Lattice(Poset):
         self.top = _unique(self.leq.all(axis=0), "top")
 
 
+def _smallest_first(leq) -> tuple[int, ...]:
+    """The linear extension of the order leq that places the smallest
+    available id first, by a heap walk."""
+    lt = leq & ~np.eye(len(leq), dtype=bool)
+    waiting = lt.sum(axis=0)  # predecessors not yet placed
+    heap = np.flatnonzero(waiting == 0).tolist()
+    out = []
+    while heap:
+        x = heapq.heappop(heap)
+        out.append(x)
+        waiting -= lt[x]
+        for y in np.flatnonzero(lt[x] & (waiting == 0)).tolist():
+            heapq.heappush(heap, y)
+    return tuple(out)
+
+
 def _unique(mask, what: str) -> int:
     """The one id where mask is true: a lattice's bottom or top."""
     ids = np.flatnonzero(mask)
@@ -343,14 +360,32 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
     leq = np.ones((len(ordered), len(ordered)), dtype=bool)
     for col in exps.T:  # one variable at a time: no n x n x nvars temporary
         leq &= col[:, None] <= col[None, :]
-    atoms = np.searchsorted(_lex_keys(exps), _lex_keys(rows))
+    top = exps[-1]  # the lexicographically last row, the lcm of all
+    atoms = np.searchsorted(_lex_keys(exps, top), _lex_keys(rows, top))
     return LcmLattice(leq, [Monomial(e) for e in ordered], variables,
                       sorted(atoms.tolist()), exps)
 
 
-def _lex_keys(exps) -> np.ndarray:
-    """Exponent rows as int64 records compared lexicographically: in an
-    lcm lattice's exps, np.searchsorted finds a vector's id."""
+def _lex_keys(exps, top) -> np.ndarray:
+    """Keys of exponent rows, each at most top componentwise, that sort
+    as the rows do lexicographically: np.searchsorted of a vector's key
+    among the keys of an lcm lattice's exps, with top its top's row,
+    finds the vector's id.  A key is the row's big-endian mixed-radix
+    int64 code, radix top_v + 1 in variable v, while the product of the
+    radices is below 2^63; beyond, the row's _lex_records record."""
+    exps = np.asarray(exps, dtype=np.int64).reshape(-1, len(top))
+    radix = [int(t) + 1 for t in top]
+    if math.prod(radix) >= 2 ** 63:
+        return _lex_records(exps)
+    codes = np.zeros(len(exps), dtype=np.int64)
+    for col, r in zip(exps.T, radix):
+        codes *= r
+        codes += col
+    return codes
+
+
+def _lex_records(exps) -> np.ndarray:
+    """Exponent rows as int64 records, compared field by field."""
     exps = np.ascontiguousarray(exps, dtype=np.int64)
     return exps.view([("", np.int64)] * exps.shape[1]).ravel()
 

@@ -8,9 +8,11 @@ column label over its row label, never stored.  Betti numbers are its
 generator counts.  A certification pass re-proves resolution-hood from
 scratch: squared differential, lattice labels, per-multidegree strand
 exactness (through quotient strands, one atom complement per lattice
-element), minimality, and cokernel equal to the ideal.  The resolution
-can also be read off a synor complex the caller already holds
-(resolution_from_complex), so a verifier builds the complex once.
+element, each ranked over its own nonempty modules and found by int64
+codes of exponent vectors), minimality, and cokernel equal to the
+ideal.  The resolution can also be read off a synor complex the caller
+already holds (resolution_from_complex), so a verifier builds the
+complex once.
 
 The lattice gives Betti numbers directly too: beta_{i,m} is the rank of
 reduced homology in degree i - 2 of the open interval between the bottom
@@ -311,13 +313,17 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     checked along the extension until one is not acyclic, and every
     strand not proven exact that way is checked whole, so a failing
     report names the strands it always named.  The atom complements come
-    from exponent vectors here, not from the synor build's joins.
+    from exponent vectors here, not from the synor build's joins: each
+    lcm(l, a) is looked up among L.exps by its int64 lexicographic code
+    (poset._lex_keys), one search per atom.
 
-    Each strand is a complex, and its ranks come from
-    linalg.cleared_spans from the top module down: a strand column whose
-    index is a pivot of the span one module up is never built.  Without
-    d . d = 0 clearing would not be exact, and every strand matrix is
-    spanned in full.  R and L must share their variable list.
+    Each strand is a complex over the modules from its first nonempty
+    one to its last (the others are empty, so exactness holds there),
+    and its ranks come from linalg.cleared_spans from the top module
+    down: a strand column whose index is a pivot of the span one module
+    up is never built.  Without d . d = 0 clearing would not be exact,
+    and every strand matrix is spanned in full.  R and L must share
+    their variable list.
     """
     if R.variables != L.variables:
         raise ValidationError(f"resolution variables {list(R.variables)} "
@@ -392,41 +398,45 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
     problems.extend(f"label {lab.format(L.variables)} of module {k} is not "
                     f"in the lcm lattice" for k, lab in outside)
 
-    def columns(keep):
-        def columns_of(k, cleared):
-            return [{r: v for r, v in by_col[k].get(c, ()) if r in keep[k]}
-                    for c in keep[k + 1] if c not in cleared]
-        return columns_of
+    def ranks_of(keep, lo):
+        """Ranks of the strand's differentials between its modules lo ..
+        lo + len(keep) - 1, keep[j] the positions kept in module lo + j:
+        with clearing once d . d = 0 is proven, each matrix in full
+        before."""
+        rows = [set(sel) for sel in keep]
+
+        def columns_of(j, cleared):
+            return [{r: v for r, v in by_col[lo + j].get(c, ())
+                     if r in rows[j]}
+                    for c in keep[j + 1] if c not in cleared]
+        if consistent and square_zero:
+            return [red.rank for red in
+                    cleared_spans(columns_of, len(keep) - 1, field)]
+        return [rank_of(columns_of(j, ()), field)
+                for j in range(len(keep) - 1)]
 
     # quotient strands along the linear extension, while they are exact;
     # each one proves its multidegree's whole strand exact (see docstring)
     proven = set()
     if consistent and square_zero and presents and not outside:
-        for m_id, keep in _atom_quotients(exps, L):
-            spans = cleared_spans(columns(keep), len(keep) - 1, field)
-            ranks = [0, *(red.rank for red in spans), 0]
-            if any(len(sel) != ranks[k] + ranks[k + 1]
-                   for k, sel in enumerate(keep)):
-                break
+        for m_id, lo, keep in _atom_quotients(exps, L):
+            if keep:
+                ranks = [0, *ranks_of(keep, lo), 0]
+                if any(len(sel) != ranks[j] + ranks[j + 1]
+                       for j, sel in enumerate(keep)):
+                    break
             proven.add(m_id)
 
     # the other strands whole, at the lattice multidegrees above the
     # bottom: at m, the labels of each module that divide m
     exact = not outside
     for m_id in sorted(set(range(L.n)) - proven - {L.bottom}):
-        keep = [set(np.flatnonzero(
-            (rows <= L.exps[m_id]).all(axis=1)).tolist()) for rows in exps]
-        dims = [len(sel) for sel in keep]
-        while dims and dims[-1] == 0:
-            dims.pop()
+        keep = [np.flatnonzero((rows <= L.exps[m_id]).all(axis=1)).tolist()
+                for rows in exps]
+        while keep and not keep[-1]:
             keep.pop()
-        if consistent and square_zero:
-            ranks = [red.rank for red in
-                     cleared_spans(columns(keep), len(dims) - 1, field)]
-        else:
-            ranks = [rank_of(columns(keep)(k, ()), field)
-                     for k in range(len(dims) - 1)]
-        ranks.append(0)
+        dims = [len(sel) for sel in keep]
+        ranks = ranks_of(keep, 0) + [0]
         # m lies in the ideal, so the strand must be exact everywhere:
         # one generator at the bottom, killed by rank-1 d_1, and
         # dim F_k = rank d_k + rank d_{k+1} above.
@@ -444,32 +454,50 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
 
 
 def _atom_quotients(exps: list, L: LcmLattice):
-    """Yield (m, its quotient strand) for each lattice element m above
-    the bottom, along L's linear extension; the strand is one set of
-    label positions per module: those whose label l has lcm(l, a) = m,
-    for a the first of L.atoms below m.  exps[k] holds module k's label
-    rows; every label is in L, so lcm(l, a) is found among L.exps."""
+    """Yield (m, lo, keep) for each lattice element m above the bottom,
+    along L's linear extension: m's quotient strand, the labels l with
+    lcm(l, a) = m for a the first of L.atoms below m, as ascending
+    positions per module, keep[j] those of module lo + j.  keep runs
+    from the strand's first nonempty module to its last, and is empty
+    when the strand is.  exps[k] holds module k's label rows; every
+    label is in L, so each lcm(l, a) is found among L.exps by its
+    _lex_keys key, one search per atom, and the labels are grouped by
+    lcm id once."""
     atoms = list(L.atoms)
     first = np.argmax(L.leq[atoms], axis=0)  # position in atoms of a(m)
     labels = np.concatenate(exps)  # module by module
-    module = [k for k, rows in enumerate(exps) for _ in rows]
-    position = [j for rows in exps for j in range(len(rows))]
-    lcms: dict[int, tuple] = {}  # a -> labels sorted by lcm id, those ids
+    sizes = [len(rows) for rows in exps]
+    module = np.repeat(np.arange(len(exps)), sizes)
+    offset = np.cumsum([0, *sizes])  # index of each module's first label
+    top = L.exps[L.top]
+    ids = _lex_keys(L.exps, top)
+    # (lcm id, label index) for each atom a and each label l whose
+    # lcm(l, a) has a as its first atom, label indices ascending per id
+    lcm, index = [], []
+    for i, a in enumerate(atoms):
+        lcm_a = np.searchsorted(ids, _lex_keys(np.maximum(labels, L.exps[a]),
+                                               top))
+        mine = np.flatnonzero(first[lcm_a] == i)
+        lcm.append(lcm_a[mine])
+        index.append(mine)
+    lcm, index = np.concatenate(lcm), np.concatenate(index)
+    order = np.argsort(lcm, kind="stable")
+    bounds = np.searchsorted(lcm[order], np.arange(L.n + 1)).tolist()
+    index = index[order]
+    mods = module[index].tolist()
+    pos = (index - offset[module[index]]).tolist()
     for m_id in L.linear_extension():
         if m_id == L.bottom:
             continue
-        a = atoms[first[m_id]]
-        if a not in lcms:
-            lcm = np.searchsorted(_lex_keys(L.exps), _lex_keys(
-                np.maximum(labels, L.exps[a])))
-            order = np.argsort(lcm, kind="stable")
-            lcms[a] = (order, lcm[order])
-        order, sorted_lcm = lcms[a]
-        lo, hi = np.searchsorted(sorted_lcm, [m_id, m_id + 1])
-        keep = [set() for _ in exps]
-        for i in order[lo:hi].tolist():
-            keep[module[i]].add(position[i])
-        yield m_id, keep
+        start, stop = bounds[m_id], bounds[m_id + 1]
+        if start == stop:
+            yield m_id, 0, []
+            continue
+        lo = mods[start]
+        keep = [[] for _ in range(mods[stop - 1] - lo + 1)]
+        for j in range(start, stop):
+            keep[mods[j] - lo].append(pos[j])
+        yield m_id, lo, keep
 
 
 def resolution_to_json(R: FreeResolution) -> dict:

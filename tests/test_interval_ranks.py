@@ -198,7 +198,8 @@ def test_koszul_complex_of_few_faces_is_admitted_above_the_bound(
     assert nonzero(interval_ranks(L, L.top, QQ)) == {8: 10}
     assert time.process_time() - start < 0.2
     # `resolve` certifies it and cross-checks every element's Koszul
-    # ranks in 4.0 s of CPU (2-core x86, Python 3.11)
+    # ranks in 2.6-2.9 s of CPU (2-core x86, Python 3.11): lattice 0.3-0.5,
+    # synor build 0.9-1.2, certification 0.2-0.25, Koszul ranks 0.9
     names = [f"x{v}" for v in range(1, 12)]
     path = tmp_path / "pairs11.txt"
     path.write_text("vars: " + " ".join(names) + "\n" + "".join(

@@ -1,3 +1,4 @@
+import math
 import time
 from itertools import permutations
 
@@ -12,8 +13,10 @@ from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
                              ideal_powers, random_ideal, random_poset)
 from synorres.poset import (Lattice, LcmLattice, Poset, _bounded_closure,
                             _canonical_code, _decode_canonical,
-                            _invariants, _lattice_tables, _natural_posets,
-                            _natural_relabelings, build_lcm_lattice,
+                            _invariants, _lattice_tables, _lex_keys,
+                            _lex_records, _natural_posets,
+                            _natural_relabelings, _smallest_first,
+                            build_lcm_lattice,
                             canonical_form, enumerate_lattices,
                             is_isomorphic, is_lattice,
                             lattice_hash, open_interval, poset_from_json,
@@ -303,9 +306,43 @@ def min_available_extension(P):
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(1, 10**6), n=st.integers(0, 12))
 def test_linear_extension_is_smallest_available_first(seed, n):
+    # random_poset's ids are a linear extension, and so are the ids of a
+    # random relabeling relabeled along its heap walk: leq is upper
+    # triangular, and the ids in order must be what the heap walk gives
     P = random_poset(seed, n)
-    for Q in (P, Poset(relabeled(P, seeded_permutation(seed, n)))):
-        assert Q.linear_extension() == min_available_extension(Q)
+    Q = Poset(relabeled(P, seeded_permutation(seed, n)))
+    R = Poset(relabeled(Q, _smallest_first(Q.leq)))
+    assert not np.tril(R.leq, -1).any()
+    assert P.linear_extension() == R.linear_extension() == tuple(range(n))
+    for S in (P, Q, R):
+        assert S.linear_extension() == min_available_extension(S) == \
+            _smallest_first(S.leq)
+
+
+def random_exponent_rows(seed, nvars, size, emax):
+    """size rows over nvars variables of exponents up to emax, distinct
+    and in lexicographic order, their top, and size query rows at most
+    their top."""
+    rng = np.random.default_rng(seed)
+    rows = np.unique(rng.integers(0, emax + 1, (size, nvars)), axis=0)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    top = rows.max(axis=0)
+    return rows, top, rng.integers(0, top + 1, (size, nvars))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(1, 10**6), nvars=st.integers(1, 6),
+       size=st.integers(1, 60), emax=st.sampled_from([1, 2, 5, 2**20, 2**40]))
+def test_lex_codes_find_what_lex_records_find(seed, nvars, size, emax):
+    # int64 codes while the radices' product is below 2^63, records past it
+    rows, top, queries = random_exponent_rows(seed, nvars, size, emax)
+    keys = _lex_keys(rows, top)
+    if math.prod(int(t) + 1 for t in top) < 2**63:
+        assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    else:
+        assert keys.dtype == _lex_records(rows).dtype
+    assert np.searchsorted(keys, _lex_keys(queries, top)).tolist() == \
+        np.searchsorted(_lex_records(rows), _lex_records(queries)).tolist()
 
 
 def test_lcm_lattice_of_cycle_ideal(cycle_lattice):

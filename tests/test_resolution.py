@@ -9,7 +9,7 @@ import synorres.resolution as resolution
 from synorres.algebra import (Monomial, PrimeField, RationalField,
                               ValidationError)
 from synorres.corpus import ideal_kpq, ideal_powers, random_ideal
-from synorres.poset import build_lcm_lattice, without_bottom
+from synorres.poset import _lex_keys, build_lcm_lattice, without_bottom
 from synorres.resolution import (betti_from_intervals, betti_from_resolution,
                                  certify_resolution, resolution_to_json,
                                  synor_resolution)
@@ -316,41 +316,63 @@ def test_an_entry_outside_its_matrix_is_rejected(key):
 
 
 def spy_quotients(monkeypatch):
-    """Record each _atom_quotients result of certify_resolution."""
+    """Record each _atom_quotients result of certify_resolution as a dict
+    {m: (lo, keep)}."""
     seen = []
     engine = resolution._atom_quotients
 
     def spy(exps, L):
-        seen.append(dict(engine(exps, L)))
-        return seen[-1].items()
+        seen.append({m: (lo, keep) for m, lo, keep in engine(exps, L)})
+        return [(m, lo, keep) for m, (lo, keep) in seen[-1].items()]
     monkeypatch.setattr(resolution, "_atom_quotients", spy)
     return seen
+
+
+def spy_spans(monkeypatch):
+    """Record the matrix count of each cleared_spans call."""
+    ranked = []
+    engine = resolution.cleared_spans
+
+    def spans(columns_of, count, field):
+        ranked.append(count)
+        return engine(columns_of, count, field)
+    monkeypatch.setattr(resolution, "cleared_spans", spans)
+    return ranked
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_boolean_quotient_strands_have_two_generators(n, monkeypatch):
     # in B_n, with a the first atom below m, the labels l with
-    # lcm(l, a) = m are m and m / a, one generator each
+    # lcm(l, a) = m are m and m / a, one generator each, in adjacent
+    # modules, so each quotient strand spans one differential alone
     spec = ideal_powers(n, 1)
     L = build_lcm_lattice(list(spec.generators), spec.variables)
     R = synor_resolution(L, QQ)
     seen = spy_quotients(monkeypatch)
+    ranked = spy_spans(monkeypatch)
     assert certify_resolution(R, L, QQ).ok
     (quotients,) = seen
     assert sorted(quotients) == [m for m in range(L.n) if m != L.bottom]
-    for m_id, keep in quotients.items():
-        labels = sorted(R.labels[k][j] for k, sel in enumerate(keep)
-                        for j in sel)
+    for m_id, (lo, keep) in quotients.items():
+        assert [len(sel) for sel in keep] == [1, 1]
+        labels = sorted(R.labels[lo + j][p] for j, sel in enumerate(keep)
+                        for p in sel)
         m = L.monomials[m_id]
         a = L.monomials[min(a for a in L.atoms if L.le(a, m_id))]
         assert labels == sorted([m.quotient(a), m])
+    assert ranked == [1] * (L.n - 1)
 
 
 def whole_strands(R, L, field):
-    """The report with every strand checked whole: no quotient strand."""
+    """The report with every strand checked whole: no quotient strand.
+    Every caller's R has d . d = 0, so each of the L.n - 1 strands above
+    the bottom is ranked by one cleared_spans call."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(resolution, "_atom_quotients", lambda exps, L: ())
-        return certify_resolution(R, L, field).lines()
+        ranked = spy_spans(patch)
+        lines = certify_resolution(R, L, field).lines()
+    assert len(ranked) == L.n - 1
+    return lines
 
 
 @settings(max_examples=30, deadline=None)
@@ -379,6 +401,19 @@ def test_quotient_strands_report_what_whole_strands_report(seed, n, g, emax,
         assert whole_strands(bad, L, field) == rep.lines()
 
 
+def test_exponents_past_the_int64_codes_certify_through_records():
+    # radices 2^40 + 1 in x and y: their product is past 2^63, so the
+    # quotient strands look lcms up by int64 records
+    big = 2 ** 40
+    L = build_lcm_lattice([Monomial((big, 0)), Monomial((0, big)),
+                           Monomial((big - 1, big - 1))], ("x", "y"))
+    assert _lex_keys(L.exps, L.exps[L.top]).dtype.names is not None
+    R = synor_resolution(L, QQ)
+    rep = certify_resolution(R, L, QQ)
+    assert rep.ok and R.ranks == (1, 3, 2)
+    assert whole_strands(R, L, QQ) == rep.lines()
+
+
 def test_truncated_koszul_fails_on_its_first_quotient(monkeypatch):
     # the truncated Koszul complex of (x1, x2, x3) has d . d = 0, so the
     # quotient strands run; every one is exact but the top's, which is
@@ -388,17 +423,13 @@ def test_truncated_koszul_fails_on_its_first_quotient(monkeypatch):
     R = synor_resolution(L, QQ)
     bad = type(R)(R.variables, R.labels[:-1], R.differentials[:-1])
     seen = spy_quotients(monkeypatch)
-    ranked = []
-    engine = resolution.cleared_spans
-
-    def spans(columns_of, count, field):
-        ranked.append(count)
-        return engine(columns_of, count, field)
-    monkeypatch.setattr(resolution, "cleared_spans", spans)
+    ranked = spy_spans(monkeypatch)
     rep = certify_resolution(bad, L, QQ)
     assert len(seen) == 1 and list(seen[0])[-1] == L.top
-    # seven quotient strands, then the top's strand whole
-    assert len(ranked) == 8
+    # seven quotient strands, each over its own modules: six of one
+    # differential, the top's of one module (x2*x3 alone, not exact);
+    # then the top's strand whole, over modules 0 to 2
+    assert ranked == [1] * 6 + [0, 2]
     assert rep.problems == [
         "strand at x1*x2*x3 not exact (dims [1, 3, 3], ranks [1, 2])"]
     assert whole_strands(bad, L, QQ) == rep.lines()
