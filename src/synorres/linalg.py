@@ -5,7 +5,8 @@ basis elements themselves (ints, order-chain tuples, synor generators)
 and must sort in basis order, since every pivot is a least key.  A
 matrix is a mapping {column key: column vector}, read in insertion
 order, and kernel vectors, solutions and cycles come back keyed by
-column key.  Scalars are plain numbers (see algebra): _axpy, the pivot
+column key.  Scalars are plain numbers (see algebra): Reducer's row
+updates, which it applies entry by entry in its own loops, the pivot
 normalization and solve's negation reduce them mod p over GF(p), so
 entries stay in [0, p).  The central object is Reducer, an incremental
 reduced-row-echelon accumulator.  Two column reductions drive
@@ -32,19 +33,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
-def _axpy(target: dict, c, source: dict, p: int):
-    """target -= c * source, in place, dropping zeros; mod p unless p is 0."""
-    for k, v in source.items():
-        w = target.get(k)
-        w = -(c * v) if w is None else w - c * v
-        if p:
-            w %= p
-        if w:
-            target[k] = w
-        else:
-            target.pop(k, None)
-
-
 class Reducer:
     """Incremental RREF container with optional witness tracking.
 
@@ -69,22 +57,41 @@ class Reducer:
 
         Stored rows contain no other row's pivot, so eliminating the pivot
         columns present in vec can only introduce non-pivot columns and a
-        single pass over sorted pivots suffices.
+        single pass over sorted pivots suffices.  Each step subtracts c
+        times the pivot's row from vec, and from wit its witness, entry by
+        entry in the row's order, dropping zeros and reducing mod p unless
+        p is 0.
         """
         p = self.field.modulus
+        rows = self.rows
         vec = dict(vec)
         wit = dict(wit) if wit is not None else None
-        for piv in sorted(k for k in vec if k in self.rows):
+        for piv in sorted(vec.keys() & rows.keys()):
             c = vec.get(piv)
             if not c:
                 continue
-            _axpy(vec, c, self.rows[piv], p)
+            for k, v in rows[piv].items():
+                w = vec.get(k, 0) - c * v
+                if p:
+                    w %= p
+                if w:
+                    vec[k] = w
+                else:
+                    vec.pop(k, None)
             if wit is not None:
-                _axpy(wit, c, self.wits[piv], p)
+                for k, v in self.wits[piv].items():
+                    w = wit.get(k, 0) - c * v
+                    if p:
+                        w %= p
+                    if w:
+                        wit[k] = w
+                    else:
+                        wit.pop(k, None)
         return vec, wit
 
     def _store(self, vec: dict, wit: dict | None):
-        """Normalize a reduced, nonzero vector and add it as a new row."""
+        """Normalize a reduced, nonzero vector and add it as a new row,
+        subtracting it from every row that holds its pivot."""
         piv = min(vec)
         inv = self.field.inverse(vec[piv])
         p = self.field.modulus
@@ -94,10 +101,26 @@ class Reducer:
             wit = {k: v * inv % p if p else v * inv for k, v in wit.items()}
         for q, row in self.rows.items():
             c = row.get(piv)
-            if c:
-                _axpy(row, c, vec, p)
-                if wit:  # a witness-free span carries no witnesses
-                    _axpy(self.wits[q], c, wit, p)
+            if not c:
+                continue
+            for k, v in vec.items():
+                w = row.get(k, 0) - c * v
+                if p:
+                    w %= p
+                if w:
+                    row[k] = w
+                else:
+                    row.pop(k, None)
+            if wit:  # a witness-free span carries no witnesses
+                target = self.wits[q]
+                for k, v in wit.items():
+                    w = target.get(k, 0) - c * v
+                    if p:
+                        w %= p
+                    if w:
+                        target[k] = w
+                    else:
+                        target.pop(k, None)
         self.rows[piv] = vec
         self.wits[piv] = wit
         return piv
@@ -226,13 +249,29 @@ def representative_cycles(cols: dict, above: Reducer, rank: int,
 
     A witness pass streams the kernel of the full matrix in column order;
     each kernel vector is reduced against above, the RREF of the next
-    matrix's span, and kept in echelon form as added, until rank cycles,
-    keyed by column key, are found.  The RREF of a span is unique, so the
-    cycles depend only on the columns and on the span's column set."""
+    matrix's span (no work when it has no rows), and kept in echelon form
+    as added, until rank cycles, keyed by column key, are found.  At rank
+    1 the first residual that is not zero is the cycle, normalized at its
+    least key as an echelon row would be.  The RREF of a span is unique,
+    so the cycles depend only on the columns and on the span's column
+    set."""
+    kernel = kernel_vectors(cols, Reducer(field))
+    residuals = ((above.reduce(z)[0] for z in kernel) if above.rows
+                 else kernel)
+    if rank == 1:
+        for r in residuals:
+            if r:
+                inv = field.inverse(r[min(r)])
+                if inv == 1:
+                    return [r]
+                p = field.modulus
+                return [{k: v * inv % p if p else v * inv
+                         for k, v in r.items()}]
+        return []
     cycles: list[dict] = []
     reps = Reducer(field)
-    for z in kernel_vectors(cols, Reducer(field)):
-        piv = reps.insert(above.reduce(z)[0])
+    for r in residuals:
+        piv = reps.insert(r)
         if piv is not None:
             cycles.append(dict(reps.rows[piv]))
             if len(cycles) == rank:

@@ -4,12 +4,13 @@ A Poset is a frozen boolean matrix leq with leq[i, j] true iff element i
 is below element j, plus optional labels.  Joins, where they exist, are
 read off ranked up-set bitmasks of the order, built on the first join;
 lattices add bottom and top.  A lattice's synor complex lives on L minus
-its bottom (without_bottom), an induced subposet that keeps L's ids in
-ascending order, and L's joins.  The lcm lattice of a monomial ideal has
-elements the lcms of subsets of the minimal generators, ordered by
-divisibility, with join = lcm.  build_lcm_lattice is its only maker: it
-closes the generators' exponent vectors under componentwise max and
-assigns ids in lexicographic order of them, which puts the bottom (the
+its bottom (without_bottom, one per lattice), an induced subposet that
+keeps L's ids in ascending order, and L's joins.  The lcm lattice of a
+monomial ideal has elements the lcms of subsets of the minimal
+generators, ordered by divisibility, with join = lcm.  build_lcm_lattice
+is its only maker: it closes the generators' exponent vectors under
+componentwise max, in rounds on int64 rows, and assigns ids in
+lexicographic order of them, which puts the bottom (the
 unit monomial) at id 0, the top last, and makes the id order a linear
 extension; the lattice keeps those vectors as an int64 matrix.  A JSON
 lcm lattice is rebuilt from its atoms and must match what it stored.
@@ -34,19 +35,24 @@ from .algebra import (DimensionError, DomainError, Monomial, ValidationError,
                       parse_monomial)
 
 # Exponential inputs fail fast with a DomainError beyond these sizes; an
-# lcm lattice of 2048 elements (B11) builds in 0.12-0.18 s of CPU (2-core
-# x86, Python 3.11, numpy 2.4) at a 42 MiB peak resident set in a fresh
-# process, 33 MiB of it the imports; leq is built one variable at a time,
-# so no temporary exceeds n x n bools.
+# lcm lattice of 2048 elements (B11) builds in 0.09-0.13 s of CPU (2-core
+# x86, Python 3.11, numpy 2.4) at a 43 MiB peak resident set in a fresh
+# process, 33 MiB of it the imports; the closure takes 0.012 s of it and
+# leq the rest, built one variable at a time, so no temporary exceeds
+# n x n bools.
 LATTICE_ENUMERATION_CAP = 8
 LCM_LATTICE_CAP = 2048
 
 
 class Poset:
-    """A finite poset on ids 0..n-1 with a frozen order matrix."""
+    """A finite poset on ids 0..n-1 with a frozen order matrix.  leq is
+    copied unless it is a read-only bool array already (a frozen order,
+    or a view of one), which is kept as given."""
 
     def __init__(self, leq, labels=None, validate=True):
-        leq = np.array(leq, dtype=bool)
+        if not (isinstance(leq, np.ndarray) and leq.dtype == bool
+                and not leq.flags.writeable):
+            leq = np.array(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise ValidationError("leq must be a square matrix")
         self.n = leq.shape[0]
@@ -131,27 +137,40 @@ class Poset:
         """The join of a with each element, by id, or -1 where the two
         have no least common upper bound in P (none, or several minimal
         ones): the lowest-ranked common upper bound c is the join iff
-        c's up-set is all of them."""
-        order, up = _ranked_up(self)
-        out = np.full(self.n, -1)
-        for y, uy in enumerate(up):
-            u = uy & up[a]
-            if u:
-                c = order[(u & -u).bit_length() - 1]
-                if up[c] == u:
-                    out[y] = c
-        return out
+        c's up-set is all of them.  Memoized on P by a; the row is
+        read-only, since every caller shares it."""
+        key = ("joins", a)
+        if key not in self._cache:
+            order, up = _ranked_up(self)
+            out = np.full(self.n, -1)
+            ua = up[a]
+            for y, uy in enumerate(up):
+                u = uy & ua
+                if u:
+                    c = order[(u & -u).bit_length() - 1]
+                    if up[c] == u:
+                        out[y] = c
+            out.setflags(write=False)
+            self._cache[key] = out
+        return self._cache[key]
 
     # --- subposets ---
 
     def sub(self, ids) -> "Poset":
-        """Induced subposet on the given ids (kept in ascending id order)."""
+        """Induced subposet on the given ids (kept in ascending id order).
+        A run of consecutive ids, such as a lattice without its bottom
+        id 0, shares this poset's matrix as a view."""
         ids = sorted(set(int(i) for i in ids))
         for i in ids:
             if not 0 <= i < self.n:
                 raise IndexError(f"element {i} out of range")
-        idx = np.array(ids, dtype=int)
-        leq = self.leq[np.ix_(idx, idx)] if ids else np.zeros((0, 0), bool)
+        if ids and ids[-1] - ids[0] == len(ids) - 1:
+            run = slice(ids[0], ids[-1] + 1)
+            leq = self.leq[run, run]
+        else:
+            idx = np.array(ids, dtype=int)
+            leq = self.leq[np.ix_(idx, idx)] if ids else np.zeros((0, 0),
+                                                                  bool)
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[i] for i in ids)
@@ -332,22 +351,11 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
             raise DomainError(f"generator {g.format(variables)} has an "
                               f"exponent of 2^63 or more")
     _check_lcm_lattice_size(len(gens) + 1)  # the bottom and the generators
-    # closure of {1} u gens under pairwise lcm (= all subset lcms) on
-    # exponent tuples; it runs before the quadratic minimality scan so
-    # that an oversized lattice fails as soon as the cap is passed
-    rows = [g.exps for g in gens]
-    elems = {(0,) * len(variables), *rows}
-    frontier = list(elems)
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in rows:
-                c = tuple(map(max, m, g))
-                if c not in elems:
-                    elems.add(c)
-                    new.append(c)
-                    _check_lcm_lattice_size(len(elems))
-        frontier = new
+    # the closure runs before the quadratic minimality scan, so that an
+    # oversized lattice fails as soon as the cap is passed
+    rows = np.array([g.exps for g in gens], dtype=np.int64)
+    top = rows.max(axis=0)  # the lcm of all, the lexicographically last
+    exps, keys = _lcm_closure(rows, top)
     for i, gi in enumerate(gens):
         for j, gj in enumerate(gens):
             if i != j and gi.divides(gj):
@@ -355,15 +363,59 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
                     f"generator {gj.format(variables)} is not minimal: "
                     f"divisible by {gi.format(variables)}"
                 )
-    ordered = sorted(elems)
-    exps = np.array(ordered, dtype=np.int64)
-    leq = np.ones((len(ordered), len(ordered)), dtype=bool)
+    leq = np.ones((len(exps), len(exps)), dtype=bool)
     for col in exps.T:  # one variable at a time: no n x n x nvars temporary
         leq &= col[:, None] <= col[None, :]
-    top = exps[-1]  # the lexicographically last row, the lcm of all
-    atoms = np.searchsorted(_lex_keys(exps, top), _lex_keys(rows, top))
-    return LcmLattice(leq, [Monomial(e) for e in ordered], variables,
+    atoms = np.searchsorted(keys, _lex_keys(rows, top))
+    return LcmLattice(leq, [Monomial(e) for e in exps.tolist()], variables,
                       sorted(atoms.tolist()), exps)
+
+
+# Entries of one block of candidate lcms in _lcm_closure: 512 KiB of int64
+_CLOSURE_BLOCK = 1 << 16
+
+
+def _lcm_closure(gens, top):
+    """The exponent rows of 1 and the lcms of all nonempty subsets of the
+    generator rows gens, each at most top, in lexicographic order, with
+    their sorted _lex_keys keys.
+
+    The closure grows in rounds from the row of 1: each round takes the
+    lcm of every row found in the round before with every generator, in
+    blocks of at most _CLOSURE_BLOCK entries (one row at least).  A
+    block's rows are sorted by key, repeats dropped by comparing
+    neighbours, and rows already known dropped by a binary search among
+    the sorted known keys; the rest join the known rows in key order, and
+    the size cap is checked after every block.  The sorts are stable
+    ones, whose numpy code the certifier loads anyway: the default kind
+    would add a quarter MiB of resident code."""
+    nvars = len(top)
+    known = np.zeros((1, nvars), dtype=np.int64)  # the unit monomial
+    keys = _lex_keys(known, top)
+    frontier = known
+    step = max(1, _CLOSURE_BLOCK // (len(gens) * nvars))
+    while len(frontier):
+        found = []
+        for start in range(0, len(frontier), step):
+            rows = np.maximum(frontier[start:start + step, None, :],
+                              gens[None, :, :]).reshape(-1, nvars)
+            new_keys = _lex_keys(rows, top)
+            order = np.argsort(new_keys, kind="stable")
+            new_keys, rows = new_keys[order], rows[order]
+            fresh = np.ones(len(rows), dtype=bool)
+            fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            at = np.searchsorted(keys, new_keys)
+            inside = at < len(known)
+            fresh[inside] &= (known[at[inside]] != rows[inside]).any(axis=1)
+            if fresh.any():
+                found.append(rows[fresh])
+                keys = np.concatenate([keys, new_keys[fresh]])
+                order = np.argsort(keys, kind="stable")
+                keys = keys[order]
+                known = np.concatenate([known, rows[fresh]])[order]
+                _check_lcm_lattice_size(len(known))
+        frontier = np.concatenate(found) if found else known[:0]
+    return known, keys
 
 
 def _lex_keys(exps, top) -> np.ndarray:
@@ -385,9 +437,12 @@ def _lex_keys(exps, top) -> np.ndarray:
 
 
 def _lex_records(exps) -> np.ndarray:
-    """Exponent rows as int64 records, compared field by field."""
-    exps = np.ascontiguousarray(exps, dtype=np.int64)
-    return exps.view([("", np.int64)] * exps.shape[1]).ravel()
+    """Exponent rows as one-field records, each the row's big-endian
+    int64 bytes: exponents are non-negative, so records compare byte by
+    byte as the rows do lexicographically, in one memcmp rather than one
+    comparison per variable."""
+    exps = np.ascontiguousarray(exps, dtype=">i8")
+    return exps.view([("", f"V{8 * exps.shape[1]}")]).ravel()
 
 
 def _check_lcm_lattice_size(count: int):
@@ -414,9 +469,14 @@ def without_bottom(L: Lattice) -> Poset:
     """L minus its bottom, the poset that carries L's synor complex.
 
     It keeps the top, so the top's synors are defined; the open interval
-    (bottom, top) is open_interval(L, L.bottom, L.top).
+    (bottom, top) is open_interval(L, L.bottom, L.top).  Memoized on L:
+    every caller gets the same poset, with its linear extension, up-set
+    masks and join rows, so it must be read, never changed.
     """
-    return L.sub([i for i in range(L.n) if i != L.bottom])
+    if "without_bottom" not in L._cache:
+        L._cache["without_bottom"] = L.sub(
+            [i for i in range(L.n) if i != L.bottom])
+    return L._cache["without_bottom"]
 
 
 # --- enumeration of small lattices up to isomorphism ---

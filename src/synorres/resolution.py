@@ -362,15 +362,17 @@ def certify_resolution(R: FreeResolution, L: LcmLattice, field) -> Certification
                     f"unit entry at ({r},{c}) in differential {k + 1}")
     checks.append(("grading consistent", consistent))
 
-    # d . d = 0; all monomial weights along a path agree, so scalar sums decide
+    # d . d = 0; all monomial weights along a path agree, so scalar sums
+    # decide: plain sums, zero mod p over GF(p), zero as numbers over QQ
     square_zero = True
+    p = field.modulus
     for k in range(len(R.differentials) - 1):
         for c, col in by_col[k + 1].items():
             acc: dict[int, object] = {}
             for mid, v in col:
                 for r2, w in by_col[k].get(mid, ()):
-                    acc[r2] = acc.get(r2, field.zero) + w * v
-            if any(field.of(x) for x in acc.values()):
+                    acc[r2] = acc.get(r2, 0) + w * v
+            if any((x % p for x in acc.values()) if p else acc.values()):
                 square_zero = False
                 problems.append(
                     f"composite of differentials {k + 2} and {k + 1} "

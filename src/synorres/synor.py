@@ -181,11 +181,10 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
     }
     at = {EMPTY_GENERATOR.element: {-1: [EMPTY_GENERATOR]}}  # y -> d -> gens
     carries: dict[int, np.ndarray] = {}  # d -> elements with d-generators
-    joins: dict[int, np.ndarray] = {}
     for x in order.tolist():
         down = order[P.leq[order, x]][:-1]  # D along the extension
         below = [EMPTY_GENERATOR.element, *down.tolist()]
-        quotient = _atom_complement(P, x, down, joins)
+        quotient = _atom_complement(P, x, down)
         elements = below if quotient is None else quotient
         inside = set(elements)
         basis: dict[int, list[Generator]] = {}
@@ -227,20 +226,16 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
     return SynorComplex(P, field, range(P.n), gens_by_dim, delta)
 
 
-def _atom_complement(P: Poset, x: int, down: np.ndarray,
-                     joins: dict) -> list[int] | None:
+def _atom_complement(P: Poset, x: int, down: np.ndarray) -> list[int] | None:
     """The y in down with y v a = x, a = down[0], in down's order.
 
     down is the strict down-set of x along P's linear extension, so its
     first element a is minimal in it.  None when down is empty or some y
-    in down has no join with a in P; joins memoizes P.joins_with by a.
+    in down has no join with a in P (P.joins_with, memoized on P).
     """
     if not len(down):
         return None
-    a = int(down[0])
-    if a not in joins:
-        joins[a] = P.joins_with(a)
-    j = joins[a][down]
+    j = P.joins_with(int(down[0]))[down]
     if (j < 0).any():
         return None
     return down[j == x].tolist()

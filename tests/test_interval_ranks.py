@@ -198,8 +198,9 @@ def test_koszul_complex_of_few_faces_is_admitted_above_the_bound(
     assert nonzero(interval_ranks(L, L.top, QQ)) == {8: 10}
     assert time.process_time() - start < 0.2
     # `resolve` certifies it and cross-checks every element's Koszul
-    # ranks in 2.6-2.9 s of CPU (2-core x86, Python 3.11): lattice 0.3-0.5,
-    # synor build 0.9-1.2, certification 0.2-0.25, Koszul ranks 0.9
+    # ranks in 1.8-2.0 s of CPU (2-core x86, Python 3.11): lattice
+    # 0.12-0.15, synor build 0.8-0.9, certification 0.16-0.17, Koszul
+    # ranks 0.7-0.8
     names = [f"x{v}" for v in range(1, 12)]
     path = tmp_path / "pairs11.txt"
     path.write_text("vars: " + " ".join(names) + "\n" + "".join(

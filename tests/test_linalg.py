@@ -160,6 +160,146 @@ def test_reducer_witness_reconstructs(rows, field):
     assert red.rank == rank_of(cols, field)
 
 
+def reference_axpy(target: dict, c, source: dict, p: int):
+    """target -= c * source, in place, dropping zeros; mod p unless p is 0."""
+    for k, v in source.items():
+        w = target.get(k)
+        w = -(c * v) if w is None else w - c * v
+        if p:
+            w %= p
+        if w:
+            target[k] = w
+        else:
+            target.pop(k, None)
+
+
+class ReferenceReducer:
+    """Reducer as it was with one reference_axpy call per row update: the
+    reference for the inlined loops, whose rows, witnesses and key order
+    must match it exactly."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows: dict = {}
+        self.wits: dict = {}
+
+    def reduce(self, vec: dict, wit: dict | None = None):
+        p = self.field.modulus
+        vec = dict(vec)
+        wit = dict(wit) if wit is not None else None
+        for piv in sorted(k for k in vec if k in self.rows):
+            c = vec.get(piv)
+            if not c:
+                continue
+            reference_axpy(vec, c, self.rows[piv], p)
+            if wit is not None:
+                reference_axpy(wit, c, self.wits[piv], p)
+        return vec, wit
+
+    def _store(self, vec: dict, wit: dict | None):
+        piv = min(vec)
+        inv = self.field.inverse(vec[piv])
+        p = self.field.modulus
+        wit = {} if wit is None else wit
+        if inv != 1:
+            vec = {k: v * inv % p if p else v * inv for k, v in vec.items()}
+            wit = {k: v * inv % p if p else v * inv for k, v in wit.items()}
+        for q, row in self.rows.items():
+            c = row.get(piv)
+            if c:
+                reference_axpy(row, c, vec, p)
+                if wit:
+                    reference_axpy(self.wits[q], c, wit, p)
+        self.rows[piv] = vec
+        self.wits[piv] = wit
+        return piv
+
+    def insert(self, vec: dict, wit: dict | None = None):
+        vec, wit = self.reduce(vec, wit)
+        if not vec:
+            return None
+        return self._store(vec, wit)
+
+
+def reference_kernel(columns: dict, red: ReferenceReducer) -> list[dict]:
+    kernel = []
+    for key, col in columns.items():
+        residual, wit = red.reduce(col, {key: red.field.one})
+        if residual:
+            red._store(residual, wit)
+        else:
+            kernel.append(wit)
+    return kernel
+
+
+def reference_cycles(cols: dict, above, rank: int, field) -> list[dict]:
+    """representative_cycles by the echelon reps at every rank."""
+    cycles = []
+    reps = ReferenceReducer(field)
+    for z in reference_kernel(cols, ReferenceReducer(field)):
+        piv = reps.insert(above.reduce(z)[0])
+        if piv is not None:
+            cycles.append(dict(reps.rows[piv]))
+            if len(cycles) == rank:
+                break
+    return cycles
+
+
+def ordered(vectors) -> list:
+    """Vectors as lists of (key, scalar, scalar type), in key order."""
+    return [[(k, v, type(v)) for k, v in vec.items()] for vec in vectors]
+
+
+def sparse_columns(draw, keys, count):
+    # entries +-2, +-3 and 5 make pivots that are not units over QQ, so
+    # normalizing them brings Fractions
+    return [{k: v for k in draw(st.lists(st.sampled_from(keys), max_size=5,
+                                          unique=True))
+             if (v := draw(st.sampled_from([1, -1, 2, -2, 3, -3, 5])))}
+            for _ in range(count)]
+
+
+@st.composite
+def reducer_inputs(draw):
+    field = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(32003)]))
+    cols = [{k: field.of(v) for k, v in col.items()}
+            for col in sparse_columns(draw, list(range(7)),
+                                      draw(st.integers(1, 9)))]
+    cols = [{k: v for k, v in col.items() if v} for col in cols]
+    wits = [draw(st.booleans()) for _ in cols]
+    above = [{k: field.of(v) for k, v in col.items()}
+             for col in sparse_columns(draw, [("c", j) for j in
+                                              range(len(cols))],
+                                       draw(st.integers(0, 4)))]
+    above = [{k: v for k, v in col.items() if v} for col in above]
+    return field, cols, wits, above
+
+
+@settings(max_examples=150, deadline=None)
+@given(reducer_inputs())
+def test_inlined_reducer_matches_the_axpy_reference(data):
+    field, cols, with_wits, above_cols = data
+    red, ref = Reducer(field), ReferenceReducer(field)
+    for j, (col, with_wit) in enumerate(zip(cols, with_wits)):
+        wit = {("c", j): field.one} if with_wit else None
+        assert red.insert(col, wit) == ref.insert(col, wit)
+        assert list(red.rows) == list(ref.rows)
+        assert ordered(red.rows.values()) == ordered(ref.rows.values())
+        assert list(red.wits) == list(ref.wits)
+        assert ordered(red.wits.values()) == ordered(ref.wits.values())
+    keyed = {("c", j): col for j, col in enumerate(cols)}
+    got = list(linalg.kernel_vectors(keyed, Reducer(field)))
+    assert ordered(got) == ordered(reference_kernel(keyed,
+                                                    ReferenceReducer(field)))
+    for above in (linalg.span([], field), linalg.span(above_cols, field)):
+        want = reference_cycles(keyed, above, len(cols), field)
+        for rank in range(1, len(want) + 1):
+            cycles = linalg.representative_cycles(keyed, above, rank, field)
+            assert ordered(cycles) == ordered(want[:rank])
+        assert linalg.representative_cycles(
+            keyed, above, 1, field) == want[:1]
+
+
 def test_homology_of_circle():
     # triangle boundary: three vertices, three edges, no faces
     # d1 columns are edge boundaries in the vertex basis

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 import time
-from itertools import permutations
+from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from synorres.algebra import (DimensionError, DomainError, Monomial,
@@ -21,6 +25,8 @@ from synorres.poset import (Lattice, LcmLattice, Poset, _bounded_closure,
                             is_isomorphic, is_lattice,
                             lattice_hash, open_interval, poset_from_json,
                             poset_to_json, without_bottom)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def boolean_lattice(n):
@@ -386,6 +392,59 @@ def test_lcm_lattice_size_cap(monkeypatch):
     assert build_lcm_lattice(gens, spec.variables).n == 8
 
 
+def minimal_rows(exps) -> list[tuple]:
+    """The distinct nonzero rows of exps that no other row divides."""
+    rows = {tuple(r) for r in exps.tolist() if any(r)}
+    return sorted(r for r in rows
+                  if not any(s != r and all(map(int.__le__, s, r))
+                             for s in rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(1, 10**6), nvars=st.integers(1, 5),
+       size=st.integers(1, 8), big=st.booleans())
+def test_lcm_closure_is_every_subset_lcm(seed, nvars, size, big):
+    # brute force over all subsets; with big, every nonzero exponent is
+    # 2^33 or more, so two variables put the radices' product past 2^63
+    # and the closure keys its rows by _lex_records; e -> e 2^33 + 4 - e
+    # keeps the order of 1, 2, 3 but reverses that of their low bytes
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(0, 4, (size, nvars))
+    if big:
+        exps = np.where(exps > 0, exps * 2**33 + 4 - exps, 0)
+    gens = minimal_rows(exps)
+    assume(gens)
+    L = build_lcm_lattice([Monomial(g) for g in gens],
+                          tuple(f"x{v}" for v in range(nvars)))
+    lcms = {(0,) * nvars}
+    for r in range(1, len(gens) + 1):
+        for subset in combinations(gens, r):
+            lcms.add(tuple(max(col) for col in zip(*subset)))
+    assert L.exps.tolist() == [list(e) for e in sorted(lcms)]
+    assert [m.exps for m in L.monomials] == sorted(lcms)
+    assert sorted(L.monomials[a].exps for a in L.atoms) == gens
+    top = L.exps[L.top]
+    if big and (top > 0).sum() >= 2:
+        assert _lex_keys(L.exps, top).dtype.names is not None
+
+
+def test_lcm_closure_leaves_numpy_ma_unimported():
+    # np.unique and np.isin import numpy.ma on first use, which costs
+    # resident memory in every process that builds a lattice
+    code = ("import sys\n"
+            "from synorres.cli import lattice_of, load_ideal\n"
+            "L = lattice_of(load_ideal('@kpq:7,3'))\n"
+            "assert L.n == 269\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_oversized_lcm_lattice_fails_before_the_minimality_scan():
     # B_1200 passes the cap early in the closure; the quadratic minimality
     # scan over 1200 generators of length 1200 would take tens of seconds;
@@ -418,6 +477,23 @@ def test_open_interval_and_without_bottom(cycle_lattice):
     upper = without_bottom(L)
     assert upper.n == L.n - 1
     assert upper.origin == tuple(range(1, L.n))  # L's ids, bottom 0 left out
+
+
+def test_a_run_of_ids_shares_the_frozen_matrix():
+    # without_bottom of a lattice with bottom 0 is a view of L's matrix;
+    # other id sets, and writable matrices, are copied
+    L = build_lcm_lattice(list(ideal_kpq(3, 2).generators),
+                          ideal_kpq(3, 2).variables)
+    upper = without_bottom(L)
+    assert np.shares_memory(upper.leq, L.leq)
+    assert (upper.leq == L.leq[1:, 1:]).all() and not upper.leq.flags.writeable
+    gappy = L.sub([0, 2, 3])
+    assert not np.shares_memory(gappy.leq, L.leq)
+    assert (gappy.leq == L.leq[np.ix_([0, 2, 3], [0, 2, 3])]).all()
+    leq = np.eye(3, dtype=bool)
+    P = Poset(leq)
+    leq[0, 1] = True
+    assert leq.flags.writeable and not P.leq[0, 1]
 
 
 def test_without_bottom_has_the_lattice_joins():

@@ -231,6 +231,30 @@ def test_nonzero_square_never_reaches_the_cleared_path(cycle_lattice,
         "FAIL  differential squares to zero"]
 
 
+@pytest.mark.parametrize("field, c, d, square_zero", [
+    (PrimeField(5), 1, 4, True),  # 1 + 4 = 5: zero mod 5, not as an int
+    (PrimeField(5), 1, 3, False),
+    (QQ, Fraction(1, 2), Fraction(-1, 2), True),
+    (QQ, Fraction(1, 2), Fraction(1, 3), False),
+    (QQ, 2, -2, True),
+    (QQ, 2, Fraction(-3, 2), False),
+    (QQ, 1, 32002, False),  # 32003 is not zero over QQ
+])
+def test_squared_differential_is_zero_in_the_field(field, c, d, square_zero):
+    # the Koszul resolution of (x, y) with d_1 = (1, 1) and d_2 = (c, d):
+    # d_1 d_2 = c + d, summed as plain scalars and tested in the field
+    L = build_lcm_lattice([Monomial((1, 0)), Monomial((0, 1))], ("x", "y"))
+    one, x, y, xy = (Monomial(e) for e in [(0, 0), (1, 0), (0, 1), (1, 1)])
+    R = resolution.FreeResolution(
+        ("x", "y"), [[one], [x, y], [xy]],
+        [{(0, 0): 1, (0, 1): 1}, {(0, 0): c, (1, 0): d}])
+    rep = certify_resolution(R, L, field)
+    assert rep.checks[1] == ("differential squares to zero", square_zero)
+    assert rep.ok == square_zero
+    assert rep.problems == ([] if square_zero else [
+        "composite of differentials 2 and 1 nonzero on generator 0"])
+
+
 @pytest.mark.parametrize("make", [
     lambda: ideal_powers(4, 1), lambda: ideal_kpq(4, 3),
     lambda: random_ideal(5, 4, 6, 3)])
@@ -403,7 +427,7 @@ def test_quotient_strands_report_what_whole_strands_report(seed, n, g, emax,
 
 def test_exponents_past_the_int64_codes_certify_through_records():
     # radices 2^40 + 1 in x and y: their product is past 2^63, so the
-    # quotient strands look lcms up by int64 records
+    # quotient strands look lcms up by _lex_records records
     big = 2 ** 40
     L = build_lcm_lattice([Monomial((big, 0)), Monomial((0, big)),
                            Monomial((big - 1, big - 1))], ("x", "y"))

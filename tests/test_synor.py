@@ -539,3 +539,26 @@ def test_connecting_isomorphism_cases_reach_both_outcomes():
                 for seed in range(1, 41)}
         assert {True, False} <= {want for want, _ in seen}
         assert any(refused for _, refused in seen)
+
+
+def test_builds_share_one_memoized_poset_without_leaking_across_fields():
+    # RP^2's Betti table depends on the field, so builds over QQ, GF(2)
+    # and QQ again on the memoized L minus 0 must each equal a build on a
+    # fresh copy of that poset
+    from test_acceptance import rp2_lattice
+    L = rp2_lattice()
+    P = without_bottom(L)
+    assert without_bottom(L) is P
+    row = P.joins_with(0)
+    assert P.joins_with(0) is row
+    with pytest.raises(ValueError):
+        row[0] = 0
+    ids = [i for i in range(L.n) if i != L.bottom]
+    totals = []
+    for field in (QQ, PrimeField(2), QQ):
+        S = build_synor_complex(without_bottom(L), field)
+        assert S.poset is P
+        fresh = build_synor_complex(L.sub(ids), field)
+        assert synor_to_json(S) == synor_to_json(fresh)
+        totals.append(S.total_rank())
+    assert totals[0] == totals[2] != totals[1]
