@@ -134,16 +134,12 @@ def cmd_resolve(args, L, field) -> int:
 
 
 def cmd_lattice(args, L, field) -> int:
-    # x is an (i-1)-synor of multiplicity beta_{i,x}: the rank of reduced
-    # homology in degree i - 2 of the open interval below x
+    # m is an (i-1)-synor of multiplicity beta_{i,m}: the rank of reduced
+    # homology in degree i - 2 of the open interval below m; rows are in
+    # (m, i) order, which is lattice id order
     table = betti_from_resolution(synor_resolution(L, field))
-    pd = table.projective_dimension()
-    synor_rows = [
-        [L.format_label(x), i - 1, b]
-        for x in range(L.n) if x != L.bottom
-        for i in range(1, pd + 1)
-        if (b := table.beta(i, L.monomials[x]))
-    ]
+    synor_rows = [[m.format(L.variables), i - 1, b] for m, i, b in sorted(
+        (m, i, b) for (i, m), b in table.entries.items() if i >= 1)]
     digest = lattice_hash(L)
 
     def payload():

@@ -31,8 +31,8 @@ multidegree of extremal degree of the Betti table it is given.
 Each route has its own source of candidates (the synor complex's
 generator counts, the supports of the shuffle terms, the Betti table).
 The brute-force and interval searches share _synor_pair, which reads
-beta(i, x), and every route searches with the one pair search
-_first_pair.
+one mapping of (i, lattice id) to beta_{i,x}, and every route searches
+with the one pair search _first_pair.
 DecompositionWitness.verify is the one witness check: it re-reads both
 witnesses' ranks from the lattice's interval memo
 (resolution.interval_ranks), which no route searches, and the join from
@@ -195,7 +195,7 @@ class TopAnalysis:
         """Exhaustive synor-pair search at the top over S's generator
         counts; the oracle side of the theorem, None on a miss."""
         self._check_params(i1, i2, k)
-        pair = _synor_pair(self.L, self.L.top, i1, i2, k, self.beta)
+        pair = _synor_pair(self.L, self.L.top, i1, i2, k, self._betti)
         if pair is None:
             return None
         return self._witness(i1, i2, k, *pair, stage="bruteforce")
@@ -305,37 +305,37 @@ class TopAnalysis:
 
 
 def _synor_pair(L: Lattice, m: int, i1: int, i2: int, k: int,
-                beta) -> tuple[int, int] | None:
+                betti: dict) -> tuple[int, int] | None:
     """The first synor pair joining to m, or None.
 
-    beta(i, x) counts the (i-1)-synors at the lattice id x.  None unless
-    m is an (i1+i2-k-1)-synor; otherwise _first_pair searches the x <= m
-    with beta(i1, x) nonzero against the y <= m with beta(i2, y) nonzero,
-    both in ascending ids, for x v y = m.
+    betti maps (i, x) to the count of (i-1)-synors at the lattice id x,
+    0 if missing.  None unless m is an (i1+i2-k-1)-synor; otherwise
+    _first_pair searches the x <= m counted at (i1, x) against the y <= m
+    counted at (i2, y), both in ascending ids, for x v y = m.
     """
-    if not beta(i1 + i2 - k, m):
+    if not betti.get((i1 + i2 - k, m)):
         return None
     below = L.below_or_equal(m)
-    xs, ys = ([x for x in below if beta(i, x)] for i in (i1, i2))
+    xs, ys = ([x for x in below if betti.get((i, x))] for i in (i1, i2))
     return _first_pair(L, xs, ys, m)
 
 
 def _interval_witness(L: LcmLattice, m: int, i1: int, i2: int, k: int,
-                      field, beta) -> DecompositionWitness:
+                      field, betti: dict) -> DecompositionWitness:
     """Decompose the element m inside its closed interval [0, m].
 
-    The (i-1)-synors of that interval are the x <= m with beta(i, x) > 0,
-    beta counting the (i-1)-synors at a lattice id as for _synor_pair.
-    The pair is then checked by DecompositionWitness.verify, which reads
-    the witnesses' interval ranks (resolution.interval_ranks).  Raises
-    TheoremContradiction if beta(i1+i2-k, m) = 0, if no pair exists, or
-    if that check fails.
+    The (i-1)-synors of that interval are the x <= m that betti counts
+    at (i, x), as for _synor_pair.  The pair is then checked by
+    DecompositionWitness.verify, which reads the witnesses' interval
+    ranks (resolution.interval_ranks).  Raises TheoremContradiction if
+    betti does not count (i1+i2-k, m), if no pair exists, or if that
+    check fails.
     """
     def payload(stage):
         return {"lattice": poset_to_json(L), "m": m,
                 "i1": i1, "i2": i2, "k": k, "stage": stage}
 
-    pair = _synor_pair(L, m, i1, i2, k, beta)
+    pair = _synor_pair(L, m, i1, i2, k, betti)
     if pair is None:
         raise TheoremContradiction("no synor pair joins to the interval top",
                                    payload("interval-search"))
@@ -355,26 +355,38 @@ def check_subadditivity(L: LcmLattice, i1: int, i2: int, k: int,
     multidegree m realizing it into a certified pair n1, n2 with
     lcm(n1, n2) = m and nonzero Betti numbers in columns i1 and i2, so
     each witness degree is at most its column's t and the report fails
-    only when the inequality does.  table is L's Betti table over field.
+    only when the inequality does.  table is L's Betti table over field;
+    its columns i1, i2 and i1+i2-k are read by lattice id, and a table
+    over other variables, or with an entry there that is not an element
+    of L, raises ValidationError before any search.
     """
     if k < 0 or k > min(i1, i2):
         raise DomainError("need 0 <= k <= min(i1, i2)")
+    if table.variables != L.variables:
+        raise ValidationError(f"Betti table variables {list(table.variables)} "
+                              f"differ from lattice's {list(L.variables)}")
     s = i1 + i2 - k
+    betti = {}
+    for (i, mono), v in table.entries.items():
+        if i in (i1, i2, s):
+            if mono not in L.index:
+                raise ValidationError(
+                    f"Betti table entry {mono.format(L.variables)} is not "
+                    f"an element of the lcm lattice")
+            betti[i, L.index[mono]] = v
     ts, t1, t2 = table.t(s), table.t(i1), table.t(i2)
     lines = [f"t_{s}={ts} <= t_{i1}+t_{i2}={t1}+{t2}"]
     ok = ts <= t1 + t2
     witnesses = []
     if ok and ts > 0 and i1 >= 1 and i2 >= 1:
-        def beta(i, x):
-            return table.beta(i, L.monomials[x])
-        for (j, mono), _v in sorted(table.entries.items()):
-            if j != s or mono.degree() != ts:
-                continue
-            w = _interval_witness(L, L.index[mono], i1, i2, k, field, beta)
+        # ids are in lex order of exponents, which is Monomial order
+        for m in sorted(x for j, x in betti
+                        if j == s and L.monomials[x].degree() == ts):
+            w = _interval_witness(L, m, i1, i2, k, field, betti)
             witnesses.append(w)
             n1, n2 = L.monomials[w.n1], L.monomials[w.n2]
             lines.append(
-                f"m={mono.format(L.variables)} -> "
+                f"m={L.format_label(m)} -> "
                 f"n1={n1.format(L.variables)} (deg {n1.degree()}), "
                 f"n2={n2.format(L.variables)} (deg {n2.degree()})")
     if not ok:
@@ -486,7 +498,7 @@ def verify_intervals(analysis: TopAnalysis) -> tuple[bool, list[str]]:
             i2 = i - i1
             try:
                 w = _interval_witness(L, m, i1, i2, 0, analysis.field,
-                                      analysis.beta)
+                                      analysis._betti)
                 good = True
                 wtxt = f"{L.format_label(w.n1)},{L.format_label(w.n2)}"
             except TheoremContradiction as e:

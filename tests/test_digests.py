@@ -15,7 +15,10 @@ cycles it picks, as they were.
 A second set pins the outputs that read joins or the lattice
 enumeration: the decomposition witnesses, the subadditivity witness
 lines, the enumerated lattices with their hashes, the lattice dump, and
-a shuffle product's suffix joins.
+a shuffle product's suffix joins.  @random:3,4,6,3 and @powers:4,2 have
+labels that are not squarefree, so degree differs from rank, and
+several multidegrees of extremal degree per column: their subadditivity
+lines pin the order in which those multidegrees are searched.
 """
 
 import hashlib
@@ -116,8 +119,18 @@ ARGV_DIGESTS = {
         "d51b5b52e9d4be1c0d920b531e67abdfde9bc0e8fe564b89245a63953877c86e",
     ("verify", "subadditivity", "@kpq:4,3", "--field", "2"):
         "d51b5b52e9d4be1c0d920b531e67abdfde9bc0e8fe564b89245a63953877c86e",
+    ("verify", "subadditivity", "@random:3,4,6,3", "--field", "q"):
+        "a050a1a5309e16a95dd9a5d71f594e1221ad1590917118d7de672bb071bff7ff",
+    ("verify", "subadditivity", "@random:3,4,6,3", "--field", "2"):
+        "a050a1a5309e16a95dd9a5d71f594e1221ad1590917118d7de672bb071bff7ff",
+    ("verify", "subadditivity", "@powers:4,2", "--field", "q"):
+        "4f4325a9c5f9596afae3236a5fcd4e8272156ad620a6cee04264a6a4238fbb21",
+    ("verify", "subadditivity", "@powers:4,2", "--field", "2"):
+        "4f4325a9c5f9596afae3236a5fcd4e8272156ad620a6cee04264a6a4238fbb21",
     ("lattice", "@kpq:4,3", "--format", "json"):
         "40a271c1264aed7eb406b795a461cb2a98baf7ca7e5dc98c84676f757d54aeda",
+    ("lattice", "@random:3,4,6,3"):
+        "43720a85a898332b72fd56cd4359cfdfee78b788168da577c65581d4a4b1a4a3",
     ("shuffle-demo", "@powers:3,1", "x1*x2>x1", "x3", "--format", "json"):
         "aa8c5d2ede17272221ab11005406d59c2d0629061e49407fa76d20ada853af2e",
 }

@@ -4,7 +4,8 @@ from collections import Counter
 
 import pytest
 
-from synorres.algebra import DomainError, Monomial, PrimeField, RationalField
+from synorres.algebra import (DomainError, Monomial, PrimeField, RationalField,
+                              ValidationError)
 from synorres import chains, resolution, synor, verify
 from synorres.chains import FormalChain
 from synorres.cli import main
@@ -272,7 +273,7 @@ def test_interval_decomposition_hypothesis_check(cycle_lattice):
     L = cycle_lattice
     ana = TopAnalysis(L, QQ)
     with pytest.raises(TheoremContradiction) as e:
-        _interval_witness(L, L.atoms[0], 1, 1, 0, QQ, ana.beta)
+        _interval_witness(L, L.atoms[0], 1, 1, 0, QQ, ana._betti)
     assert e.value.payload["stage"] == "interval-search"
 
 
@@ -298,9 +299,7 @@ def test_interval_witness_matches_closed_interval_search(
     else:
         L = cycle_lattice if name == "cycle" else example62_lattice
     T = betti_from_resolution(synor_resolution(L, QQ))
-
-    def beta(i, x):
-        return T.beta(i, L.monomials[x])
+    betti = {(i, L.index[mono]): v for (i, mono), v in T.entries.items()}
     checked = 0
     for (i, mono), _v in sorted(T.entries.items()):
         if i < 2:
@@ -308,7 +307,7 @@ def test_interval_witness_matches_closed_interval_search(
         m = L.monomials.index(mono)
         search = closed_interval_search(L, m)
         for i1 in range(1, i):
-            w = _interval_witness(L, m, i1, i - i1, 0, QQ, beta)
+            w = _interval_witness(L, m, i1, i - i1, 0, QQ, betti)
             assert (w.n1, w.n2) == search(i1, i - i1)
             checked += 1
     assert checked > 0
@@ -337,15 +336,15 @@ def test_sweep_fail_lines_name_the_stage(cycle_lattice, monkeypatch):
 
 def test_interval_witness_contradiction_stages(cycle_lattice, monkeypatch):
     L = cycle_lattice
-    beta = TopAnalysis(L, QQ).beta
+    betti = TopAnalysis(L, QQ)._betti
     top = L.top
     with pytest.raises(TheoremContradiction) as e:
-        _interval_witness(L, top, 2, 2, 0, QQ, beta)  # beta_{4,xyz} = 0
+        _interval_witness(L, top, 2, 2, 0, QQ, betti)  # beta_{4,xyz} = 0
     assert e.value.payload["stage"] == "interval-search"
     monkeypatch.setattr(DecompositionWitness, "verify",
                         lambda self, field=None: False)
     with pytest.raises(TheoremContradiction) as e:
-        _interval_witness(L, top, 1, 1, 0, QQ, beta)
+        _interval_witness(L, top, 1, 1, 0, QQ, betti)
     assert e.value.payload["stage"] == "interval-reverify"
 
 
@@ -357,6 +356,50 @@ def test_subadditivity_reports(example62_lattice):
     assert any("n1=" in line for line in rep.lines())
     rep2 = check_subadditivity(example62_lattice, 1, 1, 1, QQ, T)
     assert rep2.ok
+
+
+@pytest.mark.parametrize("spec", [ideal_example62(), ideal_kpq(4, 3)],
+                         ids=["example62", "kpq(4,3)"])
+def test_subadditivity_reads_the_table_by_lattice_id(spec, monkeypatch):
+    # the witness search reads the table once, keyed by lattice id, and
+    # never looks a candidate's monomial up in it
+    L = lattice_of(spec)
+    T = betti_from_resolution(synor_resolution(L, QQ))
+    pd = T.projective_dimension()
+    triples = [(i1, i2, k) for i1 in range(pd + 1) for i2 in range(i1, pd + 1)
+               for k in range(min(i1, i2) + 1) if i1 + i2 - k <= pd]
+
+    def lines():
+        return [check_subadditivity(L, *t, QQ, T).lines() for t in triples]
+    expected = lines()
+    assert sum(len(ls) > 1 for ls in expected) > 1
+
+    def refuse(self, i, m):
+        raise AssertionError("BettiTable.beta read by the witness search")
+    monkeypatch.setattr(resolution.BettiTable, "beta", refuse)
+    assert lines() == expected
+
+
+def test_subadditivity_refuses_a_table_over_other_variables(
+        example62_lattice):
+    # example62's table on kpq(3,2)'s lattice (seven variables) and on
+    # B6's (six others, every label squarefree) is refused up front
+    T = betti_from_resolution(synor_resolution(example62_lattice, QQ))
+    for L in (lattice_of(ideal_kpq(3, 2)), boolean_ideal(6)):
+        with pytest.raises(ValidationError, match="variables"):
+            check_subadditivity(L, 1, 1, 0, QQ, T)
+
+
+def test_subadditivity_refuses_an_entry_outside_the_lattice(
+        example62_lattice):
+    # B6's table under example62's variable names has entries, such as
+    # the atom a in column 1, that are not elements of example62's lattice
+    L = example62_lattice
+    B6 = boolean_ideal(6)
+    T = betti_from_resolution(synor_resolution(B6, QQ))
+    relabeled = resolution.BettiTable(L.variables, T.entries)
+    with pytest.raises(ValidationError, match="not an element"):
+        check_subadditivity(L, 1, 1, 0, QQ, relabeled)
 
 
 def test_shift_count_bound(example62_lattice):
@@ -478,7 +521,8 @@ def test_bruteforce_witness_check_rejects_fake_synors(example62_lattice):
     # refuses; it reads no count the search read
     L = example62_lattice
     ana = TopAnalysis(L, QQ)
-    ana.beta = lambda i, x: int(x != L.bottom)
+    ana._betti = Counter({(i, x): 1 for i in range(2 * L.n)
+                          for x in range(L.n) if x != L.bottom})
     triples = ana.valid_triples()
     assert len(triples) == 45
     kept = []
