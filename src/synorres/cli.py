@@ -30,8 +30,8 @@ from .algebra import (DimensionError, DomainError, ValidationError,
                       field_from_flag, parse_monomial)
 from .corpus import (IdealSpec, ideal_example62, ideal_kpq, ideal_powers,
                      parse_ideal_text, random_ideal, random_poset)
-from .poset import (LcmLattice, build_lcm_lattice, lattice_hash,
-                    poset_to_json, without_bottom)
+from .poset import (LATTICE_ENUMERATION_CAP, LcmLattice, build_lcm_lattice,
+                    lattice_hash, poset_to_json, without_bottom)
 from .resolution import (_betti_from_ranks, betti_from_resolution,
                          certify_resolution, interval_ranks,
                          resolution_to_json, synor_resolution)
@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "decomposition on every lattice of up to --max elements",
                 takes_input=False, func=cmd_verify, driver=_verify_lattices)
     p.add_argument("--max", type=int, default=7,
-                   help="largest lattice size, 2 to 8 (default 7)")
+                   help=f"largest lattice size, 2 to "
+                        f"{LATTICE_ENUMERATION_CAP} (default 7)")
     p = command(drivers, "properties", "synor soundness on random posets",
                 takes_input=False, func=cmd_verify, driver=_verify_properties)
     p.add_argument("--seed", type=int, default=1,

@@ -17,10 +17,10 @@ lcm lattice is rebuilt from its atoms and must match what it stored.
 
 Small abstract lattices can be enumerated up to isomorphism: every lattice
 on n >= 2 elements is the bounded closure of an arbitrary poset on n - 2
-"middle" elements, so we enumerate naturally-labeled middle posets, keep
-those whose closure has all joins, and deduplicate by a canonical form
-taken over order-preserving relabelings.  Candidates stay bitmasks; only
-a kept lattice gets a leq matrix.
+"middle" elements, so one orderly walk (Read 1978; Faradzev 1978) grows
+naturally labeled middle posets an element at a time, keeping only those
+whose closure has all joins and that are the least labeling of their
+class.  Candidates stay bitmasks; only a kept lattice gets a leq matrix.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .algebra import (DimensionError, DomainError, Monomial, ValidationError,
 # process, 33 MiB of it the imports; the closure takes 0.012 s of it and
 # leq the rest, built one variable at a time, so no temporary exceeds
 # n x n bools.
-LATTICE_ENUMERATION_CAP = 8
+LATTICE_ENUMERATION_CAP = 9
 LCM_LATTICE_CAP = 2048
 
 
@@ -483,43 +483,50 @@ def without_bottom(L: Lattice) -> Poset:
 
 
 def _natural_posets(m: int):
-    """All posets on m elements whose id order is a linear extension.
+    """The least natural labelings of the posets on m elements whose
+    bounded closure is a lattice, in lexicographic order.
 
     Represented as tuples of bitmasks down[i] = {j : j <= i} (including i).
-    Element i is appended with an arbitrary downward-closed strict
-    down-set, which produces each naturally-labeled poset exactly once.
+    A depth-first walk appends element k with each downward-closed strict
+    down-set in ascending order, which unpruned would yield every naturally
+    labeled poset once, in lexicographic order.  It descends into a child
+    only if the child's bounded closure is a lattice and the child is
+    `_is_least`.  Both prunings are exact: dropping the last element of a
+    natural labeling drops a coatom of its closure, and a lattice minus a
+    coatom is a lattice; the first k elements are an order ideal, so a
+    smaller labeling of them extends to a smaller labeling of the whole.
     """
-    def downsets(down, k):
-        # step i appends the down-closed masks holding i: still ascending
-        out = [0]
-        for i in range(k):
-            out += [mask | 1 << i for mask in out
-                    if down[i] & ~mask == 1 << i]
-        return out
-
     def rec(down):
         k = len(down)
         if k == m:
-            yield tuple(down)
+            yield down
             return
-        for d in downsets(down, k):
-            yield from rec(down + [d | (1 << k)])
+        # step i appends the down-closed masks holding i: still ascending
+        masks = [0]
+        for i in range(k):
+            masks += [mask | 1 << i for mask in masks
+                      if down[i] & ~mask == 1 << i]
+        for mask in masks:
+            child = down + (mask | 1 << k,)
+            if (_lattice_tables(range(k + 3), _bounded_closure(child, k + 1))
+                    and _is_least(child)):
+                yield from rec(child)
 
-    yield from rec([])
+    yield from rec(())
 
 
-def _natural_relabelings(down):
-    """The set of natural relabelings of the poset given by down-masks
-    `down`, as down-mask tuples like those `_natural_posets` yields.
+def _is_least(down) -> bool:
+    """True iff the down-mask tuple `down` is the lexicographically least
+    natural labeling of its poset.
 
-    Each linear extension gives one; automorphisms give several
-    extensions the same tuple, which the set keeps once.  Positions are
-    filled in order: an element may take position k once its strict
-    down-set is placed, and its new mask is bit k ORed with the new
-    masks of the elements below it.  Twins, elements with the same
-    strict down-set and up-set, are placed in index order only: swapping
-    two twins is an automorphism, so the extensions that permute twins
-    among their positions give the tuple of the one walked.
+    Labelings are walked as linear extensions, filling positions in order:
+    an element may take position k once its strict down-set is placed, and
+    its new mask is bit k ORed with the new masks of the elements below it.
+    A branch stops once its mask exceeds down[k]; a smaller mask is a
+    smaller labeling, as every placement extends to a whole one.  Twins,
+    elements with the same strict down-set and up-set, are placed in index
+    order only: swapping two twins is an automorphism, so it gives no new
+    labeling.
     """
     m = len(down)
     below = [d & ~(1 << i) for i, d in enumerate(down)]
@@ -529,13 +536,10 @@ def _natural_relabelings(down):
     before = [sum(1 << y for y in range(x) if below[y] == below[x]
                   and above[y] == above[x]) for x in range(m)]
     new = [0] * m  # new[x]: x's down-mask in the labeling being built
-    out = set()
 
-    def rec(placed, masks):
-        k = len(masks)
+    def smaller(placed, k):
         if k == m:
-            out.add(tuple(masks))
-            return
+            return False
         for x in range(m):
             if placed >> x & 1 or (below[x] | before[x]) & ~placed:
                 continue
@@ -544,11 +548,15 @@ def _natural_relabelings(down):
                 low = rest & -rest
                 mask |= new[low.bit_length() - 1]
                 rest ^= low
-            new[x] = mask
-            rec(placed | 1 << x, masks + [mask])
+            if mask < down[k]:
+                return True
+            if mask == down[k]:
+                new[x] = mask
+                if smaller(placed | 1 << x, k + 1):
+                    return True
+        return False
 
-    rec(0, [])
-    return out
+    return not smaller(0, 0)
 
 
 def _bounded_closure(down, m):
@@ -620,34 +628,20 @@ def _decode_canonical(data: bytes, n: int) -> np.ndarray:
 def enumerate_lattices(n: int):
     """Yield every lattice on n elements up to isomorphism exactly once.
 
-    Canonically relabeled (ids form a linear extension, bottom first), in
-    order of first appearance among the candidates, which are the middle
-    posets of `_natural_posets(n - 2)` with a bottom and a top added.
-    Refuses n above LATTICE_ENUMERATION_CAP: the middle-poset search grows
-    too fast.
-
-    Only the first candidate of each isomorphism class is coded with
-    `_canonical_code`; it then marks all of its natural relabelings as
-    seen, so a later candidate of its class costs one tuple lookup.  This
-    is exact.  An isomorphism of bounded lattices fixes bottom and top, so
-    two candidates are isomorphic iff their middle posets are.  A natural
-    labeling of a poset is one of its linear extensions, and
-    `_natural_posets` yields each naturally labeled poset once, so the
-    relabelings of a kept candidate are exactly the later candidates of
-    its class.
+    Canonically relabeled by `_canonical_code` (ids form a linear
+    extension, bottom first), in the order of `_natural_posets(n - 2)`,
+    whose middle posets get a bottom and a top added.  This is exact: an
+    isomorphism of bounded lattices fixes bottom and top, so two lattices
+    are isomorphic iff their middle posets are, and each class of middle
+    posets has one least natural labeling.  Refuses n above
+    LATTICE_ENUMERATION_CAP: the middle-poset search grows too fast.
     """
     if not 2 <= n <= LATTICE_ENUMERATION_CAP:
         raise DomainError(
             f"lattice enumeration covers 2 to {LATTICE_ENUMERATION_CAP} "
             f"elements, not {n}")
-    seen = set()
     for down in _natural_posets(n - 2):
-        if down in seen:
-            continue
         up = _bounded_closure(down, n - 2)
-        if not _lattice_tables(range(n), up):
-            continue
-        seen.update(_natural_relabelings(down))
         yield Lattice(_decode_canonical(_canonical_code(up), n),
                       validate=False)
 

@@ -53,9 +53,6 @@ class BettiTable:
             (int(i), m): int(v) for (i, m), v in entries.items() if v
         }
 
-    def beta(self, i: int, m: Monomial) -> int:
-        return self.entries.get((i, m), 0)
-
     def projective_dimension(self) -> int:
         return max((i for (i, _m) in self.entries), default=0)
 

@@ -211,10 +211,10 @@ def test_lattice_sweep_cap_fails_before_any_work(capsys, monkeypatch):
         raise AssertionError("a lattice was enumerated past the cap")
     monkeypatch.setattr("synorres.verify.enumerate_lattices", never)
     start = time.perf_counter()
-    code, out, err = run(capsys, "verify", "lattices", "--max", "9")
+    code, out, err = run(capsys, "verify", "lattices", "--max", "10")
     assert code == 1
     assert out == ""
-    assert "lattice sweeps cover 2 to 8 elements" in err
+    assert "lattice sweeps cover 2 to 9 elements" in err
     assert time.perf_counter() - start < 1.0
 
 

@@ -101,6 +101,10 @@ ARGV_DIGESTS = {
         "79ad0d48b95f94701fd1816e121ff937443009de0a971ac13db48105a1206954",
     ("verify", "lattices", "--max", "8", "--field", "2"):
         "79ad0d48b95f94701fd1816e121ff937443009de0a971ac13db48105a1206954",
+    ("verify", "lattices", "--max", "9", "--field", "q"):
+        "c6cc7b545150756c1bcac4e0f8fb73ea0866b680d9b1548f8d1cb2555a5eed9b",
+    ("verify", "lattices", "--max", "9", "--field", "2"):
+        "c6cc7b545150756c1bcac4e0f8fb73ea0866b680d9b1548f8d1cb2555a5eed9b",
     ("verify", "decomposition", "@kpq:3,2", "--field", "q"):
         "d7a123e4ad75a69d8815c956d60ccf20751fd4b7b0456871193949a9a5b1deb6",
     ("verify", "decomposition", "@kpq:3,2", "--field", "2"):

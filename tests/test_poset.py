@@ -17,9 +17,8 @@ from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
                              ideal_powers, random_ideal, random_poset)
 from synorres.poset import (Lattice, LcmLattice, Poset, _bounded_closure,
                             _canonical_code, _decode_canonical,
-                            _invariants, _lattice_tables, _lex_keys,
-                            _lex_records, _natural_posets,
-                            _natural_relabelings, _smallest_first,
+                            _invariants, _is_least, _lattice_tables,
+                            _lex_keys, _lex_records, _smallest_first,
                             build_lcm_lattice,
                             canonical_form, enumerate_lattices,
                             is_isomorphic, is_lattice,
@@ -189,8 +188,29 @@ def lattice_by_definition(P):
             and all(has_join(a, b) for a in range(P.n) for b in range(P.n)))
 
 
+def natural_posets(m):
+    """Every poset on m elements whose id order is a linear extension, as
+    tuples of bitmasks down[i] = {j : j <= i} (including i), in
+    lexicographic order: the unpruned stream that `poset._natural_posets`
+    walks.  Element i is appended with each downward-closed strict
+    down-set, in ascending order."""
+    def rec(down):
+        k = len(down)
+        if k == m:
+            yield down
+            return
+        masks = [0]
+        for i in range(k):
+            masks += [mask | 1 << i for mask in masks
+                      if down[i] & ~mask == 1 << i]
+        for mask in masks:
+            yield from rec(down + (mask | 1 << k,))
+
+    yield from rec(())
+
+
 CLOSURES = [_bounded_closure(down, m) for m in range(7)
-            for down in _natural_posets(m)]
+            for down in natural_posets(m)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,7 +305,7 @@ def test_canonical_form_is_fixed_and_invariant_on_enumerated_lattices():
 
 def test_bounded_closure_matches_bit_loop_reference():
     for m in range(4):
-        for down in _natural_posets(m):
+        for down in natural_posets(m):
             up = _bounded_closure(down, m)
             n = m + 2
             # leq[x, y] is bit y of up[x]
@@ -511,15 +531,31 @@ def test_without_bottom_has_the_lattice_joins():
 
 
 def test_enumeration_counts():
-    counts = [len(list(enumerate_lattices(n))) for n in range(2, 8)]
-    assert counts == [1, 1, 2, 5, 15, 53]
+    # lattices on n elements up to isomorphism: OEIS A006966
+    counts = [len(list(enumerate_lattices(n))) for n in range(2, 10)]
+    assert counts == [1, 1, 2, 5, 15, 53, 222, 1078]
+
+
+def test_enumeration_tests_only_the_children_of_kept_middle_posets(
+        monkeypatch):
+    # the pruned walk tests 828 children at n = 8; the unpruned stream of
+    # naturally labeled middle posets has 4,824 candidates
+    calls = []
+
+    def counted(order, up):
+        calls.append(up)
+        return _lattice_tables(order, up)
+
+    monkeypatch.setattr("synorres.poset._lattice_tables", counted)
+    assert len(list(enumerate_lattices(8))) == 222
+    assert len(calls) == 828
 
 
 def code_every_candidate(n):
     """Enumeration by coding every lattice candidate with
     `_canonical_code` and keeping the first candidate of each code."""
     seen = set()
-    for down in _natural_posets(n - 2):
+    for down in natural_posets(n - 2):
         up = _bounded_closure(down, n - 2)
         if not _lattice_tables(range(n), up):
             continue
@@ -538,19 +574,22 @@ def test_enumeration_matches_code_every_candidate_reference(n):
 def test_natural_posets_are_distinct_with_a006455_counts():
     # naturally labeled posets on m elements: OEIS A006455
     for m, count in enumerate([1, 1, 2, 7, 40, 357, 4824]):
-        downs = list(_natural_posets(m))
+        downs = list(natural_posets(m))
         assert len(downs) == len(set(downs)) == count
+        assert downs == sorted(downs)
 
 
-def test_natural_relabelings_are_the_candidates_of_the_same_class():
-    for m in range(6):
-        downs = list(_natural_posets(m))
-        codes = [_canonical_code(_bounded_closure(d, m)) for d in downs]
-        for down, code in zip(downs, codes):
-            relabelings = list(_natural_relabelings(down))
-            assert len(relabelings) == len(set(relabelings))  # no repeats
-            assert set(relabelings) == {d for d, c in zip(downs, codes)
-                                        if c == code}
+def test_least_labelings_are_the_first_candidates_of_their_class():
+    for m, classes in enumerate([1, 1, 2, 5, 16, 63, 318]):  # A000112
+        downs = list(natural_posets(m))
+        first = {}
+        for down in downs:
+            first.setdefault(_canonical_code(_bounded_closure(down, m)), down)
+        least = [down for down in downs if _is_least(down)]
+        assert least == list(first.values())
+        assert len(least) == classes
+        for down in least:
+            assert all(_is_least(down[:k]) for k in range(m))
 
 
 def test_enumerated_are_lattices_pairwise_nonisomorphic():

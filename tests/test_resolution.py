@@ -47,12 +47,12 @@ def test_cycle_ideal_table(cycle_lattice):
     assert T.text() == CYCLE_TABLE
     assert T.t_sequence() == (0, 2, 3)
     # the double first syzygy sits at the full lcm
-    assert T.beta(2, Monomial((1, 1, 1))) == 2
+    assert T.entries.get((2, Monomial((1, 1, 1)))) == 2
 
 
 def test_unit_betti_convention(cycle_lattice):
     T = betti_from_intervals(cycle_lattice, QQ)
-    assert T.beta(0, Monomial.one(3)) == 1
+    assert T.entries.get((0, Monomial.one(3))) == 1
 
 
 def test_resolution_matches_intervals_sample():

@@ -374,9 +374,11 @@ def test_subadditivity_reads_the_table_by_lattice_id(spec, monkeypatch):
     expected = lines()
     assert sum(len(ls) > 1 for ls in expected) > 1
 
-    def refuse(self, i, m):
-        raise AssertionError("BettiTable.beta read by the witness search")
-    monkeypatch.setattr(resolution.BettiTable, "beta", refuse)
+    class Unkeyed(dict):  # iterable, but refuses every lookup by key
+        def get(self, *args):
+            raise AssertionError("a table entry looked up by monomial")
+        __getitem__ = __contains__ = get
+    monkeypatch.setattr(T, "entries", Unkeyed(T.entries))
     assert lines() == expected
 
 
