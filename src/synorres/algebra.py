@@ -165,6 +165,14 @@ class Monomial:
         raise AttributeError("Monomial is immutable")
 
     @classmethod
+    def _unchecked(cls, exps: tuple) -> "Monomial":
+        """The Monomial of exps, which must be a tuple of non-negative
+        Python ints: nothing is checked or converted."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "exps", exps)
+        return m
+
+    @classmethod
     def one(cls, nvars: int) -> "Monomial":
         return cls((0,) * nvars)
 

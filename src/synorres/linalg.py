@@ -17,7 +17,9 @@ pass, whose Reducer (eliminate) answers any number of solves.  The
 homology of a whole complex is rank-first: cleared_spans spans its
 boundary matrices from the top degree down (homology_ranks), and a
 witness pass (representative_cycles) runs only in degrees whose homology
-is nonzero, stopping at the last new cycle.  A caller that knows the
+is nonzero, stopping at the last new cycle.  A complex whose every
+column is empty has zero differential, so homology_ranks reads its ranks
+off the column counts and spans nothing.  A caller that knows the
 ranks from a smaller complex with the same homology can run the witness
 pass alone.
 The spans use clearing (Chen-Kerber's twist): given d_d . d_{d+1} = 0,
@@ -233,7 +235,12 @@ def homology_ranks(boundaries, field) -> tuple[list[int], list[Reducer]]:
     d_d receiving only the dim C_d - rank d_{d+1} columns whose keys are
     not pivots of d_{d+1}'s span, which gives every rank h_d = dim C_d -
     rank d_d - rank d_{d+1}; each span has its full matrix's RREF rows.
+    When every column is empty the differential is zero: each h_d is
+    dim C_d, and each span is an empty Reducer, with no span built.
     """
+    if not any(col for cols in boundaries for col in cols.values()):
+        return ([len(cols) for cols in boundaries[:-1]],
+                [Reducer(field) for _ in boundaries])
     spans = cleared_spans(
         lambda i, cleared: [col for key, col in boundaries[i].items()
                             if key not in cleared],

@@ -3,7 +3,10 @@
 A Poset is a frozen boolean matrix leq with leq[i, j] true iff element i
 is below element j, plus optional labels.  Joins, where they exist, are
 read off ranked up-set bitmasks of the order, built on the first join;
-lattices add bottom and top.  A lattice's synor complex lives on L minus
+the same bitmasks, over linear-extension positions, give each element's
+down-set (_ranked_down) and, per element a, the join classes of a: the
+elements grouped by their join with a, and those with none.  Lattices
+add bottom and top.  A lattice's synor complex lives on L minus
 its bottom (without_bottom, one per lattice), an induced subposet that
 keeps L's ids in ascending order, and L's joins.  The lcm lattice of a
 monomial ideal has elements the lcms of subsets of the minimal
@@ -12,7 +15,8 @@ is its only maker: it closes the generators' exponent vectors under
 componentwise max, in rounds on int64 rows, and assigns ids in
 lexicographic order of them, which puts the bottom (the
 unit monomial) at id 0, the top last, and makes the id order a linear
-extension; the lattice keeps those vectors as an int64 matrix.  A JSON
+extension; the lattice keeps those vectors as an int64 matrix, and its
+labels are Monomials made from them unchecked.  A JSON
 lcm lattice is rebuilt from its atoms and must match what it stored.
 
 Small abstract lattices can be enumerated up to isomorphism: every lattice
@@ -28,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -133,25 +138,28 @@ class Poset:
         u = up[a] & up[b]
         return order[(u & -u).bit_length() - 1]
 
-    def joins_with(self, a: int) -> np.ndarray:
-        """The join of a with each element, by id, or -1 where the two
-        have no least common upper bound in P (none, or several minimal
-        ones): the lowest-ranked common upper bound c is the join iff
-        c's up-set is all of them.  Memoized on P by a; the row is
-        read-only, since every caller shares it."""
-        key = ("joins", a)
+    def join_classes(self, a: int):
+        """(none, joins): bitmasks over linear-extension positions, as in
+        _ranked_up, of the elements grouped by their join with a.  Bit r
+        of none is set iff order[r] and a have no least common upper
+        bound in P (none, or several minimal ones), and joins maps each
+        join c to the mask of the elements whose join with a is c: the
+        lowest-ranked common upper bound c is the join iff c's up-set is
+        all of them.  Memoized on P by a; joins is a read-only mapping,
+        since every caller shares it."""
+        key = ("join_classes", a)
         if key not in self._cache:
             order, up = _ranked_up(self)
-            out = np.full(self.n, -1)
+            none, joins = 0, {}
             ua = up[a]
-            for y, uy in enumerate(up):
-                u = uy & ua
-                if u:
-                    c = order[(u & -u).bit_length() - 1]
-                    if up[c] == u:
-                        out[y] = c
-            out.setflags(write=False)
-            self._cache[key] = out
+            for r, y in enumerate(order):
+                u = up[y] & ua
+                c = order[(u & -u).bit_length() - 1] if u else None
+                if c is not None and up[c] == u:
+                    joins[c] = joins.get(c, 0) | 1 << r
+                else:
+                    none |= 1 << r
+            self._cache[key] = (none, MappingProxyType(joins))
         return self._cache[key]
 
     # --- subposets ---
@@ -287,6 +295,17 @@ def _ranked_up(P: Poset):
     return P._cache["ranked_up"]
 
 
+def _ranked_down(P: Poset):
+    """(order, down): P's linear extension, and for each id an int with
+    bit r set iff order[r] is at or below that id.  Memoized on P."""
+    if "ranked_down" not in P._cache:
+        order = P.linear_extension()
+        rows = np.packbits(P.leq[list(order)].T, axis=1, bitorder="little")
+        down = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        P._cache["ranked_down"] = (order, down)
+    return P._cache["ranked_down"]
+
+
 def _lattice_tables(order, up) -> bool:
     """True iff every pair of elements has a least upper bound.
 
@@ -367,8 +386,10 @@ def build_lcm_lattice(generators, variables) -> LcmLattice:
     for col in exps.T:  # one variable at a time: no n x n x nvars temporary
         leq &= col[:, None] <= col[None, :]
     atoms = np.searchsorted(keys, _lex_keys(rows, top))
-    return LcmLattice(leq, [Monomial(e) for e in exps.tolist()], variables,
-                      sorted(atoms.tolist()), exps)
+    # the closure's rows are non-negative Python ints, taken unchecked
+    return LcmLattice(leq, [Monomial._unchecked(tuple(e))
+                            for e in exps.tolist()],
+                      variables, sorted(atoms.tolist()), exps)
 
 
 # Entries of one block of candidate lcms in _lcm_closure: 512 KiB of int64
@@ -590,19 +611,28 @@ def _canonical_code(up) -> bytes:
     Bit a*n + b of the big-endian code is leq[perm[a], perm[b]], zero for
     b < a, so rows are most significant from the top position down.  The
     search fills positions from the top, extending only the partial
-    labelings whose code so far is least (every tie is kept).
+    labelings whose code so far is least (every tie is kept).  As in
+    `_is_least`, twins (elements with the same strict up-set and strict
+    down-set) are placed in index order only: swapping two twins is an
+    automorphism, so it leaves every code unchanged.
     """
     n = len(up)
     strict_up = [u & ~(1 << x) for x, u in enumerate(up)]
+    strict_down = [sum(1 << y for y in range(n) if strict_up[y] >> x & 1)
+                   for x in range(n)]
+    # waits[x]: x's strict up-set and its twins of lower index
+    waits = [strict_up[x] | sum(
+        1 << y for y in range(x) if strict_up[y] == strict_up[x]
+        and strict_down[y] == strict_down[x]) for x in range(n)]
     code = 0
     states = [(0, (0,) * n)]  # (placed mask, position bit of each element)
     for a in range(n - 1, -1, -1):
         best, ties = None, []
         for placed, posbit in states:
             for x in range(n):
-                above = strict_up[x]
-                if placed >> x & 1 or above & ~placed:
+                if placed >> x & 1 or waits[x] & ~placed:
                     continue
+                above = strict_up[x]
                 row = 1 << a
                 while above:
                     low = above & -above

@@ -22,14 +22,19 @@ Topological methods), so the complex on D has the homology of its
 quotient by that ideal: the generators at the atom complement
 {y in D : y v a = x}, with the differential's terms on the ideal
 dropped.  On the Boolean lattice B_n minus its bottom that quotient is
-one generator, where D carries 2^|x| - 1.  Witness-free spans of the
-quotient's boundary matrices, top degree first with clearing, give every
-rank; a cycle pass then runs only in the degrees with homology, which
+one generator, where D carries 2^|x| - 1, and its differential is zero,
+so its ranks are its generator counts.  Otherwise witness-free spans of
+the quotient's boundary matrices, top degree first with clearing, give
+every rank.  A cycle pass then runs only in the degrees with homology, which
 are the degrees in which x receives generators, on the full matrix over
 D and against the RREF of the full matrix above it.  The cycle bases
 are echelon-deterministic, so a complex is reproducible run to run, and
 they do not depend on where the ranks came from.  Where a join with a is
-missing (posets that are not lattices), D is ranked whole.
+missing (posets that are not lattices), D is ranked whole.  The build's
+sets of elements are int bitmasks over linear-extension positions: D is
+a down-set mask, the atom complement is D and a's join class at x
+(Poset.join_classes, one per a), and the elements carrying generators of
+each dimension are one mask, so no element costs a numpy call.
 
 The module also houses the verification toolkit built on top of the
 complex: prefix representations of a generator's image, coefficient-sum
@@ -59,7 +64,7 @@ from .chains import (FormalChain, all_homology_ranks, basis_homology,
 from .chains import homology as simplicial_homology  # noqa: F401
 from .linalg import (HomologyBasis, eliminate, homology_ranks,
                      representative_cycles, span)
-from .poset import Poset
+from .poset import Poset, _ranked_down
 
 
 class Generator(NamedTuple):
@@ -88,6 +93,7 @@ class SynorComplex:
         self.gens_by_dim = gens_by_dim
         self.delta = delta
         self._phi, self._rho, self._spans = memos or ({}, {}, {})
+        self._counts: dict = {}  # phi_count's memo
 
     # --- basis access ---
 
@@ -120,6 +126,18 @@ class SynorComplex:
             img = concat(self.poset, (g.element,), self.phi_chain(self.delta[g]))
         self._phi[g] = img
         return img
+
+    def phi_count(self, g: Generator) -> int:
+        """The number of order chains phi(g) is summed from, read off the
+        complex alone: 1 for the empty generator, else the sum of
+        phi_count(h) over the terms h of delta(g), since phi(g) is g's
+        element prepended to each chain of those phi(h).  Chains that
+        cancel are counted, so it bounds phi(g)'s terms.  Memoized."""
+        counts = self._counts
+        if g not in counts:
+            counts[g] = 1 if g == EMPTY_GENERATOR else sum(
+                self.phi_count(h) for h in self.delta[g].terms)
+        return counts[g]
 
     def phi_chain(self, chain: FormalChain) -> FormalChain:
         if chain.kind != "synor":
@@ -169,23 +187,29 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
     the complex on I is acyclic and the complex on D has the homology of
     its quotient by I: the generators at the atom complement
     {y in D : y v a = x}, with delta's terms on I dropped.  Its ranks are
-    taken with cleared spans; only in the degrees d with h_d > 0 does the
-    witness pass run, on the full d_d over D and against the RREF of the
-    full d_{d+1}'s span, so the cycles are those the whole down-set would
-    give.  Where a join is missing, or D is empty, D is ranked whole.
+    taken by homology_ranks (its column counts when its differential is
+    zero, else cleared spans); only in the degrees d with h_d > 0 does
+    the witness pass run, on the full d_d over D and against the RREF of
+    the full d_{d+1}'s span, so the cycles are those the whole down-set
+    would give.  Where a join is missing, or D is empty, D is ranked
+    whole.  D, the atom complement and the elements carrying each
+    dimension's generators are bitmasks over extension positions (bit r
+    for the r-th element), read in position order.
     """
-    order = np.array(P.linear_extension(), dtype=int)
+    order, down_of = _ranked_down(P)
     gens_by_dim: dict[int, list[Generator]] = {-1: [EMPTY_GENERATOR]}
     delta: dict[Generator, FormalChain] = {
         EMPTY_GENERATOR: FormalChain.zero(-2, field, "synor")
     }
     at = {EMPTY_GENERATOR.element: {-1: [EMPTY_GENERATOR]}}  # y -> d -> gens
-    carries: dict[int, np.ndarray] = {}  # d -> elements with d-generators
-    for x in order.tolist():
-        down = order[P.leq[order, x]][:-1]  # D along the extension
-        below = [EMPTY_GENERATOR.element, *down.tolist()]
-        quotient = _atom_complement(P, x, down)
-        elements = below if quotient is None else quotient
+    carries: dict[int, int] = {}  # d -> positions of elements with d-gens
+    for r, x in enumerate(order):
+        down = down_of[x] ^ 1 << r  # D, as positions along the extension
+        quotient = _atom_complement(P, x, down, order)
+        if quotient is None:
+            elements = [EMPTY_GENERATOR.element, *_ids(down, order)]
+        else:
+            elements = _ids(quotient, order)
         inside = set(elements)
         basis: dict[int, list[Generator]] = {}
         for y in elements:
@@ -201,10 +225,8 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
 
         def full(d):
             """d_d over D whole, in the build's column order."""
-            if d not in carries:
-                return {}
             return {g: delta[g].terms
-                    for y in down[carries[d][down]].tolist()
+                    for y in _ids(carries.get(d, 0) & down, order)
                     for g in at[y][d]}
         for i, rank in enumerate(ranks):
             if not rank:
@@ -220,25 +242,37 @@ def build_synor_complex(P: Poset, field) -> SynorComplex:
                 delta[g] = FormalChain(d, field, cycle, "synor")
                 gens_by_dim.setdefault(d + 1, []).append(g)
                 at.setdefault(x, {}).setdefault(d + 1, []).append(g)
-            carries.setdefault(d + 1, np.zeros(P.n, dtype=bool))[x] = True
+            carries[d + 1] = carries.get(d + 1, 0) | 1 << r
     for d in gens_by_dim:
         gens_by_dim[d].sort()
     return SynorComplex(P, field, range(P.n), gens_by_dim, delta)
 
 
-def _atom_complement(P: Poset, x: int, down: np.ndarray) -> list[int] | None:
-    """The y in down with y v a = x, a = down[0], in down's order.
+def _ids(mask: int, order) -> list[int]:
+    """The ids at the set bits of a mask over extension positions, in
+    extension order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(order[low.bit_length() - 1])
+        mask ^= low
+    return out
 
-    down is the strict down-set of x along P's linear extension, so its
-    first element a is minimal in it.  None when down is empty or some y
-    in down has no join with a in P (P.joins_with, memoized on P).
+
+def _atom_complement(P: Poset, x: int, down: int, order) -> int | None:
+    """The mask of the y in down with y v a = x, a the element at down's
+    lowest position.
+
+    down is the strict down-set of x as a mask over P's linear extension
+    order, so a is minimal in it.  None when down is empty or some y in
+    down has no join with a in P (P.join_classes, memoized on P).
     """
-    if not len(down):
+    if not down:
         return None
-    j = P.joins_with(int(down[0]))[down]
-    if (j < 0).any():
+    none, joins = P.join_classes(order[(down & -down).bit_length() - 1])
+    if none & down:
         return None
-    return down[j == x].tolist()
+    return joins.get(x, 0) & down
 
 
 def synors(P: Poset, field) -> list[tuple[int, int, int]]:

@@ -16,7 +16,10 @@ of the proof is asserted as it is used, and a failure raises
 TheoremContradiction with a JSON-ready reproducer payload.  The proof
 runs in the synor complex: its nontriviality and relative-homology
 checks are decided there by synor.bounds_in, so it never enumerates an
-order chain.  Interval homology (resolution.interval_ranks: upper Koszul
+order chain.  Before the proof expands any phi it bounds the order
+chains of the top generator's phi from the complex alone
+(SynorComplex.phi_count), and above PHI_CHAIN_BUDGET it raises
+DomainError at stage phi-budget.  Interval homology (resolution.interval_ranks: upper Koszul
 complexes on lcm lattices, atom crosscuts on other lattices) is read
 only by the witness check, at the witnesses' elements.
 
@@ -135,6 +138,13 @@ def _first_pair(P: Poset, xs, ys, target: int) -> tuple[int, int] | None:
                  if P.join_of(x, y) == target), None)
 
 
+# The constructive route refuses a top generator whose phi_count exceeds
+# this, before its proof expands any phi: B8 and kpq(7,3), at 40,320,
+# finish (verify decomposition @powers:8,1 in 45 s at 362 MiB), while B9
+# and kpq(8,3), at 362,880, grew past 400 MiB without ending.
+PHI_CHAIN_BUDGET = 100_000
+
+
 class TopAnalysis:
     """Per-lattice workspace for decomposition checks.
 
@@ -249,6 +259,12 @@ class TopAnalysis:
         if not gens:
             return None
         g = gens[0]
+        count = S.phi_count(g)
+        if count > PHI_CHAIN_BUDGET:
+            raise DomainError(
+                f"stage phi-budget: phi of the top {m}-generator sums "
+                f"{count} order chains, above the budget of "
+                f"{PHI_CHAIN_BUDGET}")
 
         # the boundary of the principal chain represents a nonzero class
         # of the middle part, which is what makes the relative class of
@@ -512,11 +528,14 @@ def verify_intervals(analysis: TopAnalysis) -> tuple[bool, list[str]]:
 
 def verify_lattice_instances(analysis: TopAnalysis) -> tuple[bool, list[str]]:
     """All valid (i1, i2, k) for the analysis's lattice, both routes, one
-    line each."""
+    line each; the lattice is hashed only if it has a line."""
+    triples = analysis.valid_triples()
+    if not triples:
+        return True, []
     h = lattice_hash(analysis.L)
     ok = True
     lines = []
-    for i1, i2, k in analysis.valid_triples():
+    for i1, i2, k in triples:
         try:
             brute = analysis.bruteforce(i1, i2, k)
             constructive = analysis.constructive(i1, i2, k)

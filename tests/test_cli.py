@@ -347,6 +347,20 @@ def test_oversized_power_ideal_fails_fast(capsys):
     assert time.perf_counter() - start < 3.0
 
 
+@pytest.mark.parametrize("source", ["@powers:9,1", "@kpq:8,3"])
+def test_decomposition_past_the_phi_budget_fails_fast(capsys, source):
+    # the top generator's phi sums 9! order chains; the proof grew past
+    # 400 MiB without ending before it was refused
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "decomposition", source)
+    assert code == 1
+    assert out == ""
+    assert err == ("error: stage phi-budget: phi of the top 8-generator "
+                   "sums 362880 order chains, above the budget of "
+                   f"{synorres.verify.PHI_CHAIN_BUDGET}\n")
+    assert time.perf_counter() - start < 5.0
+
+
 def test_oversized_power_ideal_is_refused_by_the_parser(capsys, monkeypatch):
     # the generator list alone would hold 10^10 exponents
     def never(*args):

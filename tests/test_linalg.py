@@ -508,6 +508,42 @@ def test_cleared_spans_skip_columns():
         assert check_cleared_spans(2, field) > 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=6),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+def test_zero_differential_ranks_equal_the_cleared_spans_route(sizes,
+                                                                field):
+    # every column empty: the ranks are the column counts and the spans
+    # are empty, as the cleared spans give them, and none is built
+    boundaries = [{(i, j): {} for j in range(n)} for i, n in enumerate(sizes)]
+    spans = cleared_spans(
+        lambda i, cleared: [c for k, c in boundaries[i].items()
+                            if k not in cleared], len(boundaries), field)
+    want = [len(cols) - below.rank - above.rank
+            for cols, below, above in zip(boundaries, spans, spans[1:])]
+    with mock.patch.object(linalg, "cleared_spans", None):
+        ranks, got = linalg.homology_ranks(boundaries, field)
+    assert ranks == want == sizes[:-1]
+    assert len(got) == len(spans)
+    for red, ref in zip(got, spans):
+        assert red.rows == ref.rows == {} and red.rank == ref.rank == 0
+        assert red.field == field
+
+
+def test_one_nonzero_column_takes_the_cleared_spans_route():
+    boundaries = [{0: {}, 1: {}}, {2: {}, 3: {0: QQ.one, 1: QQ.one}}, {}]
+    calls = []
+    spans = cleared_spans
+
+    def counted(*args):
+        calls.append(args)
+        return spans(*args)
+    with mock.patch.object(linalg, "cleared_spans", counted):
+        ranks, got = linalg.homology_ranks(boundaries, QQ)
+    assert len(calls) == 1
+    assert ranks == [1, 1] and [red.rank for red in got] == [0, 1, 0]
+
+
 def reference_homology_ranks(P, field):
     """all_homology_ranks before clearing: every boundary matrix built and
     ranked in full."""

@@ -18,7 +18,8 @@ from synorres.corpus import (MmixRandom, ideal_example62, ideal_kpq,
 from synorres.poset import (Lattice, LcmLattice, Poset, _bounded_closure,
                             _canonical_code, _decode_canonical,
                             _invariants, _is_least, _lattice_tables,
-                            _lex_keys, _lex_records, _smallest_first,
+                            _lex_keys, _lex_records, _natural_posets,
+                            _smallest_first,
                             build_lcm_lattice,
                             canonical_form, enumerate_lattices,
                             is_isomorphic, is_lattice,
@@ -178,6 +179,26 @@ def test_join_table_equals_brute_force_least_upper_bound():
                 assert L.join_of(a, b) == brute_force_join(L, a, b)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(1, 10**6), n=st.integers(0, 9))
+def test_join_classes_group_elements_by_their_least_upper_bound(seed, n):
+    # random posets miss joins; relabeled so ids are not an extension
+    P = Poset(relabeled(random_poset(seed, n), seeded_permutation(seed, n)))
+    order = P.linear_extension()
+    for a in range(P.n):
+        none, joins = P.join_classes(a)
+        want_none, want = 0, {}
+        for r, y in enumerate(order):
+            ubs = [c for c in range(P.n) if P.le(a, c) and P.le(y, c)]
+            least = [c for c in ubs if all(P.le(c, d) for d in ubs)]
+            if least:
+                want[least[0]] = want.get(least[0], 0) | 1 << r
+            else:
+                want_none |= 1 << r
+        assert none == want_none
+        assert dict(joins) == want
+
+
 def lattice_by_definition(P):
     """Nonempty, with a bottom and a least upper bound for every pair."""
     def has_join(a, b):
@@ -289,6 +310,50 @@ def test_canonical_form_matches_bit_loop_reference(seed, n):
     decoded = [[bool(bits >> (a * n + b) & 1) for b in range(n)]
                for a in range(n)]
     assert _decode_canonical(form, n).tolist() == decoded
+
+
+def unpruned_canonical_code(up) -> bytes:
+    """`_canonical_code` without the twin rule: every available element
+    is tried at every position."""
+    n = len(up)
+    strict_up = [u & ~(1 << x) for x, u in enumerate(up)]
+    code = 0
+    states = [(0, (0,) * n)]
+    for a in range(n - 1, -1, -1):
+        best, ties = None, []
+        for placed, posbit in states:
+            for x in range(n):
+                above = strict_up[x]
+                if placed >> x & 1 or above & ~placed:
+                    continue
+                row = 1 << a
+                while above:
+                    low = above & -above
+                    row |= posbit[low.bit_length() - 1]
+                    above ^= low
+                if best is None or row < best:
+                    best, ties = row, []
+                if row == best:
+                    bits = list(posbit)
+                    bits[x] = 1 << a
+                    ties.append((placed | 1 << x, tuple(bits)))
+        code = code << n | best
+        states = ties
+    return code.to_bytes((n * n + 7) // 8, "big")
+
+
+def test_twin_pruned_code_equals_the_unpruned_code():
+    # every lattice that enumerate_lattices codes for n <= 9, as the walk
+    # hands it over and relabeled so that ids are not an extension
+    for n in range(2, 10):
+        for i, down in enumerate(_natural_posets(n - 2)):
+            up = _bounded_closure(down, n - 2)
+            assert _canonical_code(up) == unpruned_canonical_code(up)
+            perm = seeded_permutation(1000 * n + i, n)
+            at = {x: k for k, x in enumerate(perm)}  # old id -> new id
+            up = [sum(1 << at[y] for y in range(n) if up[x] >> y & 1)
+                  for x in perm]
+            assert _canonical_code(up) == unpruned_canonical_code(up)
 
 
 def test_canonical_form_is_fixed_and_invariant_on_enumerated_lattices():

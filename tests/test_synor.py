@@ -8,7 +8,8 @@ from synorres.algebra import (DimensionError, DomainError, PrimeField,
                               RationalField, ValidationError)
 from synorres.chains import (FormalChain, all_homology_ranks, boundary,
                              boundary_key, concat)
-from synorres.corpus import MmixRandom, random_ideal, random_poset
+from synorres.corpus import (MmixRandom, ideal_kpq, ideal_powers,
+                             random_ideal, random_poset)
 from synorres.linalg import Reducer, kernel_basis
 from synorres.poset import (Poset, build_lcm_lattice, enumerate_lattices,
                             without_bottom)
@@ -249,8 +250,9 @@ def missing_join(P) -> bool:
     join with the first one along P's linear extension."""
     order = P.linear_extension()
     for x in order:
-        down = [y for y in order if P.lt(y, x)]
-        if down and (P.joins_with(down[0])[down] < 0).any():
+        down = [r for r, y in enumerate(order) if P.lt(y, x)]
+        if down and any(P.join_classes(order[down[0]])[0] >> r & 1
+                        for r in down):
             return True
     return False
 
@@ -266,12 +268,18 @@ def build_case(kind, seed):
         lattices = list(enumerate_lattices(2 + seed % 5))
         L = lattices[seed % len(lattices)]
         return L if seed % 3 == 0 else without_bottom(L)
+    if kind == "missing":  # the first random poset from seed on that
+        # reaches the whole-down-set fallback
+        return next(P for s in range(seed, seed + 1000)
+                    if missing_join(P := random_poset(s, 8)))
     return random_poset(seed, 3 + seed % 8)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["lcm", "lattice", "poset"]), st.integers(1, 10**6),
-       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]))
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["lcm", "lattice", "poset", "missing"]),
+       st.integers(1, 10**6),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3),
+                        PrimeField(32003)]))
 def test_build_equals_the_whole_down_set_reference(kind, seed, field):
     # ranking atom-complement quotients changes no generator, no delta
     # and no term order of a delta
@@ -291,10 +299,11 @@ def test_missing_joins_fall_back_to_the_whole_down_set():
     assert len(seeds) >= 5
     for seed in seeds[:5]:
         P = random_poset(seed, 8)
-        gens_by_dim, delta = reference_build(P, QQ)
-        S = build_synor_complex(P, QQ)
-        assert S.gens_by_dim == gens_by_dim
-        assert S.delta == delta
+        for field in (QQ, PrimeField(32003)):
+            gens_by_dim, delta = reference_build(P, field)
+            S = build_synor_complex(P, field)
+            assert S.gens_by_dim == gens_by_dim
+            assert S.delta == delta
 
 
 def test_restrict_rejects_non_ideal(cycle_lattice):
@@ -549,10 +558,10 @@ def test_builds_share_one_memoized_poset_without_leaking_across_fields():
     L = rp2_lattice()
     P = without_bottom(L)
     assert without_bottom(L) is P
-    row = P.joins_with(0)
-    assert P.joins_with(0) is row
-    with pytest.raises(ValueError):
-        row[0] = 0
+    classes = P.join_classes(0)
+    assert P.join_classes(0) is classes
+    with pytest.raises(TypeError):
+        classes[1][next(iter(classes[1]))] = 0
     ids = [i for i in range(L.n) if i != L.bottom]
     totals = []
     for field in (QQ, PrimeField(2), QQ):
@@ -562,3 +571,57 @@ def test_builds_share_one_memoized_poset_without_leaking_across_fields():
         assert synor_to_json(S) == synor_to_json(fresh)
         totals.append(S.total_rank())
     assert totals[0] == totals[2] != totals[1]
+
+
+def top_generator(L, field):
+    P = without_bottom(L)
+    S = build_synor_complex(P, field)
+    top = P.origin.index(L.top)
+    return S, min((g for d in S.dims() for g in S.generators(d)
+                   if g.element == top), key=lambda g: (-g.dim, g.index))
+
+
+@pytest.mark.parametrize("spec,count", [
+    (ideal_powers(7, 1), 5040), (ideal_powers(8, 1), 40320),
+    (ideal_kpq(6, 3), 5040), (ideal_kpq(7, 3), 40320)],
+    ids=lambda v: getattr(v, "name", str(v)))
+def test_phi_count_of_the_top_generator(spec, count):
+    # B_n's top generator maps to the n! maximal chains of B_n minus 0;
+    # kpq(p, 3)'s top carries a (p-1)-generator besides a 3-generator
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    S, g = top_generator(L, QQ)
+    assert S.phi_count(g) == count
+    assert S.phi_count(g) is S._counts[g]
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_phi_count_bounds_the_terms_of_phi(seed):
+    spec = random_ideal(seed, 3 + seed % 3, 3 + seed % 4, 2)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    P = without_bottom(L)
+    S = build_synor_complex(P, QQ)
+    for d in S.dims():
+        for g in S.generators(d):
+            assert 0 < len(S.phi(g).terms) <= S.phi_count(g)
+    S, g = top_generator(build_lcm_lattice(
+        list(ideal_powers(4, 1).generators), ideal_powers(4, 1).variables),
+        QQ)
+    assert len(S.phi(g).terms) == S.phi_count(g) == 24
+
+
+def test_zero_differential_builds_span_nothing(monkeypatch):
+    # every quotient of B7 minus 0 is one generator, whose delta has no
+    # term on it, so each rank pass reads column counts and the build
+    # spans only for its witness passes
+    calls = []
+    spans = linalg.cleared_spans
+
+    def counted(*args):
+        calls.append(args)
+        return spans(*args)
+    monkeypatch.setattr(linalg, "cleared_spans", counted)
+    spec = ideal_powers(7, 1)
+    L = build_lcm_lattice(list(spec.generators), spec.variables)
+    S = build_synor_complex(without_bottom(L), QQ)
+    assert calls == []
+    assert S.total_rank() == 2 ** 7
