@@ -19,9 +19,10 @@ checks are decided there by synor.bounds_in, so it never enumerates an
 order chain.  Before the proof expands any phi it bounds the order
 chains of the top generator's phi from the complex alone
 (SynorComplex.phi_count), and above PHI_CHAIN_BUDGET it raises
-DomainError at stage phi-budget.  Interval homology (resolution.interval_ranks: upper Koszul
-complexes on lcm lattices, atom crosscuts on other lattices) is read
-only by the witness check, at the witnesses' elements.
+DomainError at stage phi-budget.  Interval homology
+(resolution.interval_ranks: upper Koszul complexes on lcm lattices, atom
+crosscuts on other lattices) is read only by the witness check, at the
+witnesses' elements.
 
 On lcm lattices the Betti numbers beta_{i,m} yield the Betti-level
 consequences: subadditivity of maximal shifts with witness pairs n1, n2
@@ -140,8 +141,9 @@ def _first_pair(P: Poset, xs, ys, target: int) -> tuple[int, int] | None:
 
 # The constructive route refuses a top generator whose phi_count exceeds
 # this, before its proof expands any phi: B8 and kpq(7,3), at 40,320,
-# finish (verify decomposition @powers:8,1 in 45 s at 362 MiB), while B9
-# and kpq(8,3), at 362,880, grew past 400 MiB without ending.
+# finish (verify decomposition @powers:8,1 took 45 s at 362 MiB on a
+# 2-core x86 machine), while B9 and kpq(8,3), at 362,880, grew past
+# 400 MiB there without ending.
 PHI_CHAIN_BUDGET = 100_000
 
 
